@@ -19,9 +19,8 @@ import numpy as np
 
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, WdmConfig,
                       cb_essfm_cost, count_runtime_multiplies,
-                      essfm_time_domain_cost, generate_wdm,
-                      make_dbp_coefficient_set, prepare_dbp_input,
-                      propagate_link, run_dbp, snr, symbols_from_dbp_output)
+                      essfm_time_domain_cost, evaluate, generate_wdm,
+                      make_dbp_coefficient_set, propagate_link)
 
 N, N_OV, SPS = 16384, 1800, 1.125
 
@@ -75,8 +74,7 @@ def main():
         coeffs = None
         if n_steps:
             coeffs = make_dbp_coefficient_set(dcfg, rate, wdm.launch_power_w)
-        out = run_dbp(prepare_dbp_input(rx, wdm, dcfg, 1), dcfg, coeffs)
-        s = snr(symbols_from_dbp_output(out, wdm), rec.channel(1)).snr_db
+        s = evaluate(rx, rec, wdm, dcfg, coeffs, channel_index=1).snr_db
         if variant == "CB_ESSFM":
             cost = cb_essfm_cost(2048, 512, SPS, n_steps, n_sb).rm_per_2d
         else:

@@ -21,10 +21,9 @@ from dataclasses import replace
 import numpy as np
 
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, WdmConfig,
-                      build_training_set, generate_wdm,
+                      build_training_set, evaluate, generate_wdm,
                       make_dbp_coefficient_set, optimize_coefficients,
-                      prepare_dbp_input, propagate_link, run_dbp, snr,
-                      symbols_from_dbp_output)
+                      propagate_link)
 
 LINK = LinkConfig(num_spans=5, span_length_km=80.0)
 WDM = WdmConfig(baud_rate=32e9, num_channels=3, spacing=37.5e9, rolloff=0.1,
@@ -34,9 +33,7 @@ NSYM = 8192
 
 
 def receiver(rx, rec, dcfg, coeffs):
-    w = prepare_dbp_input(rx, WDM, dcfg, channel_index=1)
-    out = run_dbp(w, dcfg, coeffs)
-    return snr(symbols_from_dbp_output(out, WDM), rec.channel(1)).snr_db
+    return evaluate(rx, rec, WDM, dcfg, coeffs, channel_index=1).snr_db
 
 
 def cfg(**kw):

@@ -11,7 +11,7 @@ from .channel import (LinkConfig, SimSettings, backward_propagate, edfa,
 from .complexity import (CostCounter, CostReport, cb_essfm_cost,
                          count_runtime_multiplies, essfm_time_domain_cost)
 from .dbp import (VARIANTS, DbpConfig, MimoTransfer, build_mimo_transfer,
-                  channel_memory_samples, gvd_step, make_dbp_coefficient_set,
+                  channel_memory_samples, gvd_phasor, make_dbp_coefficient_set,
                   nlpr_step, run_dbp, standard_ssfm_coefficient_set)
 from .fileio import (load_coefficients, load_symbols, load_waveform, read_csv,
                      save_coefficients, save_symbols, save_waveform,
@@ -20,9 +20,9 @@ from .kernel import (CoefficientSet, StepGeometry, analytic_coefficients,
                      coefficient_memory, geometry_fingerprint,
                      kernel_closed_form, kernel_quadrature, step_kernel,
                      volterra_oracle)
-from .metrics import (SnrResult, ase_limited_snr_db, prepare_dbp_input,
-                      recover_symbols, remove_mean_phase, snr,
-                      symbols_from_dbp_output)
+from .metrics import (SnrResult, ase_limited_snr_db, evaluate,
+                      prepare_dbp_input, recover_symbols, remove_mean_phase,
+                      snr, symbols_from_dbp_output)
 from .optimize import (OptimizationResult, SweepResult, TrainingSet,
                        build_training_set, optimize_coefficients,
                        sweep_launch_power, sweep_splitting_ratio)

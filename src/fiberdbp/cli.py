@@ -16,7 +16,6 @@ import hashlib
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -26,13 +25,12 @@ import yaml
 from . import fileio
 from .channel import LinkConfig, SimSettings, propagate_link
 from .complexity import cb_essfm_cost, essfm_time_domain_cost
-from .dbp import (DbpConfig, channel_memory_samples, make_dbp_coefficient_set,
-                  run_dbp)
+from .dbp import DbpConfig, _tap_memory, make_dbp_coefficient_set, run_dbp
 from .kernel import CoefficientSet
-from .metrics import prepare_dbp_input, snr, symbols_from_dbp_output
+from .metrics import evaluate, prepare_dbp_input, snr, symbols_from_dbp_output
 from .optimize import (build_training_set, optimize_coefficients,
                        sweep_launch_power, sweep_splitting_ratio)
-from .signals import DualPolWaveform, WdmConfig, demux_channel, generate_wdm
+from .signals import WdmConfig, demux_channel, generate_wdm
 
 FIGURE_IDS = ("snr_vs_nsb", "snr_vs_rho", "snr_vs_steps",
               "snr_vs_complexity", "snr_vs_length")
@@ -160,14 +158,6 @@ def _coefficients_for(cfg: ExperimentConfig, dcfg: DbpConfig,
     return coeffs
 
 
-def _snr_of(cfg: ExperimentConfig, rx: DualPolWaveform, record,
-            dcfg: DbpConfig, coeffs: CoefficientSet | None) -> float:
-    idx = (cfg.wdm.num_channels - 1) // 2
-    w = prepare_dbp_input(rx, cfg.wdm, dcfg, idx)
-    out = run_dbp(w, dcfg, coeffs)
-    return snr(symbols_from_dbp_output(out, cfg.wdm), record.channel(idx)).snr_db
-
-
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
     out = Path(args.out or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -288,28 +278,15 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         wrote.append(f"sweep_rho.csv (best rho {res.best_value:g}, "
                      f"{res.best_snr_db:.2f} dB)")
     if "power_dbm" in cfg.sweeps:
-        grid = list(cfg.sweeps["power_dbm"])
-
-        def one_point(p):
-            sub = replace(cfg.wdm, launch_power_dbm_per_channel=float(p))
-            tx, record = generate_wdm(sub, cfg.num_symbols,
-                                      sim_rate=cfg.sim_rate_hz,
-                                      seed=cfg.seeds["eval"])
-            rx = propagate_link(tx, cfg.link, cfg.sim)
-            coeffs = _coefficients_for(cfg, dcfg, sub.launch_power_w)
-            c = replace(cfg, wdm=sub)
-            return _snr_of(c, rx, record, dcfg, coeffs)
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(cfg.threads) as pool:
-                curve = list(pool.map(one_point, grid))
-        else:
-            curve = [one_point(p) for p in grid]
-        rows = [{"power_dbm": p, "SNR_dB": s} for p, s in zip(grid, curve)]
-        fileio.write_csv(out / "sweep_power.csv", rows, cfg.config_hash())
-        best = int(np.argmax(curve))
-        wrote.append(f"sweep_power.csv (best {grid[best]:g} dBm, "
-                     f"{curve[best]:.2f} dB)")
+        res = sweep_launch_power(
+            cfg.sweeps["power_dbm"], cfg.link, cfg.wdm, dcfg, cfg.num_symbols,
+            cfg.sim, cfg.seeds["eval"],
+            coeff_fn=lambda d, rate, p: _coefficients_for(cfg, d, p),
+            sim_rate_hz=cfg.sim_rate_hz, threads=cfg.threads)
+        fileio.write_csv(out / "sweep_power.csv", res.csv_rows(),
+                         cfg.config_hash())
+        wrote.append(f"sweep_power.csv (best {res.best_value:g} dBm, "
+                     f"{res.best_snr_db:.2f} dB)")
     for line in wrote:
         print("sweep:", line)
     return 0
@@ -323,19 +300,16 @@ def cmd_cost(cfg: ExperimentConfig, args) -> int:
     steps_grid = cfg.sweeps.get("n_steps", [dcfg.n_steps])
     rows = []
     rate = cfg.dbp_rate_hz()
-    mem_rule = lambda d: (make_dbp_coefficient_set(
-        d, rate, cfg.wdm.launch_power_w).coeffs[0].size - 1) // 2
     for n_st in steps_grid:
         edc = essfm_time_domain_cost(n, n_ov, n_sps, 0)
         rows.append(edc.csv_row("EDC", 0, 1, n, n_ov, n_sps))
         if n_st == 0:
             continue
-        d_t = replace(dcfg, variant="OSSFM", n_steps=int(n_st), n_subbands=1)
         rows.append(essfm_time_domain_cost(n, n_ov, n_sps, int(n_st), 0)
                     .csv_row("OSSFM", int(n_st), 1, n, n_ov, n_sps))
-        d_e = replace(d_t, variant="ESSFM")
+        d_e = replace(dcfg, variant="ESSFM", n_steps=int(n_st), n_subbands=1)
         rows.append(essfm_time_domain_cost(n, n_ov, n_sps, int(n_st),
-                                           mem_rule(d_e))
+                                           _tap_memory(d_e, 0, rate))
                     .csv_row("ESSFM", int(n_st), 1, n, n_ov, n_sps))
         d_c = replace(dcfg, variant="CB_ESSFM", n_steps=int(n_st))
         rows.append(cb_essfm_cost(n, n_ov, n_sps, int(n_st), d_c.n_subbands)
@@ -365,7 +339,8 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
             d = replace(dcfg, n_subbands=int(n_sb))
             coeffs = _coefficients_for(cfg, d)
             rows.append({"N_sb": int(n_sb),
-                         "SNR_dB": _snr_of(cfg, rx, record, d, coeffs)})
+                         "SNR_dB": evaluate(rx, record, cfg.wdm, d,
+                                            coeffs).snr_db})
         return rows
 
     if figure_id == "snr_vs_length":
@@ -378,7 +353,8 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
             coeffs = _coefficients_for(sub, d)
             rows.append({"num_spans": int(spans),
                          "length_km": sub.link.total_length_km,
-                         "SNR_dB": _snr_of(sub, rx, record, d, coeffs)})
+                         "SNR_dB": evaluate(rx, record, sub.wdm, d,
+                                            coeffs).snr_db})
         return rows
 
     # remaining figures scan the step grid x variants (EDC once, as N_st=0)
@@ -394,7 +370,7 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
                         n_subbands=dcfg.n_subbands if name == "CB_ESSFM"
                         else 1)
             coeffs = _coefficients_for(cfg, d)
-            got = _snr_of(cfg, rx, record, d, coeffs)
+            got = evaluate(rx, record, cfg.wdm, d, coeffs).snr_db
             row = {"variant": name, "N_st": d.n_steps, "N_sb": d.n_subbands,
                    "SNR_dB": got}
             if figure_id == "snr_vs_complexity":

@@ -45,9 +45,7 @@ class DbpConfig:
     n_steps is the number of nonlinear steps N_st (0 for EDC; total
     fine-step count for IDEAL_SSFM). oversampling records the samples per
     symbol the engine runs at (used by the cost model and block planning,
-    not by the math). step_fractions is a hook for non-uniform step-length
-    distributions; the default (None) means uniform, the only validated
-    choice.
+    not by the math).
     """
 
     link: LinkConfig
@@ -59,7 +57,6 @@ class DbpConfig:
     overlap: int = 0
     oversampling: float = 1.125
     coefficient_source: str = "analytic"
-    step_fractions: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -81,11 +78,6 @@ class DbpConfig:
             raise ValueError("block_size must divide into n_subbands")
         if self.overlap % (2 * self.n_subbands):
             raise ValueError("overlap must be a multiple of 2*n_subbands")
-        if self.step_fractions is not None:
-            fr = np.asarray(self.step_fractions, float)
-            if fr.size != max(self.n_steps, 1) or np.any(fr <= 0) \
-                    or abs(fr.sum() - 1.0) > 1e-9:
-                raise ValueError("step_fractions must be positive and sum to 1")
 
     @property
     def step_length_km(self) -> float:
@@ -114,15 +106,15 @@ def channel_memory_samples(link: LinkConfig, bandwidth_hz: float,
     return int(np.ceil(spread * sample_rate_hz))
 
 
-def gvd_step(spectrum: np.ndarray, freqs_hz: np.ndarray, delta_z_km: float,
-             beta2_ps2_km: float) -> np.ndarray:
-    """Dispersion-compensation phase on a spectrum with known bin frequencies.
+def gvd_phasor(freqs_hz: np.ndarray, delta_z_km: float,
+               beta2_ps2_km: float) -> np.ndarray:
+    """Dispersion-compensation transfer exp(j 2 pi^2 beta2 dz f^2) per bin.
 
-    Applies exp(j 2 pi^2 beta2 dz f^2) per bin, the inverse of the fiber
-    transfer over delta_z; magnitudes are untouched.
+    The inverse of the fiber's dispersion transfer over delta_z at the given
+    bin frequencies; every entry has unit magnitude.
     """
     phase = 2 * np.pi ** 2 * beta2_ps2_km * 1e-24 * delta_z_km * freqs_hz ** 2
-    return spectrum * np.exp(1j * phase)
+    return np.exp(1j * phase)
 
 
 @dataclass
@@ -230,10 +222,19 @@ def nlpr_step(subbands: list[DualPolWaveform], mimo: MimoTransfer,
             for i, s in enumerate(subbands)]
 
 
-def _step_lengths(cfg: DbpConfig) -> np.ndarray:
-    if cfg.step_fractions is None:
-        return np.full(cfg.n_steps, cfg.step_length_km)
-    return np.asarray(cfg.step_fractions, float) * cfg.link.total_length_km
+def _tap_memory(cfg: DbpConfig, h: int, sample_rate_hz: float,
+                memory: int | None = None, safety: float = 1.5) -> int:
+    """One-sided tap count N_c of the separation-h vector.
+
+    An explicit ``memory`` wins; otherwise OSSFM gets a single tap (0) and
+    every other variant the walk-off memory rule times ``safety``.
+    """
+    if memory is not None:
+        return memory
+    if cfg.variant == "OSSFM":
+        return 0
+    return coefficient_memory(h, cfg.step_geometry(), 1.0, sample_rate_hz,
+                              cfg.n_subbands, safety=safety)
 
 
 def make_dbp_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
@@ -254,13 +255,9 @@ def make_dbp_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
     n_sb = cfg.n_subbands
     sub_rate = sample_rate_hz / n_sb
     geom = cfg.step_geometry()
-    if memory is None and cfg.variant == "OSSFM":
-        memory = 0
-
     coeffs = {}
     for h in range(n_sb):
-        mem_h = coefficient_memory(h, geom, 1.0, sample_rate_hz, n_sb,
-                                   safety=safety) if memory is None else memory
+        mem_h = _tap_memory(cfg, h, sample_rate_hz, memory, safety)
         c = analytic_coefficients(geom, h * sub_rate, max(mem_h, 1), sub_rate,
                                   reference_power_w, oversample=oversample)
         if mem_h == 0:
@@ -276,7 +273,8 @@ def _assemble_set(cfg: DbpConfig, sample_rate_hz: float,
     geom = cfg.step_geometry()
     alpha = cfg.link.alpha_np_km
     lsp = cfg.link.span_length_km
-    starts = np.cumsum(np.concatenate([[0.0], _step_lengths(cfg)[:-1]]))
+    lengths = np.full(cfg.n_steps, cfg.step_length_km)
+    starts = np.cumsum(np.concatenate([[0.0], lengths[:-1]]))
     scales = np.exp(-alpha * np.mod(starts, lsp))[::-1]
     return CoefficientSet(
         n_sb=n_sb, subband_rate=sub_rate, subband_spacing=sub_rate,
@@ -296,17 +294,8 @@ def standard_ssfm_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
     phase at the reference power (the classic split-step starting point)."""
     if cfg.variant in ("EDC", "IDEAL_SSFM"):
         raise ValueError(f"{cfg.variant} takes no coefficient set")
-    geom = cfg.step_geometry()
-    coeffs = {}
-    for h in range(cfg.n_subbands):
-        if memory is not None:
-            mem_h = memory
-        elif cfg.variant == "OSSFM":
-            mem_h = 0
-        else:
-            mem_h = coefficient_memory(h, geom, 1.0, sample_rate_hz,
-                                       cfg.n_subbands, safety=1.5)
-        coeffs[h] = np.zeros(2 * mem_h + 1)
+    coeffs = {h: np.zeros(2 * _tap_memory(cfg, h, sample_rate_hz, memory) + 1)
+              for h in range(cfg.n_subbands)}
     out = _assemble_set(cfg, sample_rate_hz, reference_power_w, coeffs)
     coeffs[0][coeffs[0].size // 2] = out.phase_norm_rad
     return out
@@ -317,22 +306,14 @@ class _BlockEngine:
 
     def __init__(self, cfg: DbpConfig, rate: float, coeffs: CoefficientSet | None):
         self.cfg = cfg
-        self.rate = rate
         self.coeffs = coeffs
         n = cfg.block_size
         n_sb = cfg.n_subbands
         self.n_prime = n // n_sb
-        beta2 = cfg.link.beta2_ps2_km
-
-        if cfg.variant == "EDC":
-            f = np.fft.fftfreq(n, 1.0 / rate)
-            self.edc_phasor = np.exp(
-                2j * np.pi ** 2 * beta2 * 1e-24 * cfg.link.total_length_km * f ** 2)
-            return
 
         if cfg.n_steps == 0:
-            # zero nonlinear steps: any variant degenerates to the single
-            # full-length dispersion filter, no coefficients involved
+            # zero nonlinear steps (EDC, or any variant at N_st = 0): the
+            # single full-length dispersion filter, no coefficients involved
             self.gvd_lengths = []
             self.final_gvd = cfg.link.total_length_km
         else:
@@ -340,44 +321,36 @@ class _BlockEngine:
                 raise ValueError(f"{cfg.variant} requires a coefficient set")
             if coeffs.n_sb != n_sb:
                 raise ValueError("coefficient set built for a different n_subbands")
-            lengths = _step_lengths(cfg)
+            if coeffs.num_steps != cfg.n_steps:
+                raise ValueError(
+                    f"coefficient set built for {coeffs.num_steps} steps, "
+                    f"config runs {cfg.n_steps}")
+            step = cfg.step_length_km
             rho = cfg.splitting_ratio
             # dispersion lengths around the rotations: (1-rho) of the first
             # step, merged interiors, rho of the last
-            self.gvd_lengths = [(1 - rho) * lengths[0]]
-            for k in range(1, cfg.n_steps):
-                self.gvd_lengths.append(rho * lengths[k - 1] + (1 - rho) * lengths[k])
-            self.final_gvd = rho * lengths[-1]
+            interior = rho * step + (1 - rho) * step
+            self.gvd_lengths = [(1 - rho) * step] + [interior] * (cfg.n_steps - 1)
+            self.final_gvd = rho * step
 
         if cfg.variant == "CB_ESSFM":
+            # per-subband dispersion at the subbands' absolute frequencies
             sub_rate = rate / n_sb
             centers = (np.arange(n_sb) + 0.5) * sub_rate - rate / 2
-            f_abs = centers[:, None] + np.fft.fftfreq(self.n_prime, 1.0 / sub_rate)[None, :]
-            self._phasors = {}
-            for dz in set(self.gvd_lengths + [self.final_gvd]):
-                self._phasors[dz] = np.exp(
-                    2j * np.pi ** 2 * beta2 * 1e-24 * dz * f_abs ** 2)
+            freqs = centers[:, None] + np.fft.fftfreq(self.n_prime, 1.0 / sub_rate)[None, :]
             if cfg.n_steps:
                 self.mimo = build_mimo_transfer(coeffs, self.n_prime)
-        else:  # ESSFM / OSSFM: full-grid dispersion, time-domain FIR phase
-            f = np.fft.fftfreq(n, 1.0 / rate)
-            self._phasors = {}
-            for dz in set(self.gvd_lengths + [self.final_gvd]):
-                self._phasors[dz] = np.exp(
-                    2j * np.pi ** 2 * beta2 * 1e-24 * dz * f ** 2)
+        else:  # EDC / OSSFM / ESSFM: full-grid dispersion, time-domain FIR phase
+            freqs = np.fft.fftfreq(n, 1.0 / rate)
             if cfg.n_steps:
                 self.taps = coeffs.coeffs[0]
+        self._phasors = {dz: gvd_phasor(freqs, dz, cfg.link.beta2_ps2_km)
+                         for dz in set(self.gvd_lengths + [self.final_gvd])}
 
     def process(self, blk: np.ndarray, counter=None) -> np.ndarray:
-        cfg = self.cfg
-        if cfg.variant == "EDC":
-            if counter is not None:
-                counter.cfft(cfg.block_size, 4, "fft")
-                counter.fixed_cmul(2 * cfg.block_size, "gvd")
-            return np.fft.ifft(np.fft.fft(blk, axis=-1) * self.edc_phasor, axis=-1)
-        if cfg.variant == "CB_ESSFM":
+        if self.cfg.variant == "CB_ESSFM":
             return self._process_cb(blk, counter)
-        return self._process_essfm_time(blk, counter)
+        return self._process_time(blk, counter)
 
     def _process_cb(self, blk: np.ndarray, counter=None) -> np.ndarray:
         cfg = self.cfg
@@ -400,26 +373,25 @@ class _BlockEngine:
         spec = np.fft.fftshift(sub, axes=-1).reshape(2, cfg.block_size) * n_sb
         return np.fft.ifft(np.fft.ifftshift(spec, axes=-1), axis=-1)
 
-    def _process_essfm_time(self, blk: np.ndarray, counter=None) -> np.ndarray:
+    def _process_time(self, blk: np.ndarray, counter=None) -> np.ndarray:
         cfg = self.cfg
-        n = cfg.block_size
-        if cfg.n_steps:
+        n, n_st = cfg.block_size, cfg.n_steps
+        if counter is not None:
+            counter.cfft(n, 4 * (n_st + 1), "fft")
+            counter.fixed_cmul(2 * n * (n_st + 1), "gvd")
+        if n_st:
             scales = self.coeffs.step_scales / self.coeffs.reference_power_w
             taps = self.taps
-        else:
-            taps = np.zeros(1)
-        wing = (taps.size - 1) // 2
-        if counter is not None:
-            counter.cfft(n, 4 * (cfg.n_steps + 1), "fft")
-            counter.fixed_cmul(2 * n * (cfg.n_steps + 1), "gvd")
-            counter.rmul(4 * n * cfg.n_steps, "intensity")
-            counter.radd(3 * n * cfg.n_steps, "intensity")
-            counter.rmul(n * (wing + 1) * cfg.n_steps, "fir")
-            counter.radd(n * 2 * wing * cfg.n_steps, "fir")
-            counter.lut_exp(n * cfg.n_steps)
-            counter.pair_shared_cmul(n * cfg.n_steps, "rotation")
+            wing = (taps.size - 1) // 2
+            if counter is not None:
+                counter.rmul(4 * n * n_st, "intensity")
+                counter.radd(3 * n * n_st, "intensity")
+                counter.rmul(n * (wing + 1) * n_st, "fir")
+                counter.radd(n * 2 * wing * n_st, "fir")
+                counter.lut_exp(n * n_st)
+                counter.pair_shared_cmul(n * n_st, "rotation")
         spec = np.fft.fft(blk, axis=-1)
-        for st in range(cfg.n_steps):
+        for st in range(n_st):
             spec = spec * self._phasors[self.gvd_lengths[st]]
             field = np.fft.ifft(spec, axis=-1)
             intens = np.abs(field[0]) ** 2 + np.abs(field[1]) ** 2

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LN10_OVER_10 = np.log(10.0) / 10.0
+from .channel import LN10_OVER_10
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,8 @@ def kernel_quadrature(mu, nu, geom: StepGeometry,
         num_points += 1
 
     zeta = np.linspace(0.0, lsp, num_points)
-    wgt = np.ones(num_points)
-    wgt[1:-1:2] = 4.0
-    wgt[2:-1:2] = 2.0
-    wgt *= (lsp / (num_points - 1)) / 3.0
-    profile = geom.gamma_w_km * np.exp(-alpha * zeta) * wgt
+    profile = (geom.gamma_w_km * np.exp(-alpha * zeta)
+               * _simpson_weights(num_points, lsp))
 
     total = np.zeros(b.size, dtype=complex)
     for k in range(n_sp):
@@ -433,24 +430,6 @@ class CoefficientSet:
     @property
     def num_steps(self) -> int:
         return self.step_scales.size
-
-    def memory(self, h: int) -> int:
-        return (self.coeffs[h].size - 1) // 2
-
-    def taps(self, h: int) -> np.ndarray:
-        return self.coeffs[h]
-
-    def normalized(self, h: int) -> np.ndarray:
-        """Taps divided by the per-step nonlinear-phase normalization."""
-        return self.coeffs[h] / self.phase_norm_rad
-
-    def scaled_by_power(self, factor: float) -> "CoefficientSet":
-        """New set with every tap (and the normalization) scaled linearly."""
-        return CoefficientSet(
-            self.n_sb, self.subband_rate, self.subband_spacing,
-            self.reference_power_w * factor, self.phase_norm_rad * factor,
-            self.step_scales.copy(), self.geometry_hash,
-            {h: c * factor for h, c in self.coeffs.items()})
 
 
 def geometry_fingerprint(geom: StepGeometry, n_sb: int, subband_rate: float,

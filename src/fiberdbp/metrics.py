@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.constants
 
 from .channel import LinkConfig, ase_variance_per_pol
 from .dbp import DbpConfig, run_dbp
 from .kernel import CoefficientSet
-from .signals import (DualPolWaveform, WdmConfig, demux_channel,
-                      matched_filter, resample)
+from .signals import (DualPolWaveform, SymbolRecord, WdmConfig,
+                      demux_channel, matched_filter, resample)
 
 SNR_CAP_DB = 100.0
 
@@ -151,6 +150,20 @@ def recover_symbols(w: DualPolWaveform, wdm: WdmConfig, dbp_cfg: DbpConfig,
     w = prepare_dbp_input(w, wdm, dbp_cfg, channel_index, dbp_rate_hz)
     w = run_dbp(w, dbp_cfg, coeffs)
     return symbols_from_dbp_output(w, wdm)
+
+
+def evaluate(rx: DualPolWaveform, record: SymbolRecord, wdm: WdmConfig,
+             dbp_cfg: DbpConfig, coeffs: CoefficientSet | None = None,
+             channel_index: int | None = None) -> SnrResult:
+    """Receive one WDM channel and score it against its transmitted symbols.
+
+    snr(recover_symbols(...), record.channel(channel_index)); the channel
+    defaults to the center one.
+    """
+    if channel_index is None:
+        channel_index = (wdm.num_channels - 1) // 2
+    return snr(recover_symbols(rx, wdm, dbp_cfg, coeffs, channel_index),
+               record.channel(channel_index))
 
 
 def ase_limited_snr_db(link: LinkConfig, wdm: WdmConfig) -> float:

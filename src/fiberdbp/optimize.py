@@ -15,6 +15,7 @@ chain on a grid and report the argmax along with the whole curve.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,7 @@ import scipy.optimize
 from .channel import LinkConfig, SimSettings, propagate_link
 from .dbp import DbpConfig, make_dbp_coefficient_set, run_dbp
 from .kernel import CoefficientSet
-from .metrics import (prepare_dbp_input, remove_mean_phase, snr,
+from .metrics import (evaluate, prepare_dbp_input, remove_mean_phase,
                       symbols_from_dbp_output)
 from .signals import DualPolWaveform, SymbolRecord, WdmConfig, generate_wdm
 
@@ -182,16 +183,6 @@ class SweepResult:
                 for v, s in zip(self.values, self.snr_db)]
 
 
-def _evaluate(rx: DualPolWaveform, record: SymbolRecord, wdm: WdmConfig,
-              cfg: DbpConfig, coeffs: CoefficientSet | None,
-              channel_index: int | None = None) -> float:
-    idx = channel_index if channel_index is not None \
-        else (wdm.num_channels - 1) // 2
-    w = prepare_dbp_input(rx, wdm, cfg, idx)
-    out = run_dbp(w, cfg, coeffs)
-    return snr(symbols_from_dbp_output(out, wdm), record.channel(idx)).snr_db
-
-
 def sweep_splitting_ratio(rhos, eval_rx: DualPolWaveform,
                           eval_record: SymbolRecord, wdm: WdmConfig,
                           cfg: DbpConfig, train: TrainingSet | None = None,
@@ -212,7 +203,8 @@ def sweep_splitting_ratio(rhos, eval_rx: DualPolWaveform,
                                           oversample=oversample)
         if train is not None:
             coeffs = optimize_coefficients(train, cfg_rho, coeffs).coeffs
-        curve[i] = _evaluate(eval_rx, eval_record, wdm, cfg_rho, coeffs)
+        curve[i] = evaluate(eval_rx, eval_record, wdm, cfg_rho,
+                            coeffs).snr_db
     best = int(np.argmax(curve))
     return SweepResult("rho", rhos, curve, float(rhos[best]), float(curve[best]))
 
@@ -220,17 +212,20 @@ def sweep_splitting_ratio(rhos, eval_rx: DualPolWaveform,
 def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
                        cfg: DbpConfig, num_symbols: int = 4096,
                        sim: SimSettings | None = None, eval_seed: int = 9,
-                       coeff_fn=None, sim_rate_hz: float | None = None) -> SweepResult:
+                       coeff_fn=None, sim_rate_hz: float | None = None,
+                       threads: int = 1) -> SweepResult:
     """SNR versus per-channel launch power over a fresh simulation per point.
 
     coeff_fn(cfg, rate_hz, power_w) supplies the coefficient set at each
     power (default: analytic sets for the coefficient-driven variants,
-    nothing for EDC and the fine-step oracle).
+    nothing for EDC and the fine-step oracle). With threads > 1 the grid
+    points run in a thread pool; every point is seeded on its own, so the
+    curve does not depend on the thread count.
     """
     powers_dbm = np.asarray(powers_dbm, float)
     sim = sim or SimSettings(max_phase_rad=2e-3, noise_enabled=True)
-    curve = np.empty(powers_dbm.size)
-    for i, p_dbm in enumerate(powers_dbm):
+
+    def point(p_dbm):
         wdm_p = wdm.with_power(float(p_dbm))
         tx, record = generate_wdm(wdm_p, num_symbols, sim_rate=sim_rate_hz,
                                   seed=eval_seed)
@@ -242,7 +237,13 @@ def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
             coeffs = None
         else:
             coeffs = make_dbp_coefficient_set(cfg, rate, wdm_p.launch_power_w)
-        curve[i] = _evaluate(rx, record, wdm_p, cfg, coeffs)
+        return evaluate(rx, record, wdm_p, cfg, coeffs).snr_db
+
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            curve = np.array(list(pool.map(point, powers_dbm)))
+    else:
+        curve = np.array([point(p) for p in powers_dbm])
     best = int(np.argmax(curve))
     return SweepResult("power_dbm", powers_dbm, curve,
                        float(powers_dbm[best]), float(curve[best]))

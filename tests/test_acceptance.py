@@ -20,10 +20,10 @@ from fiberdbp import (DbpConfig, DualPolWaveform, LinkConfig, SimSettings,
                       StepGeometry, WdmConfig, analytic_coefficients,
                       build_mimo_transfer, build_training_set, cb_essfm_cost,
                       channel_memory_samples, essfm_time_domain_cost,
-                      generate_wdm, kernel_closed_form, kernel_quadrature,
-                      make_dbp_coefficient_set, nlpr_step,
+                      evaluate, generate_wdm, kernel_closed_form,
+                      kernel_quadrature, make_dbp_coefficient_set, nlpr_step,
                       optimize_coefficients, prepare_dbp_input,
-                      propagate_link, run_dbp, snr, symbols_from_dbp_output,
+                      propagate_link, recover_symbols, run_dbp, snr,
                       volterra_oracle)
 
 from conftest import rel_rms
@@ -52,15 +52,12 @@ def desk_cfg(**kw):
 
 
 def central_snr(rx, rec, wdm, dcfg, coeffs):
-    idx = (wdm.num_channels - 1) // 2
-    out = run_dbp(prepare_dbp_input(rx, wdm, dcfg, idx), dcfg, coeffs)
-    return snr(symbols_from_dbp_output(out, wdm), rec.channel(idx)).snr_db
+    return evaluate(rx, rec, wdm, dcfg, coeffs).snr_db
 
 
 def central_symbols(rx, rec, wdm, dcfg, coeffs):
     idx = (wdm.num_channels - 1) // 2
-    out = run_dbp(prepare_dbp_input(rx, wdm, dcfg, idx), dcfg, coeffs)
-    return symbols_from_dbp_output(out, wdm), rec.channel(idx)
+    return recover_symbols(rx, wdm, dcfg, coeffs, idx), rec.channel(idx)
 
 
 # ---------------------------------------------------------------- arithmetic

@@ -136,6 +136,15 @@ def test_sweep_rho_csv(ws):
     assert [float(r["power_dbm"]) for r in power_rows] == [0.0, 2.0]
 
 
+def test_sweep_threads_do_not_change_results(ws):
+    root, cfg_path = ws
+    one, two = root / "sw_t1", root / "sw_t2"
+    assert run(cfg_path, one, "sweep") == 0
+    assert run(cfg_path, two, "--threads", "2", "sweep") == 0
+    assert (one / "sweep_power.csv").read_bytes() \
+        == (two / "sweep_power.csv").read_bytes()
+
+
 def test_cost_table_structure(ws):
     root, cfg_path = ws
     out = root / "cost"
@@ -149,6 +158,22 @@ def test_cost_table_structure(ws):
     variants = {r["variant"] for r in rows}
     assert variants == {"EDC", "OSSFM", "ESSFM", "CB_ESSFM"}
     assert all(float(r["RM_per_2D"]) > 0 for r in rows)
+
+
+def test_cost_table_uses_closed_forms_only(ws, monkeypatch):
+    # tap counts come from the memory rule; building the taps just to read
+    # their length would not fit in memory at full scale
+    root, cfg_path = ws
+    plain, closed = root / "cost_plain", root / "cost_closed"
+    assert run(cfg_path, plain, "cost") == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cost table built analytic coefficients")
+
+    monkeypatch.setattr("fiberdbp.dbp.analytic_coefficients", refuse)
+    assert run(cfg_path, closed, "cost") == 0
+    assert (closed / "cost.csv").read_bytes() \
+        == (plain / "cost.csv").read_bytes()
 
 
 def test_figure_steps_scan_includes_zero_step_reference(ws):

@@ -7,7 +7,7 @@ import pytest
 
 from fiberdbp import (DbpConfig, DualPolWaveform, LinkConfig, SimSettings,
                       WdmConfig, build_mimo_transfer, channel_memory_samples,
-                      generate_wdm, gvd_step, make_dbp_coefficient_set,
+                      generate_wdm, gvd_phasor, make_dbp_coefficient_set,
                       nlpr_step, propagate_link, run_dbp,
                       standard_ssfm_coefficient_set, subband_split)
 from conftest import rel_rms
@@ -104,6 +104,20 @@ def test_block_larger_than_signal_rejected(link, test_wave):
         run_dbp(test_wave, cfg)
 
 
+@pytest.mark.parametrize("variant, n_sb", [("CB_ESSFM", 2), ("ESSFM", 1)])
+@pytest.mark.parametrize("built, runs", [(5, 3), (3, 5)])
+def test_coefficient_set_bound_to_step_count(link, test_wave, variant, n_sb,
+                                             built, runs):
+    # a set carries one power scale per step: too many must not run
+    # silently, too few must not fail partway through the blocks
+    coeffs = make_dbp_coefficient_set(
+        cfg_for(link, variant=variant, n_subbands=n_sb, n_steps=built),
+        RATE, 1e-3)
+    cfg = cfg_for(link, variant=variant, n_subbands=n_sb, n_steps=runs)
+    with pytest.raises(ValueError, match=f"built for {built} steps"):
+        run_dbp(test_wave, cfg, coeffs)
+
+
 def test_edc_inverts_linear_channel(link):
     lin = LinkConfig(num_spans=3, span_length_km=80.0, gamma_w_km=0.0)
     wdm = WdmConfig(baud_rate=32e9, launch_power_dbm_per_channel=0.0)
@@ -119,7 +133,7 @@ def test_gvd_step_sign_opposes_forward():
     spec = np.fft.fft(np.random.default_rng(0).normal(size=256)
                       + 0j)
     fwd = spec * np.exp(-2j * np.pi ** 2 * (-21.683) * 1e-24 * 50.0 * f ** 2)
-    back = gvd_step(fwd, f, 50.0, -21.683)
+    back = fwd * gvd_phasor(f, 50.0, -21.683)
     assert rel_rms(back, spec) < 1e-12
 
 
