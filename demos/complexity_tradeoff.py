@@ -15,10 +15,8 @@ quality-per-multiplication picture. About a minute end to end.
 
 import time
 
-import numpy as np
-
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, WdmConfig,
-                      cb_essfm_cost, count_runtime_multiplies,
+                      cb_essfm_cost, count_runtime_multiplies, dbp_cost,
                       essfm_time_domain_cost, evaluate, generate_wdm,
                       make_dbp_coefficient_set, propagate_link)
 
@@ -75,13 +73,7 @@ def main():
         if n_steps:
             coeffs = make_dbp_coefficient_set(dcfg, rate, wdm.launch_power_w)
         s = evaluate(rx, rec, wdm, dcfg, coeffs, channel_index=1).snr_db
-        if variant == "CB_ESSFM":
-            cost = cb_essfm_cost(2048, 512, SPS, n_steps, n_sb).rm_per_2d
-        else:
-            taps = 0 if coeffs is None else (coeffs.coeffs[0].size - 1) // 2
-            cost = essfm_time_domain_cost(2048, 512, SPS, n_steps,
-                                          taps).rm_per_2d
-        return s, cost
+        return s, dbp_cost(dcfg, rate).rm_per_2d
 
     print(f"  {'receiver':22s} {'RM/2D':>7s} {'SNR':>7s} {'gain':>6s}")
     base = None

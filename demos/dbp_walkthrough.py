@@ -16,7 +16,6 @@ Runs in about two minutes.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 

@@ -8,27 +8,24 @@ config-driven experiment runner (cli, fileio).
 
 from .channel import (LinkConfig, SimSettings, backward_propagate, edfa,
                       propagate_link, span_step_sizes)
-from .complexity import (CostCounter, CostReport, cb_essfm_cost,
-                         count_runtime_multiplies, essfm_time_domain_cost)
-from .dbp import (VARIANTS, DbpConfig, MimoTransfer, build_mimo_transfer,
-                  channel_memory_samples, gvd_phasor, make_dbp_coefficient_set,
-                  nlpr_step, run_dbp, standard_ssfm_coefficient_set)
+from .complexity import (cb_essfm_cost, count_runtime_multiplies, dbp_cost,
+                         essfm_time_domain_cost)
+from .dbp import (DbpConfig, build_mimo_transfer, channel_memory_samples,
+                  gvd_phasor, make_dbp_coefficient_set, nlpr_step, run_dbp,
+                  standard_ssfm_coefficient_set)
 from .fileio import (load_coefficients, load_symbols, load_waveform, read_csv,
                      save_coefficients, save_symbols, save_waveform,
                      write_csv)
 from .kernel import (CoefficientSet, StepGeometry, analytic_coefficients,
-                     coefficient_memory, geometry_fingerprint,
-                     kernel_closed_form, kernel_quadrature, step_kernel,
-                     volterra_oracle)
-from .metrics import (SnrResult, ase_limited_snr_db, evaluate,
-                      prepare_dbp_input, recover_symbols, remove_mean_phase,
-                      snr, symbols_from_dbp_output)
-from .optimize import (OptimizationResult, SweepResult, TrainingSet,
-                       build_training_set, optimize_coefficients,
-                       sweep_launch_power, sweep_splitting_ratio)
-from .signals import (DualPolWaveform, SymbolRecord, WdmConfig, demux_channel,
-                      generate_wdm, matched_filter, resample, subband_merge,
-                      subband_split)
+                     coefficient_memory, kernel_closed_form,
+                     kernel_quadrature, step_kernel, volterra_oracle)
+from .metrics import (ase_limited_snr_db, evaluate, prepare_dbp_input,
+                      recover_symbols, remove_mean_phase, snr)
+from .optimize import (SweepResult, TrainingSet, build_training_set,
+                       optimize_coefficients, sweep_launch_power,
+                       sweep_splitting_ratio)
+from .signals import (DualPolWaveform, WdmConfig, demux_channel, generate_wdm,
+                      matched_filter, resample)
 
 __version__ = "0.1.0"
 

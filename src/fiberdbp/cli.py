@@ -24,11 +24,11 @@ import yaml
 
 from . import fileio
 from .channel import LinkConfig, SimSettings, propagate_link
-from .complexity import cb_essfm_cost, essfm_time_domain_cost
-from .dbp import DbpConfig, _tap_memory, make_dbp_coefficient_set, run_dbp
+from .complexity import dbp_cost
+from .dbp import DbpConfig, make_dbp_coefficient_set, run_dbp
 from .kernel import CoefficientSet
 from .metrics import evaluate, prepare_dbp_input, snr, symbols_from_dbp_output
-from .optimize import (build_training_set, optimize_coefficients,
+from .optimize import (TrainingSet, build_training_set, optimize_coefficients,
                        sweep_launch_power, sweep_splitting_ratio)
 from .signals import WdmConfig, demux_channel, generate_wdm
 
@@ -143,19 +143,48 @@ def _simulate_eval(cfg: ExperimentConfig, seed: int | None = None):
     return tx, rx, record
 
 
+def _needs_coefficients(dcfg: DbpConfig) -> bool:
+    # the engine reads no set for EDC, the fine-step oracle, or N_st = 0
+    return dcfg.variant not in ("EDC", "IDEAL_SSFM") and dcfg.n_steps > 0
+
+
+def _training_set(cfg: ExperimentConfig,
+                  dcfgs: list[DbpConfig]) -> TrainingSet | None:
+    """Training set shared by every row of one command that tunes its taps.
+
+    Simulated once, on cfg's link at its launch power; None when no row of
+    dcfgs reads a tuned coefficient set.
+    """
+    if not any(d.coefficient_source == "optimized" and _needs_coefficients(d)
+               for d in dcfgs):
+        return None
+    return build_training_set(cfg.link, cfg.wdm, cfg.num_symbols, cfg.sim,
+                              cfg.seeds["train"], cfg.seeds["val"],
+                              cfg.sim_rate_hz)
+
+
 def _coefficients_for(cfg: ExperimentConfig, dcfg: DbpConfig,
+                      train: TrainingSet | None,
                       power_w: float | None = None) -> CoefficientSet | None:
-    if dcfg.variant in ("EDC", "IDEAL_SSFM"):
+    if not _needs_coefficients(dcfg):
         return None
     p_ref = cfg.wdm.launch_power_w if power_w is None else power_w
     coeffs = make_dbp_coefficient_set(dcfg, dcfg.oversampling
                                       * cfg.wdm.baud_rate, p_ref)
     if dcfg.coefficient_source == "optimized":
-        train = build_training_set(cfg.link, cfg.wdm, cfg.num_symbols,
-                                   cfg.sim, cfg.seeds["train"],
-                                   cfg.seeds["val"], cfg.sim_rate_hz)
         coeffs = optimize_coefficients(train, dcfg, coeffs).coeffs
     return coeffs
+
+
+def _ladder(dcfg: DbpConfig, steps_grid) -> list[DbpConfig]:
+    """EDC, then OSSFM, ESSFM and CB-ESSFM at each step count of the grid."""
+    out = [replace(dcfg, variant="EDC", n_steps=0, n_subbands=1)]
+    for n_st in steps_grid:
+        for name in ("OSSFM", "ESSFM", "CB_ESSFM"):
+            out.append(replace(dcfg, variant=name, n_steps=int(n_st),
+                               n_subbands=dcfg.n_subbands
+                               if name == "CB_ESSFM" else 1))
+    return out
 
 
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
@@ -241,7 +270,7 @@ def cmd_dbp(cfg: ExperimentConfig, args) -> int:
     dcfg = cfg.dbp_config()
     rx = fileio.load_waveform(args.waveform or out / "rx.fdbp")
     coeffs = fileio.load_coefficients(args.coeffs) if args.coeffs \
-        else _coefficients_for(cfg, dcfg)
+        else _coefficients_for(cfg, dcfg, _training_set(cfg, [dcfg]))
     idx = (cfg.wdm.num_channels - 1) // 2
     w = prepare_dbp_input(rx, cfg.wdm, dcfg, idx)
     post = run_dbp(w, dcfg, coeffs)
@@ -278,10 +307,11 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         wrote.append(f"sweep_rho.csv (best rho {res.best_value:g}, "
                      f"{res.best_snr_db:.2f} dB)")
     if "power_dbm" in cfg.sweeps:
+        train = _training_set(cfg, [dcfg])
         res = sweep_launch_power(
             cfg.sweeps["power_dbm"], cfg.link, cfg.wdm, dcfg, cfg.num_symbols,
             cfg.sim, cfg.seeds["eval"],
-            coeff_fn=lambda d, rate, p: _coefficients_for(cfg, d, p),
+            coeff_fn=lambda d, rate, p: _coefficients_for(cfg, d, train, p),
             sim_rate_hz=cfg.sim_rate_hz, threads=cfg.threads)
         fileio.write_csv(out / "sweep_power.csv", res.csv_rows(),
                          cfg.config_hash())
@@ -295,26 +325,12 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 def cmd_cost(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     dcfg = cfg.dbp_config()
-    n, n_ov = dcfg.block_size, dcfg.overlap
-    n_sps = dcfg.oversampling
     steps_grid = cfg.sweeps.get("n_steps", [dcfg.n_steps])
-    rows = []
     rate = cfg.dbp_rate_hz()
-    for n_st in steps_grid:
-        edc = essfm_time_domain_cost(n, n_ov, n_sps, 0)
-        rows.append(edc.csv_row("EDC", 0, 1, n, n_ov, n_sps))
-        if n_st == 0:
-            continue
-        rows.append(essfm_time_domain_cost(n, n_ov, n_sps, int(n_st), 0)
-                    .csv_row("OSSFM", int(n_st), 1, n, n_ov, n_sps))
-        d_e = replace(dcfg, variant="ESSFM", n_steps=int(n_st), n_subbands=1)
-        rows.append(essfm_time_domain_cost(n, n_ov, n_sps, int(n_st),
-                                           _tap_memory(d_e, 0, rate))
-                    .csv_row("ESSFM", int(n_st), 1, n, n_ov, n_sps))
-        d_c = replace(dcfg, variant="CB_ESSFM", n_steps=int(n_st))
-        rows.append(cb_essfm_cost(n, n_ov, n_sps, int(n_st), d_c.n_subbands)
-                    .csv_row("CB_ESSFM", int(n_st), d_c.n_subbands, n, n_ov,
-                             n_sps))
+    rows = [dbp_cost(d, rate).csv_row(d.variant, d.n_steps, d.n_subbands,
+                                      d.block_size, d.overlap, d.oversampling)
+            for d in _ladder(dcfg, steps_grid)
+            if d.variant == "EDC" or d.n_steps]
     seen = set()
     rows = [r for r in rows
             if (key := tuple(r.values())) not in seen and not seen.add(key)]
@@ -334,14 +350,12 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
     if figure_id == "snr_vs_nsb":
         grid = cfg.sweeps.get("n_subbands", [1, 2, 4, 8])
         _, rx, record = _simulate_eval(cfg)
-        rows = []
-        for n_sb in grid:
-            d = replace(dcfg, n_subbands=int(n_sb))
-            coeffs = _coefficients_for(cfg, d)
-            rows.append({"N_sb": int(n_sb),
-                         "SNR_dB": evaluate(rx, record, cfg.wdm, d,
-                                            coeffs).snr_db})
-        return rows
+        dcfgs = [replace(dcfg, n_subbands=int(n_sb)) for n_sb in grid]
+        train = _training_set(cfg, dcfgs)
+        return [{"N_sb": d.n_subbands,
+                 "SNR_dB": evaluate(rx, record, cfg.wdm, d,
+                                    _coefficients_for(cfg, d, train)).snr_db}
+                for d in dcfgs]
 
     if figure_id == "snr_vs_length":
         grid = cfg.sweeps.get("num_spans", [1, 3, 5])
@@ -350,7 +364,7 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
             sub = replace(cfg, link=replace(cfg.link, num_spans=int(spans)))
             d = sub.dbp_config()
             _, rx, record = _simulate_eval(sub)
-            coeffs = _coefficients_for(sub, d)
+            coeffs = _coefficients_for(sub, d, _training_set(sub, [d]))
             rows.append({"num_spans": int(spans),
                          "length_km": sub.link.total_length_km,
                          "SNR_dB": evaluate(rx, record, sub.wdm, d,
@@ -358,37 +372,19 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
         return rows
 
     # remaining figures scan the step grid x variants (EDC once, as N_st=0)
-    steps_grid = [int(s) for s in cfg.sweeps.get("n_steps", [dcfg.n_steps])]
+    dcfgs = _ladder(dcfg, cfg.sweeps.get("n_steps", [dcfg.n_steps]))
     _, rx, record = _simulate_eval(cfg)
+    train = _training_set(cfg, dcfgs)
     rows = []
-    for pos, n_st in enumerate(steps_grid):
-        for name in ("EDC", "OSSFM", "ESSFM", "CB_ESSFM"):
-            if name == "EDC" and pos:
-                continue
-            d = replace(dcfg, variant=name,
-                        n_steps=0 if name == "EDC" else n_st,
-                        n_subbands=dcfg.n_subbands if name == "CB_ESSFM"
-                        else 1)
-            coeffs = _coefficients_for(cfg, d)
-            got = evaluate(rx, record, cfg.wdm, d, coeffs).snr_db
-            row = {"variant": name, "N_st": d.n_steps, "N_sb": d.n_subbands,
-                   "SNR_dB": got}
-            if figure_id == "snr_vs_complexity":
-                if name == "CB_ESSFM":
-                    cost = cb_essfm_cost(d.block_size, d.overlap,
-                                         d.oversampling, d.n_steps,
-                                         d.n_subbands)
-                else:
-                    n_taps = 0 if coeffs is None else \
-                        (coeffs.coeffs[0].size - 1) // 2
-                    if name == "OSSFM":
-                        n_taps = 0
-                    cost = essfm_time_domain_cost(d.block_size, d.overlap,
-                                                  d.oversampling, d.n_steps,
-                                                  n_taps)
-                row["RM_per_2D"] = cost.rm_per_2d
-                row["RA_per_2D"] = cost.ra_per_2d
-            rows.append(row)
+    for d in dcfgs:
+        coeffs = _coefficients_for(cfg, d, train)
+        row = {"variant": d.variant, "N_st": d.n_steps, "N_sb": d.n_subbands,
+               "SNR_dB": evaluate(rx, record, cfg.wdm, d, coeffs).snr_db}
+        if figure_id == "snr_vs_complexity":
+            cost = dbp_cost(d, cfg.dbp_rate_hz())
+            row["RM_per_2D"] = cost.rm_per_2d
+            row["RA_per_2D"] = cost.ra_per_2d
+        rows.append(row)
     return rows
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dbp import DbpConfig
+from .dbp import DbpConfig, _tap_memory
 from .kernel import CoefficientSet
 from .signals import DualPolWaveform
 
@@ -168,6 +168,24 @@ def essfm_time_domain_cost(block_size: int, overlap: int, oversampling: float,
     return report
 
 
+def dbp_cost(cfg: DbpConfig, sample_rate_hz: float) -> CostReport:
+    """Closed-form cost of one backpropagation config.
+
+    CB_ESSFM is priced by cb_essfm_cost; EDC, OSSFM and ESSFM by
+    essfm_time_domain_cost, ESSFM with the tap count that
+    make_dbp_coefficient_set builds at sample_rate_hz (the walk-off memory
+    rule; no taps are built).
+    """
+    if cfg.variant == "IDEAL_SSFM":
+        raise ValueError("the fine-step oracle has no hardware cost model")
+    if cfg.variant == "CB_ESSFM":
+        return cb_essfm_cost(cfg.block_size, cfg.overlap, cfg.oversampling,
+                             cfg.n_steps, cfg.n_subbands)
+    n_taps = _tap_memory(cfg, 0, sample_rate_hz) if cfg.n_steps else 0
+    return essfm_time_domain_cost(cfg.block_size, cfg.overlap,
+                                  cfg.oversampling, cfg.n_steps, n_taps)
+
+
 def _check_block(block_size, overlap, n_subbands, n_steps):
     if block_size <= overlap:
         raise ValueError("need block_size > overlap")
@@ -220,7 +238,6 @@ class CostCounter:
         self._add(stage, 0.0, count)
 
     def lut_exp(self, count: float, stage: str = "exp_lut"):
-        self._add(stage, 0.0, 0.0)
         self.stages.setdefault(stage, [0.0, 0.0])
 
     def as_report(self, num_samples: int, oversampling: float) -> CostReport:

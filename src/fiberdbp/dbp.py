@@ -2,14 +2,17 @@
 
 The engine undoes fiber propagation blockwise (overlap-and-save): each block
 of N samples is Fourier transformed, partitioned into N_sb contiguous
-subbands, and run through N_st asymmetric steps. A step applies dispersion
-compensation per subband (at the subband's absolute frequencies, so
-inter-subband walk-off is carried by the dispersion phase) followed by a
-nonlinear phase rotation whose phase is a filtered, MIMO-coupled function of
-all subband intensities. The first step compensates a fraction (1 - rho) of
-a step length of dispersion, interior steps a full length (adjacent
-half-blocks merged), and a final dispersion stage adds the remaining rho
-fraction, so the rotation sits at fraction rho inside each step.
+subbands of N' = N / N_sb bins (the package's only subband split, done on
+the block spectrum and undone after the last step), and run through N_st
+asymmetric steps. A step applies dispersion compensation per subband (at
+the subband's absolute frequencies, so inter-subband walk-off is carried by
+the dispersion phase) followed by a nonlinear phase rotation (nlpr_step, on
+the (2, N_sb, N') time-domain field array) whose phase is a filtered,
+MIMO-coupled function of all subband intensities. The first step
+compensates a fraction (1 - rho) of a step length of dispersion, interior
+steps a full length (adjacent half-blocks merged), and a final dispersion
+stage adds the remaining rho fraction, so the rotation sits at fraction rho
+inside each step.
 
 Variants
 --------
@@ -36,6 +39,7 @@ from .kernel import (CoefficientSet, StepGeometry, analytic_coefficients,
 from .signals import DualPolWaveform
 
 VARIANTS = ("EDC", "OSSFM", "ESSFM", "CB_ESSFM", "IDEAL_SSFM")
+TAP_SAFETY = 1.5  # tap support over the walk-off memory rule
 
 
 @dataclass(frozen=True)
@@ -174,14 +178,18 @@ def build_mimo_transfer(coeffs: CoefficientSet, block_len: int) -> MimoTransfer:
     return out
 
 
-def _nlpr_fields(fields: np.ndarray, mimo: MimoTransfer, theta_scale: float,
-                 counter=None) -> np.ndarray:
+def nlpr_step(fields: np.ndarray, mimo: MimoTransfer, theta_scale: float,
+              counter=None) -> np.ndarray:
     """Apply the nonlinear phase rotation to (2, n_sb, N') time-domain fields.
 
     theta_i = irfft( sum_l T[i,l] rfft(I_l) ) * theta_scale, where
     I_l = |x_l|^2 + |y_l|^2; both polarizations of subband i rotate by
     exp(-j theta_i). Phase-only, so per-sample 4D magnitude is preserved.
+    theta_scale is the step's power scale over the coefficient set's
+    reference power.
     """
+    if fields.shape != (2, mimo.matrix.shape[0], mimo.block_len):
+        raise ValueError("transfer matrix does not match the subband set")
     intens = np.abs(fields[0]) ** 2 + np.abs(fields[1]) ** 2
     spec_i = np.fft.rfft(intens, axis=-1)
     theta_hat = np.einsum("ilk,lk->ik", mimo.matrix, spec_i)
@@ -200,54 +208,31 @@ def _nlpr_fields(fields: np.ndarray, mimo: MimoTransfer, theta_scale: float,
     return fields * np.exp(-1j * theta)[None, :, :]
 
 
-def nlpr_step(subbands: list[DualPolWaveform], mimo: MimoTransfer,
-              step_power_scale: float, reference_power_w: float,
-              counter=None) -> list[DualPolWaveform]:
-    """Nonlinear phase rotation across a set of subband waveforms.
-
-    The MIMO transfer couples every subband's intensity (normalized by the
-    coefficient set's reference power, and rescaled by the power at the
-    step input) into every subband's phase.
-    """
-    n_prime = subbands[0].num_samples
-    if any(s.num_samples != n_prime for s in subbands):
-        raise ValueError("subbands must share their length")
-    if len(subbands) != mimo.matrix.shape[0] or n_prime != mimo.block_len:
-        raise ValueError("transfer matrix does not match the subband set")
-    fields = np.stack([[s.x for s in subbands], [s.y for s in subbands]])
-    fields = _nlpr_fields(fields, mimo, step_power_scale / reference_power_w,
-                          counter)
-    return [DualPolWaveform(fields[0, i], fields[1, i], s.sample_rate,
-                            s.center_freq)
-            for i, s in enumerate(subbands)]
-
-
 def _tap_memory(cfg: DbpConfig, h: int, sample_rate_hz: float,
-                memory: int | None = None, safety: float = 1.5) -> int:
+                memory: int | None = None) -> int:
     """One-sided tap count N_c of the separation-h vector.
 
     An explicit ``memory`` wins; otherwise OSSFM gets a single tap (0) and
-    every other variant the walk-off memory rule times ``safety``.
+    every other variant the walk-off memory rule times TAP_SAFETY.
     """
     if memory is not None:
         return memory
     if cfg.variant == "OSSFM":
         return 0
     return coefficient_memory(h, cfg.step_geometry(), 1.0, sample_rate_hz,
-                              cfg.n_subbands, safety=safety)
+                              cfg.n_subbands, safety=TAP_SAFETY)
 
 
 def make_dbp_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
                              reference_power_w: float, oversample: int = 8,
-                             memory: int | None = None,
-                             safety: float = 1.5) -> CoefficientSet:
+                             memory: int | None = None) -> CoefficientSet:
     """Analytic, engine-ready coefficients for a backpropagation config.
 
     Coefficients are computed for one representative (span-aligned) step of
     the link, negated for backpropagation, and shared by all steps; the
     per-step power decay is carried by step_scales (power at each step's
     forward input relative to launch, in the order the engine applies the
-    steps). Tap counts come from the walk-off memory rule times ``safety``;
+    steps). Tap counts come from the walk-off memory rule times TAP_SAFETY;
     ``memory`` overrides them (0 gives the single-tap set used by OSSFM).
     """
     if cfg.variant in ("EDC", "IDEAL_SSFM"):
@@ -257,7 +242,7 @@ def make_dbp_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
     geom = cfg.step_geometry()
     coeffs = {}
     for h in range(n_sb):
-        mem_h = _tap_memory(cfg, h, sample_rate_hz, memory, safety)
+        mem_h = _tap_memory(cfg, h, sample_rate_hz, memory)
         c = analytic_coefficients(geom, h * sub_rate, max(mem_h, 1), sub_rate,
                                   reference_power_w, oversample=oversample)
         if mem_h == 0:
@@ -367,7 +352,7 @@ class _BlockEngine:
         for st in range(cfg.n_steps):
             sub = sub * self._phasors[self.gvd_lengths[st]]
             fields = np.fft.ifft(sub, axis=-1)
-            fields = _nlpr_fields(fields, self.mimo, scales[st], counter)
+            fields = nlpr_step(fields, self.mimo, scales[st], counter)
             sub = np.fft.fft(fields, axis=-1)
         sub = sub * self._phasors[self.final_gvd]
         spec = np.fft.fftshift(sub, axes=-1).reshape(2, cfg.block_size) * n_sb

@@ -33,6 +33,9 @@ import numpy as np
 
 from .channel import LN10_OVER_10
 
+CONV_TOL = 1e-3  # tap change under grid doubling that warns
+IMAG_TOL = 1e-9  # discarded imaginary residue over the peak that warns
+
 
 @dataclass(frozen=True)
 class StepGeometry:
@@ -72,10 +75,6 @@ class StepGeometry:
             raise ValueError("rho must be in [0, 1]")
         if not 0.0 <= self.start_offset_km < self.span_km:
             raise ValueError("start_offset_km must be within one span")
-
-    @classmethod
-    def spans(cls, num_spans: int, span_km: float, **kw) -> "StepGeometry":
-        return cls(length_km=num_spans * span_km, span_km=span_km, **kw)
 
     @property
     def alpha_np_km(self) -> float:
@@ -302,10 +301,8 @@ def _coeff_grid_eval(geom: StepGeometry, separation_hz: float, memory: int,
 
 def analytic_coefficients(geom: StepGeometry, separation_hz: float,
                           memory: int, subband_rate: float,
-                          reference_power_w: float, oversample: int = 8,
-                          check_convergence: bool = True,
-                          conv_tol: float = 1e-3,
-                          imag_tol: float = 1e-9) -> np.ndarray:
+                          reference_power_w: float,
+                          oversample: int = 8) -> np.ndarray:
     """Filtered-phase coefficients for one subband separation.
 
     Integrates (P / R'^2) K(mu, nu) exp(j 2 pi (mu - nu) m / R') over the
@@ -316,8 +313,8 @@ def analytic_coefficients(geom: StepGeometry, separation_hz: float,
 
     Returns the real coefficient vector (length 2 * memory + 1, index m
     running from -memory to +memory). The imaginary quadrature residue is
-    discarded; a residue above ``imag_tol`` of the peak, like a
-    grid-doubling change above ``conv_tol``, emits a precision warning.
+    discarded; a residue above IMAG_TOL of the peak, like a grid-doubling
+    change above CONV_TOL, emits a precision warning.
     """
     if memory < 1:
         raise ValueError("memory must be >= 1")
@@ -326,21 +323,19 @@ def analytic_coefficients(geom: StepGeometry, separation_hz: float,
     base += base % 2  # odd node count
     num_nodes = base + 1
 
+    coarse = _coeff_grid_eval(geom, separation_hz, memory, subband_rate,
+                              reference_power_w, num_nodes)
     c = _coeff_grid_eval(geom, separation_hz, memory, subband_rate,
-                         reference_power_w, num_nodes)
-    if check_convergence:
-        fine = _coeff_grid_eval(geom, separation_hz, memory, subband_rate,
-                                reference_power_w, 2 * (num_nodes - 1) + 1)
-        change = np.max(np.abs(fine - c)) / max(np.max(np.abs(fine)), 1e-300)
-        if change > conv_tol:
-            warnings.warn(
-                f"coefficient grid not converged (doubling changes {change:.1e});"
-                " increase oversample", RuntimeWarning)
-        c = fine
+                         reference_power_w, 2 * (num_nodes - 1) + 1)
+    change = np.max(np.abs(c - coarse)) / max(np.max(np.abs(c)), 1e-300)
+    if change > CONV_TOL:
+        warnings.warn(
+            f"coefficient grid not converged (doubling changes {change:.1e});"
+            " increase oversample", RuntimeWarning)
 
     peak = np.max(np.abs(c))
     residue = np.max(np.abs(c.imag)) / peak if peak > 0 else 0.0
-    if residue > imag_tol:
+    if residue > IMAG_TOL:
         warnings.warn(
             f"imaginary residue {residue:.1e} of peak discarded from "
             "coefficients", RuntimeWarning)
@@ -348,13 +343,12 @@ def analytic_coefficients(geom: StepGeometry, separation_hz: float,
 
 
 def volterra_oracle(geom: StepGeometry, subband_rate: float, window: int,
-                    reference_power_w: float,
-                    points_per_panel: int = 12) -> np.ndarray:
+                    reference_power_w: float) -> np.ndarray:
     """Dense intraband Volterra phase coefficients d[m, n] (oracle).
 
     d[m, n] = (P / R'^2) \\iint K(mu, nu) e^{j 2 pi (m mu - n nu)/R'} dmu dnu
     over the centered square of side R', evaluated with composite
-    Gauss-Legendre panels (a scheme independent of analytic_coefficients).
+    12-point Gauss-Legendre panels (a scheme independent of analytic_coefficients).
     The returned matrix is the Hermitian part of the raw transform — the
     phase component of the perturbation, so that the quadratic form built
     from it is real — and its diagonal is the separation-0 coefficient
@@ -369,7 +363,7 @@ def volterra_oracle(geom: StepGeometry, subband_rate: float, window: int,
              + 8 * np.pi ** 2 * abs(geom.beta2_s2_km) * rp * geom.length_km)
     panels = int(np.ceil(1.5 * omega * rp / (2 * np.pi))) + 8
 
-    nodes, wts = np.polynomial.legendre.leggauss(points_per_panel)
+    nodes, wts = np.polynomial.legendre.leggauss(12)
     edges = np.linspace(-rp / 2.0, rp / 2.0, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0

@@ -80,21 +80,19 @@ def _pool_snr_db(rx: np.ndarray, tx: np.ndarray) -> tuple[float, bool]:
     return min(10 * np.log10(sig / noise), SNR_CAP_DB), False
 
 
-def snr(rx: np.ndarray, tx: np.ndarray, align_phase: bool = True) -> SnrResult:
+def snr(rx: np.ndarray, tx: np.ndarray) -> SnrResult:
     """SNR of rx against the transmitted symbols tx.
 
     SNR_dB = 10 log10( sum|tx|^2 / sum|rx - tx|^2 ), pooled over both
-    polarizations; per-polarization figures use the same (joint) phase
-    alignment. An exact match reports the cap value with a flag instead of
-    infinity.
+    polarizations after removing the joint mean phase (remove_mean_phase);
+    per-polarization figures use the same alignment. An exact match reports
+    the cap value with a flag instead of infinity.
     """
     rx = _as_dual_pol(rx)
     tx = _as_dual_pol(tx)
     if rx.shape != tx.shape:
         raise ValueError("rx and tx must have equal shapes")
-    phi = 0.0
-    if align_phase:
-        rx, phi = remove_mean_phase(rx, tx)
+    rx, phi = remove_mean_phase(rx, tx)
     pooled, exact = _pool_snr_db(rx, tx)
     if rx.shape[0] == 2:
         sx, _ = _pool_snr_db(rx[0], tx[0])
@@ -105,18 +103,17 @@ def snr(rx: np.ndarray, tx: np.ndarray, align_phase: bool = True) -> SnrResult:
 
 
 def prepare_dbp_input(w: DualPolWaveform, wdm: WdmConfig, dbp_cfg: DbpConfig,
-                      channel_index: int | None = None,
-                      dbp_rate_hz: float | None = None) -> DualPolWaveform:
+                      channel_index: int | None = None) -> DualPolWaveform:
     """Extract one WDM channel and resample it to the backpropagation rate.
 
     The channel is cut out with a brick-wall demux one channel-spacing wide
     (capped at the backpropagation rate, dbp_cfg.oversampling times the
-    symbol rate by default). The result can be fed to run_dbp repeatedly,
-    e.g. while iterating on coefficients.
+    symbol rate). The result can be fed to run_dbp repeatedly, e.g. while
+    iterating on coefficients.
     """
     if channel_index is None:
         channel_index = (wdm.num_channels - 1) // 2
-    rate = dbp_rate_hz or dbp_cfg.oversampling * wdm.baud_rate
+    rate = dbp_cfg.oversampling * wdm.baud_rate
     if wdm.num_channels > 1:
         bw = min(wdm.spacing, rate)
         w = demux_channel(w, wdm.channel_freqs[channel_index], bw)
@@ -141,13 +138,12 @@ def symbols_from_dbp_output(w: DualPolWaveform, wdm: WdmConfig) -> np.ndarray:
 
 def recover_symbols(w: DualPolWaveform, wdm: WdmConfig, dbp_cfg: DbpConfig,
                     coeffs: CoefficientSet | None = None,
-                    channel_index: int | None = None,
-                    dbp_rate_hz: float | None = None) -> np.ndarray:
+                    channel_index: int | None = None) -> np.ndarray:
     """Full receiver for one WDM channel: (2, num_symbols) soft symbols.
 
     Chains prepare_dbp_input, run_dbp, and symbols_from_dbp_output.
     """
-    w = prepare_dbp_input(w, wdm, dbp_cfg, channel_index, dbp_rate_hz)
+    w = prepare_dbp_input(w, wdm, dbp_cfg, channel_index)
     w = run_dbp(w, dbp_cfg, coeffs)
     return symbols_from_dbp_output(w, wdm)
 

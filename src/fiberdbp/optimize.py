@@ -55,14 +55,14 @@ class TrainingSet:
 
 def build_training_set(link: LinkConfig, wdm: WdmConfig, num_symbols: int,
                        sim: SimSettings | None = None, train_seed: int = 1,
-                       val_seed: int = 2, sim_rate_hz: float | None = None,
-                       num_val_symbols: int | None = None) -> TrainingSet:
+                       val_seed: int = 2,
+                       sim_rate_hz: float | None = None) -> TrainingSet:
     """Simulate two independently seeded transmissions over the same link."""
     sim = sim or SimSettings(max_phase_rad=2e-3, noise_enabled=True)
     sets = []
-    for seed, count in ((train_seed, num_symbols),
-                        (val_seed, num_val_symbols or num_symbols)):
-        tx, record = generate_wdm(wdm, count, sim_rate=sim_rate_hz, seed=seed)
+    for seed in (train_seed, val_seed):
+        tx, record = generate_wdm(wdm, num_symbols, sim_rate=sim_rate_hz,
+                                  seed=seed)
         rx = propagate_link(tx, link, replace(sim, noise_seed=seed))
         sets.append((rx, record))
     return TrainingSet(wdm, sets[0][0], sets[0][1], sets[1][0], sets[1][1])
@@ -185,8 +185,8 @@ class SweepResult:
 
 def sweep_splitting_ratio(rhos, eval_rx: DualPolWaveform,
                           eval_record: SymbolRecord, wdm: WdmConfig,
-                          cfg: DbpConfig, train: TrainingSet | None = None,
-                          oversample: int = 8) -> SweepResult:
+                          cfg: DbpConfig,
+                          train: TrainingSet | None = None) -> SweepResult:
     """SNR versus the dispersion fraction placed after the rotation.
 
     Coefficients are rebuilt analytically at every grid point (and refined
@@ -199,8 +199,7 @@ def sweep_splitting_ratio(rhos, eval_rx: DualPolWaveform,
     for i, rho in enumerate(rhos):
         cfg_rho = replace(cfg, splitting_ratio=float(rho))
         rate = cfg_rho.oversampling * wdm.baud_rate
-        coeffs = make_dbp_coefficient_set(cfg_rho, rate, p_ref,
-                                          oversample=oversample)
+        coeffs = make_dbp_coefficient_set(cfg_rho, rate, p_ref)
         if train is not None:
             coeffs = optimize_coefficients(train, cfg_rho, coeffs).coeffs
         curve[i] = evaluate(eval_rx, eval_record, wdm, cfg_rho,

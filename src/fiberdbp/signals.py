@@ -2,10 +2,10 @@
 
 Signals are stored as dual-polarization complex field samples in physical
 units (sqrt(W)), so ``mean(|x|^2 + |y|^2)`` is the instantaneous total power
-in watts. All spectral operations (pulse shaping, resampling, demultiplexing,
-subband partitioning) act on the block FFT grid and treat the sequence as
+in watts. All spectral operations (pulse shaping, resampling,
+demultiplexing) act on the block FFT grid and treat the sequence as
 circularly periodic, which keeps block-based processing free of edge
-transients.
+transients. The engine's subband partition lives in dbp.
 
 Main entry points
 -----------------
@@ -13,8 +13,6 @@ generate_wdm      : synthesize a WDM comb of RRC-shaped QAM channels
 matched_filter    : apply the root-raised-cosine receive filter
 resample          : FFT-grid rate conversion (zero-pad up, fold down)
 demux_channel     : brick-wall extraction of one channel to baseband
-subband_split     : partition a waveform into contiguous subbands
-subband_merge     : exact inverse of subband_split
 """
 
 from __future__ import annotations
@@ -23,6 +21,8 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+
+OOB_TOL = 1e-3  # largest energy fraction resample folds without allow_alias
 
 
 class AliasingError(ValueError):
@@ -62,19 +62,9 @@ class DualPolWaveform:
         return self.x.size
 
     @property
-    def duration(self) -> float:
-        """Sequence duration in seconds."""
-        return self.num_samples / self.sample_rate
-
-    @property
     def power(self) -> float:
         """Mean total power in W (both polarizations)."""
         return float(np.mean(np.abs(self.x) ** 2 + np.abs(self.y) ** 2))
-
-    @property
-    def energy(self) -> float:
-        """Physical energy in J (power times duration)."""
-        return self.power * self.duration
 
     def require_finite(self):
         if not (np.all(np.isfinite(self.x.view(float)))
@@ -287,13 +277,13 @@ def _regrid(spec: np.ndarray, new_len: int) -> np.ndarray:
     return out
 
 
-def resample(w: DualPolWaveform, new_rate: float, allow_alias: bool = False,
-             oob_tol: float = 1e-3) -> DualPolWaveform:
+def resample(w: DualPolWaveform, new_rate: float,
+             allow_alias: bool = False) -> DualPolWaveform:
     """FFT-grid rate conversion preserving in-band content exactly.
 
     Downsampling folds the spectrum at the new rate, which is the exact
     resample of the periodic bandlimited signal; energy outside the new
-    Nyquist band beyond ``oob_tol`` (fraction of total) raises AliasingError
+    Nyquist band beyond OOB_TOL (fraction of total) raises AliasingError
     unless ``allow_alias`` — symbol-rate decimation after a matched filter
     legitimately exploits the fold.
     """
@@ -311,7 +301,7 @@ def resample(w: DualPolWaveform, new_rate: float, allow_alias: bool = False,
         oob = np.abs(freqs) > new_rate / 2
         total = np.sum(np.abs(spec) ** 2)
         frac = np.sum(np.abs(spec[:, oob]) ** 2) / total if total > 0 else 0.0
-        if frac > oob_tol and not allow_alias:
+        if frac > OOB_TOL and not allow_alias:
             raise AliasingError(
                 f"{frac:.2e} of signal energy beyond the new Nyquist band")
     out = _regrid(spec, new_len) * (new_len / n)
@@ -344,51 +334,3 @@ def demux_channel(w: DualPolWaveform, channel_freq: float,
     x = np.fft.ifft(np.fft.ifftshift(sl[0]))
     y = np.fft.ifft(np.fft.ifftshift(sl[1]))
     return DualPolWaveform(x, y, n_bins * df, w.center_freq + c * df)
-
-
-def subband_split(w: DualPolWaveform, n_sb: int) -> list[DualPolWaveform]:
-    """Partition a waveform into n_sb contiguous equal-width subbands.
-
-    Physical energy is conserved exactly: the subband sample sequences are
-    the band contents evaluated at their own (decimated) rate, so the sum of
-    per-subband energies equals the input energy (Parseval over the
-    partitioned bins).
-    """
-    n = w.num_samples
-    if n % n_sb:
-        raise ValueError("num_samples must be divisible by n_sb")
-    n_sub = n // n_sb
-    sub_rate = w.sample_rate / n_sb
-    shifted = np.fft.fftshift(
-        np.vstack([np.fft.fft(w.x), np.fft.fft(w.y)]), axes=-1)
-    out = []
-    for i in range(n_sb):
-        sl = shifted[:, i * n_sub:(i + 1) * n_sub] / n_sb
-        f_i = (i + 0.5) * sub_rate - w.sample_rate / 2
-        out.append(DualPolWaveform(
-            np.fft.ifft(np.fft.ifftshift(sl[0])),
-            np.fft.ifft(np.fft.ifftshift(sl[1])),
-            sub_rate, w.center_freq + f_i))
-    return out
-
-
-def subband_merge(subbands: list[DualPolWaveform]) -> DualPolWaveform:
-    """Reassemble subbands produced by subband_split (exact inverse)."""
-    n_sb = len(subbands)
-    n_sub = subbands[0].num_samples
-    sub_rate = subbands[0].sample_rate
-    for s in subbands:
-        if s.num_samples != n_sub or s.sample_rate != sub_rate:
-            raise ValueError("subbands must share length and rate")
-    rate = sub_rate * n_sb
-    parts_x = []
-    parts_y = []
-    for s in subbands:
-        parts_x.append(np.fft.fftshift(np.fft.fft(s.x)) * n_sb)
-        parts_y.append(np.fft.fftshift(np.fft.fft(s.y)) * n_sb)
-    spec_x = np.concatenate(parts_x)
-    spec_y = np.concatenate(parts_y)
-    center = subbands[0].center_freq - ((0 + 0.5) * sub_rate - rate / 2)
-    return DualPolWaveform(np.fft.ifft(np.fft.ifftshift(spec_x)),
-                           np.fft.ifft(np.fft.ifftshift(spec_y)),
-                           rate, center)

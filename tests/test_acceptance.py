@@ -16,9 +16,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fiberdbp import (DbpConfig, DualPolWaveform, LinkConfig, SimSettings,
-                      StepGeometry, WdmConfig, analytic_coefficients,
-                      build_mimo_transfer, build_training_set, cb_essfm_cost,
+from fiberdbp import (DbpConfig, LinkConfig, SimSettings, StepGeometry,
+                      WdmConfig, analytic_coefficients, build_mimo_transfer,
+                      build_training_set, cb_essfm_cost,
                       channel_memory_samples, essfm_time_domain_cost,
                       evaluate, generate_wdm, kernel_closed_form,
                       kernel_quadrature, make_dbp_coefficient_set, nlpr_step,
@@ -207,12 +207,13 @@ def test_rotation_matches_direct_circular_formula():
     coeffs = make_dbp_coefficient_set(cfg, 64e9, 1e-3)
     rng = np.random.default_rng(5)
     n_prime = 256
-    subs = [DualPolWaveform(rng.normal(size=n_prime) * 0.03 + 0j,
-                            rng.normal(size=n_prime) * 0.03 + 0j,
-                            32e9, 0.0) for _ in range(2)]
-    got = nlpr_step(subs, build_mimo_transfer(coeffs, n_prime), 1.0, 1e-3)
+    # (polarization, subband, sample) time-domain fields
+    fields = np.stack([np.stack([rng.normal(size=n_prime) * 0.03 + 0j,
+                                 rng.normal(size=n_prime) * 0.03 + 0j])
+                       for _ in range(2)], axis=1)
+    got = nlpr_step(fields, build_mimo_transfer(coeffs, n_prime), 1.0 / 1e-3)
 
-    intens = [np.abs(s.x) ** 2 + np.abs(s.y) ** 2 for s in subs]
+    intens = np.abs(fields[0]) ** 2 + np.abs(fields[1]) ** 2
     for i in range(2):
         theta = np.zeros(n_prime)
         for ell in range(2):
@@ -223,8 +224,9 @@ def test_rotation_matches_direct_circular_formula():
             for m, cm in zip(range(-w, w + 1), c):
                 theta += weight * cm * np.roll(intens[ell], sgn * m)
         theta /= 1e-3
-        assert rel_rms(got[i].x, subs[i].x * np.exp(-1j * theta)) < 1e-10
-        assert rel_rms(got[i].y, subs[i].y * np.exp(-1j * theta)) < 1e-10
+        for pol in range(2):
+            assert rel_rms(got[pol, i],
+                           fields[pol, i] * np.exp(-1j * theta)) < 1e-10
 
 
 # ------------------------------------------------------ partition invariance

@@ -10,7 +10,10 @@ import json
 import numpy as np
 import pytest
 
-from fiberdbp import load_coefficients, load_waveform, read_csv
+import fiberdbp.cli
+from fiberdbp import (build_training_set, load_coefficients, load_waveform,
+                      make_dbp_coefficient_set, optimize_coefficients,
+                      read_csv, sweep_launch_power, write_csv)
 from fiberdbp.cli import ExperimentConfig, main
 
 MINI_YAML = """\
@@ -51,6 +54,19 @@ def ws(tmp_path_factory):
 
 def run(cfg_path, out, *args):
     return main(["--config", str(cfg_path), "--out", str(out), *args])
+
+
+def counting(monkeypatch, name):
+    """Wrap fiberdbp.cli.<name> so its calls are counted."""
+    real = getattr(fiberdbp.cli, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fiberdbp.cli, name, wrapper)
+    return calls
 
 
 def test_yaml_exponent_floats_parse_as_numbers(ws):
@@ -190,6 +206,58 @@ def test_figure_steps_scan_includes_zero_step_reference(ws):
     snrs = {r["variant"]: float(r["SNR_dB"]) for r in rows
             if int(r["N_st"]) in (0, 2)}
     assert snrs["ESSFM"] > snrs["EDC"]
+
+
+def test_zero_step_rows_build_no_taps(ws, monkeypatch):
+    # at N_st = 0 every variant is EDC and the engine reads no taps: only
+    # the three N_st = 1 rows may build a coefficient set
+    root, _ = ws
+    cfg_path = root / "steps01.yaml"
+    cfg_path.write_text(MINI_YAML.replace("n_steps: [1, 2]",
+                                          "n_steps: [0, 1]"))
+    built = counting(monkeypatch, "make_dbp_coefficient_set")
+    out = root / "fig01"
+    assert run(cfg_path, out, "figure", "snr_vs_steps") == 0
+    assert len(built) == 3
+    rows = read_csv(out / "snr_vs_steps.csv")
+    assert [(r["variant"], int(r["N_st"])) for r in rows] == [
+        ("EDC", 0), ("OSSFM", 0), ("ESSFM", 0), ("CB_ESSFM", 0),
+        ("OSSFM", 1), ("ESSFM", 1), ("CB_ESSFM", 1)]
+    assert len({r["SNR_dB"] for r in rows[:4]}) == 1
+
+
+def test_optimized_sweep_builds_one_training_set(ws, monkeypatch):
+    # the training set is simulated once per command, at the config's
+    # launch power, and gives the same curve as one rebuilt per point
+    root, _ = ws
+    text = MINI_YAML.replace("  oversampling: 1.125\n",
+                             "  oversampling: 1.125\n"
+                             "  coefficient_source: optimized\n")
+    text = text.replace("  rho: [0.1, 0.9]\n", "").replace(
+        "  n_steps: [1, 2]\n", "")
+    cfg_path = root / "optimized.yaml"
+    cfg_path.write_text(text)
+    cfg = ExperimentConfig.from_yaml(cfg_path)
+    assert cfg.dbp_config().coefficient_source == "optimized"
+
+    trained = counting(monkeypatch, "build_training_set")
+    out = root / "sw_opt"
+    assert run(cfg_path, out, "sweep") == 0
+    assert len(trained) == 1
+
+    def per_point(d, rate, p):
+        train = build_training_set(cfg.link, cfg.wdm, cfg.num_symbols,
+                                   cfg.sim, cfg.seeds["train"],
+                                   cfg.seeds["val"], cfg.sim_rate_hz)
+        init = make_dbp_coefficient_set(d, rate, p)
+        return optimize_coefficients(train, d, init).coeffs
+
+    ref = sweep_launch_power(cfg.sweeps["power_dbm"], cfg.link, cfg.wdm,
+                             cfg.dbp_config(), cfg.num_symbols, cfg.sim,
+                             cfg.seeds["eval"], coeff_fn=per_point)
+    write_csv(root / "sw_opt_ref.csv", ref.csv_rows(), cfg.config_hash())
+    assert (out / "sweep_power.csv").read_bytes() \
+        == (root / "sw_opt_ref.csv").read_bytes()
 
 
 def test_unknown_subcommand_rejected(ws):

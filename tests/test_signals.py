@@ -1,10 +1,10 @@
-"""Waveform generation, resampling, demultiplexing, subband framing."""
+"""Waveform generation, resampling, demultiplexing, waveform containers."""
 
 import numpy as np
 import pytest
 
 from fiberdbp import (DualPolWaveform, WdmConfig, demux_channel, generate_wdm,
-                      matched_filter, resample, subband_merge, subband_split)
+                      matched_filter, resample)
 from conftest import rel_rms
 
 
@@ -101,35 +101,6 @@ def test_demux_selects_one_channel(desk_wdm):
     est = np.vstack([sym.x, sym.y]) / np.sqrt(alone.launch_power_w / 2)
     # neighbors at 37.5 GHz barely overlap the 35.2 GHz band edge
     assert rel_rms(est, rec.channel(1)) < 0.02
-
-
-def test_subband_split_merge_identity():
-    cfg = single_channel()
-    w, _ = generate_wdm(cfg, 1024, sim_rate=64e9, seed=9)
-    for n_sb in (2, 4):
-        parts = subband_split(w, n_sb)
-        assert len(parts) == n_sb
-        assert all(p.num_samples == w.num_samples // n_sb for p in parts)
-        back = subband_merge(parts)
-        assert rel_rms(np.vstack([back.x, back.y]),
-                       np.vstack([w.x, w.y])) < 1e-12
-
-
-def test_subband_split_separates_tones():
-    rate = 64e9
-    n = 4096
-    t = np.arange(n) / rate
-    lo = np.exp(2j * np.pi * (-16e9) * t)  # lower half-band tone
-    hi = np.exp(2j * np.pi * (+16e9) * t)  # upper half-band tone
-    w = DualPolWaveform(lo + hi, np.zeros(n, complex), rate, 0.0)
-    low, high = subband_split(w, 2)
-    # each subband holds one tone, shifted to its own baseband
-    assert np.abs(low.x).std() / np.abs(low.x).mean() < 1e-9
-    assert np.abs(high.x).std() / np.abs(high.x).mean() < 1e-9
-    assert abs(low.power - 0.5 * w.power / 1) < 1e-9
-    f_low = np.fft.fftfreq(n // 2, 2 / rate)
-    peak = f_low[np.argmax(np.abs(np.fft.fft(low.x)))]
-    assert peak == 0.0  # -16 GHz sits at the lower subband center
 
 
 def test_waveform_copy_is_independent():
