@@ -1,6 +1,7 @@
 """Arithmetic cost model: dual-route checks, counters, per-config pricing.
 
-The golden 681 / 75 / 32 RM/2D values are pinned in test_acceptance.py.
+The golden 681 / 75 / 32 RM/2D values are pinned on the closed forms in
+test_acceptance.py and on the per-config dispatch (dbp_cost) here.
 """
 
 import numpy as np
@@ -13,6 +14,22 @@ from fiberdbp import (DbpConfig, LinkConfig, SimSettings, WdmConfig,
 
 # full-scale block parameters
 N, N_OV, SPS = 16384, 1800, 1.125
+
+
+def test_golden_multiplication_counts():
+    # the published counts reached through the per-config dispatch that
+    # the CLI and the demos price with
+    link = LinkConfig(num_spans=2, span_length_km=80.0)
+
+    def price(variant, n_steps, n_sb):
+        cfg = DbpConfig(link=link, variant=variant, n_steps=n_steps,
+                        n_subbands=n_sb, block_size=N, overlap=N_OV,
+                        oversampling=SPS)
+        return round(dbp_cost(cfg, 36e9).rm_per_2d)
+
+    assert price("CB_ESSFM", 15, 2) == 681
+    assert price("CB_ESSFM", 1, 2) == 75
+    assert price("EDC", 0, 1) == 32
 
 
 def test_breakdown_sums_to_total():

@@ -156,6 +156,38 @@ def test_mimo_transfer_structure(link):
     assert abs(ratio - expect) / expect < 1e-9
 
 
+def test_nlpr_matches_direct_circular_formula(link):
+    # frequency-domain MIMO rotation vs the lag-sum definition, on three
+    # subbands so the separation-2 taps and both neighbor directions enter
+    n_sb = 3
+    cfg = cfg_for(link, variant="CB_ESSFM", n_subbands=n_sb,
+                  block_size=3072, overlap=1536)
+    coeffs = make_dbp_coefficient_set(cfg, RATE, 1e-3)
+    rng = np.random.default_rng(5)
+    n_prime = 256
+    # (polarization, subband, sample) time-domain fields
+    fields = (rng.normal(size=(2, n_sb, n_prime)) * 0.03
+              + 1j * rng.normal(size=(2, n_sb, n_prime)) * 0.03)
+    got = nlpr_step(fields, build_mimo_transfer(coeffs, n_prime), 1.0 / 1e-3)
+
+    intens = np.abs(fields[0]) ** 2 + np.abs(fields[1]) ** 2
+    for i in range(n_sb):
+        theta = np.zeros(n_prime)
+        for ell in range(n_sb):
+            c = coeffs.coeffs[abs(ell - i)]
+            w = (c.size - 1) // 2
+            weight = 1.0 if ell == i else 1.5
+            # circular convolution sum_m c[m] I[k - m]; the lag axis flips
+            # between upper and lower band neighbors (conjugate transfer)
+            sgn = 1 if ell >= i else -1
+            for m, cm in zip(range(-w, w + 1), c):
+                theta += weight * cm * np.roll(intens[ell], sgn * m)
+        theta /= 1e-3
+        for pol in range(2):
+            assert rel_rms(got[pol, i],
+                           fields[pol, i] * np.exp(-1j * theta)) < 1e-10
+
+
 def test_nlpr_step_rejects_mismatched_fields(link):
     cfg = cfg_for(link, variant="CB_ESSFM", n_subbands=2)
     mimo = build_mimo_transfer(make_dbp_coefficient_set(cfg, RATE, 1e-3), 256)
