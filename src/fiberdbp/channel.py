@@ -159,17 +159,16 @@ def edfa(w: DualPolWaveform, gain_db: float, nf_db: float, seed,
     if gain_db < 0:
         raise ValueError("EDFA gain must be non-negative")
     g = 10.0 ** (gain_db / 20.0)
-    out = DualPolWaveform(w.x * g, w.y * g, w.sample_rate, w.center_freq)
+    out = DualPolWaveform(w.field * g, w.sample_rate, w.center_freq)
     if noise_enabled:
         gain = 10.0 ** (gain_db / 10.0)
         nf = 10.0 ** (nf_db / 10.0)
         nu = _C_M_S / 1550e-9 if carrier_hz is None else carrier_hz
         var = _H_JS * nu * (gain * nf - 1.0) / 2.0 * w.sample_rate
-        rng = np.random.default_rng(seed)
-        n = w.num_samples
-        scale = np.sqrt(var / 2.0)
-        out.x += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        out.y += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        # drawn in the order x re, x im, y re, y im
+        draws = np.random.default_rng(seed).standard_normal(
+            (2, 2, w.num_samples))
+        out.field += np.sqrt(var / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
     return out
 
 
@@ -177,8 +176,8 @@ def _run_spans(field: np.ndarray, rate: float, link: LinkConfig,
                steps: np.ndarray, inverse: bool) -> np.ndarray:
     """Split-step integration of the fiber part of the spans (no EDFA).
 
-    ``field`` is (2, n) and is consumed. With ``inverse`` the exact inverse
-    of every forward fine step is applied in reverse order (negated
+    ``field`` is (2, n) and is left unmodified. With ``inverse`` the exact
+    inverse of every forward fine step is applied in reverse order (negated
     dispersion and nonlinear rotation, loss turned into growth).
     """
     n = field.shape[-1]
@@ -224,9 +223,9 @@ def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
     steps = span_step_sizes(link, sim, w.power)
     out = w.copy()
     for span in range(first_span, link.num_spans):
-        field = _run_spans(np.vstack([out.x, out.y]), out.sample_rate, link,
-                           steps, inverse=False)
-        out = DualPolWaveform(field[0], field[1], out.sample_rate, out.center_freq)
+        field = _run_spans(out.field, out.sample_rate, link, steps,
+                           inverse=False)
+        out = DualPolWaveform(field, out.sample_rate, out.center_freq)
         out = edfa(out, link.span_gain_db, link.edfa_noise_figure_db,
                    (sim.noise_seed, span), noise_enabled=sim.noise_enabled,
                    carrier_hz=link.carrier_freq_hz)
@@ -250,16 +249,16 @@ def backward_propagate(w: DualPolWaveform, link: LinkConfig,
     # so this reproduces the forward pass's step sequence
     steps = span_step_sizes(link, sim, w.power)
     for _ in range(link.num_spans):
-        field = np.vstack([out.x, out.y]) / g
-        field = _run_spans(field, out.sample_rate, link, steps, inverse=True)
-        out = DualPolWaveform(field[0], field[1], out.sample_rate, out.center_freq)
+        field = _run_spans(out.field / g, out.sample_rate, link, steps,
+                           inverse=True)
+        out = DualPolWaveform(field, out.sample_rate, out.center_freq)
     return out
 
 
 def _check_headroom(w: DualPolWaveform, edge_fraction: float = 0.04,
                     max_energy_fraction: float = 0.02):
     """Reject inputs whose spectrum already fills the outer band edge."""
-    spec = np.abs(np.fft.fft(w.x)) ** 2 + np.abs(np.fft.fft(w.y)) ** 2
+    spec = np.sum(np.abs(np.fft.fft(w.field, axis=-1)) ** 2, axis=0)
     n = spec.size
     k = max(1, int(edge_fraction * n / 2))
     edge = np.sum(spec[n // 2 - k:n // 2 + k])

@@ -16,7 +16,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,9 @@ _ConfigLoader.add_implicit_resolver(
     list("-+0123456789."))
 
 
+_DEFAULT_SEEDS = {"train": 1, "val": 2, "eval": 9}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs, loadable from a single YAML file."""
@@ -61,8 +64,7 @@ class ExperimentConfig:
         max_phase_rad=2e-3))
     num_symbols: int = 4096
     sim_rate_hz: float | None = None
-    seeds: dict = field(default_factory=lambda: {"train": 1, "val": 2,
-                                                 "eval": 9})
+    seeds: dict = field(default_factory=lambda: dict(_DEFAULT_SEEDS))
     sweeps: dict = field(default_factory=dict)
     output_dir: str = "out"
     threads: int = 1
@@ -75,35 +77,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {"wdm", "link", "dbp", "sim", "num_symbols", "sim_rate_hz",
-                 "seeds", "sweeps", "output_dir", "threads",
-                 "checkpoint_spans"}
-        extra = set(doc) - known
+        """Build from a plain document; absent keys take the field defaults."""
+        extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        cfg = cls(wdm=WdmConfig(**doc["wdm"]), link=LinkConfig(**doc["link"]),
-                  dbp=dict(doc["dbp"]),
-                  sim=SimSettings(**doc.get("sim", {"max_phase_rad": 2e-3})),
-                  num_symbols=int(doc.get("num_symbols", 4096)),
-                  sim_rate_hz=doc.get("sim_rate_hz"),
-                  seeds={**{"train": 1, "val": 2, "eval": 9},
-                         **doc.get("seeds", {})},
-                  sweeps=dict(doc.get("sweeps", {})),
-                  output_dir=str(doc.get("output_dir", "out")),
-                  threads=int(doc.get("threads", 1)),
-                  checkpoint_spans=bool(doc.get("checkpoint_spans", False)))
+        parse = {"wdm": lambda d: WdmConfig(**d),
+                 "link": lambda d: LinkConfig(**d),
+                 "sim": lambda d: SimSettings(**d),
+                 "dbp": dict, "sweeps": dict,
+                 "seeds": lambda d: {**_DEFAULT_SEEDS, **d},
+                 "num_symbols": int, "output_dir": str, "threads": int,
+                 "checkpoint_spans": bool}
+        cfg = cls(**{key: parse.get(key, lambda v: v)(value)
+                     for key, value in doc.items()})
         cfg.validate()
         return cfg
 
     def to_dict(self) -> dict:
-        doc = {"wdm": asdict(self.wdm), "link": asdict(self.link),
-               "dbp": dict(self.dbp), "sim": asdict(self.sim),
-               "num_symbols": self.num_symbols,
-               "sim_rate_hz": self.sim_rate_hz, "seeds": dict(self.seeds),
-               "sweeps": dict(self.sweeps), "output_dir": self.output_dir,
-               "threads": self.threads,
-               "checkpoint_spans": self.checkpoint_spans}
-        return doc
+        return asdict(self)
 
     def config_hash(self) -> str:
         # threads and output_dir are execution details: two runs of the same
@@ -143,11 +134,6 @@ def _simulate_eval(cfg: ExperimentConfig, seed: int | None = None):
     return tx, rx, record
 
 
-def _needs_coefficients(dcfg: DbpConfig) -> bool:
-    # the engine reads no set for EDC, the fine-step oracle, or N_st = 0
-    return dcfg.variant not in ("EDC", "IDEAL_SSFM") and dcfg.n_steps > 0
-
-
 def _training_set(cfg: ExperimentConfig,
                   dcfgs: list[DbpConfig]) -> TrainingSet | None:
     """Training set shared by every row of one command that tunes its taps.
@@ -155,7 +141,7 @@ def _training_set(cfg: ExperimentConfig,
     Simulated once, on cfg's link at its launch power; None when no row of
     dcfgs reads a tuned coefficient set.
     """
-    if not any(d.coefficient_source == "optimized" and _needs_coefficients(d)
+    if not any(d.coefficient_source == "optimized" and d.uses_coefficients
                for d in dcfgs):
         return None
     return build_training_set(cfg.link, cfg.wdm, cfg.num_symbols, cfg.sim,
@@ -166,7 +152,7 @@ def _training_set(cfg: ExperimentConfig,
 def _coefficients_for(cfg: ExperimentConfig, dcfg: DbpConfig,
                       train: TrainingSet | None,
                       power_w: float | None = None) -> CoefficientSet | None:
-    if not _needs_coefficients(dcfg):
+    if not dcfg.uses_coefficients:
         return None
     p_ref = cfg.wdm.launch_power_w if power_w is None else power_w
     coeffs = make_dbp_coefficient_set(dcfg, dcfg.oversampling
@@ -297,17 +283,17 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     if not cfg.sweeps:
         raise SystemExit("config declares no sweep grids")
     dcfg = cfg.dbp_config()
+    train = _training_set(cfg, [dcfg])
     wrote = []
     if "rho" in cfg.sweeps:
         _, rx, record = _simulate_eval(cfg)
         res = sweep_splitting_ratio(cfg.sweeps["rho"], rx, record, cfg.wdm,
-                                    dcfg)
+                                    dcfg, train)
         fileio.write_csv(out / "sweep_rho.csv", res.csv_rows(),
                          cfg.config_hash())
         wrote.append(f"sweep_rho.csv (best rho {res.best_value:g}, "
                      f"{res.best_snr_db:.2f} dB)")
     if "power_dbm" in cfg.sweeps:
-        train = _training_set(cfg, [dcfg])
         res = sweep_launch_power(
             cfg.sweeps["power_dbm"], cfg.link, cfg.wdm, dcfg, cfg.num_symbols,
             cfg.sim, cfg.seeds["eval"],
@@ -344,7 +330,8 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
     if figure_id == "snr_vs_rho":
         grid = cfg.sweeps.get("rho", [round(0.1 * k, 1) for k in range(11)])
         _, rx, record = _simulate_eval(cfg)
-        res = sweep_splitting_ratio(grid, rx, record, cfg.wdm, dcfg)
+        res = sweep_splitting_ratio(grid, rx, record, cfg.wdm, dcfg,
+                                    _training_set(cfg, [dcfg]))
         return res.csv_rows()
 
     if figure_id == "snr_vs_nsb":

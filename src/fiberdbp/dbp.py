@@ -39,6 +39,7 @@ from .kernel import (CoefficientSet, StepGeometry, analytic_coefficients,
 from .signals import DualPolWaveform
 
 VARIANTS = ("EDC", "OSSFM", "ESSFM", "CB_ESSFM", "IDEAL_SSFM")
+COEFFICIENT_SOURCES = ("analytic", "optimized")
 TAP_SAFETY = 1.5  # tap support over the walk-off memory rule
 
 
@@ -65,6 +66,10 @@ class DbpConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.coefficient_source not in COEFFICIENT_SOURCES:
+            raise ValueError(
+                f"unknown coefficient_source {self.coefficient_source!r}; "
+                f"expected one of {COEFFICIENT_SOURCES}")
         if self.variant == "EDC":
             if self.n_steps != 0:
                 raise ValueError("EDC means zero nonlinear steps")
@@ -82,6 +87,12 @@ class DbpConfig:
             raise ValueError("block_size must divide into n_subbands")
         if self.overlap % (2 * self.n_subbands):
             raise ValueError("overlap must be a multiple of 2*n_subbands")
+
+    @property
+    def uses_coefficients(self) -> bool:
+        """Whether the engine reads a coefficient set: not for EDC, the
+        fine-step oracle, or zero nonlinear steps."""
+        return self.variant not in ("EDC", "IDEAL_SSFM") and self.n_steps > 0
 
     @property
     def step_length_km(self) -> float:
@@ -234,9 +245,11 @@ def make_dbp_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
     forward input relative to launch, in the order the engine applies the
     steps). Tap counts come from the walk-off memory rule times TAP_SAFETY;
     ``memory`` overrides them (0 gives the single-tap set used by OSSFM).
+    Configs that read no set (DbpConfig.uses_coefficients) raise ValueError.
     """
-    if cfg.variant in ("EDC", "IDEAL_SSFM"):
-        raise ValueError(f"{cfg.variant} takes no coefficient set")
+    if not cfg.uses_coefficients:
+        raise ValueError(f"{cfg.variant} at N_st = {cfg.n_steps} takes no "
+                         "coefficient set")
     n_sb = cfg.n_subbands
     sub_rate = sample_rate_hz / n_sb
     geom = cfg.step_geometry()
@@ -277,8 +290,9 @@ def standard_ssfm_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
                                   memory: int | None = None) -> CoefficientSet:
     """All-zero taps except a central one equal to the per-step nonlinear
     phase at the reference power (the classic split-step starting point)."""
-    if cfg.variant in ("EDC", "IDEAL_SSFM"):
-        raise ValueError(f"{cfg.variant} takes no coefficient set")
+    if not cfg.uses_coefficients:
+        raise ValueError(f"{cfg.variant} at N_st = {cfg.n_steps} takes no "
+                         "coefficient set")
     coeffs = {h: np.zeros(2 * _tap_memory(cfg, h, sample_rate_hz, memory) + 1)
               for h in range(cfg.n_subbands)}
     out = _assemble_set(cfg, sample_rate_hz, reference_power_w, coeffs)
@@ -422,7 +436,7 @@ def run_dbp(w: DualPolWaveform, cfg: DbpConfig,
             RuntimeWarning)
 
     engine = _BlockEngine(cfg, w.sample_rate, coeffs)
-    field = np.vstack([w.x, w.y])
+    field = w.field
     out = np.empty_like(field)
     half = cfg.overlap // 2
     nblocks = int(np.ceil(n / keep))
@@ -432,4 +446,4 @@ def run_dbp(w: DualPolWaveform, cfg: DbpConfig,
         proc = engine.process(field[:, idx], counter)
         span = min(keep, n - b * keep)
         out[:, b * keep: b * keep + span] = proc[:, half: half + span]
-    return DualPolWaveform(out[0], out[1], w.sample_rate, w.center_freq)
+    return DualPolWaveform(out, w.sample_rate, w.center_freq)

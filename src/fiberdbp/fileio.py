@@ -26,14 +26,12 @@ _HEADER = struct.Struct("<4sHddQ")
 
 
 def save_waveform(path, w: DualPolWaveform) -> None:
-    """Write magic, version, rates, and interleaved xRe xIm yRe yIm float64."""
-    inter = np.empty((w.num_samples, 4))
-    inter[:, 0], inter[:, 1] = w.x.real, w.x.imag
-    inter[:, 2], inter[:, 3] = w.y.real, w.y.imag
+    """Write magic, version, rates, then per sample xRe xIm yRe yIm float64
+    (the (N, 2) transpose of the field)."""
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, w.sample_rate, w.center_freq,
                               w.num_samples))
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(w.field.T.astype("<c16").tobytes())
 
 
 def load_waveform(path) -> DualPolWaveform:
@@ -47,11 +45,13 @@ def load_waveform(path) -> DualPolWaveform:
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         data = np.frombuffer(fh.read(count * 32), dtype="<f8")
+    # checked in float64 units before the complex view, so that a cut of
+    # half a complex value also reports truncation
     if data.size != count * 4:
         raise ValueError(f"{path}: truncated payload")
-    inter = data.reshape(count, 4)
-    return DualPolWaveform(inter[:, 0] + 1j * inter[:, 1],
-                           inter[:, 2] + 1j * inter[:, 3], rate, center)
+    field = data.view("<c16").reshape(count, 2).T
+    return DualPolWaveform(field.astype(np.complex128, order="C"), rate,
+                           center)
 
 
 def save_symbols(path, record: SymbolRecord) -> None:

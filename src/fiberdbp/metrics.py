@@ -41,26 +41,15 @@ class SnrResult:
             raise ValueError("snr must be finite")
 
 
-def _as_dual_pol(symbols: np.ndarray) -> np.ndarray:
-    arr = np.asarray(symbols)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[0] not in (1, 2):
-        raise ValueError("symbols must be (M,), (1, M) or (2, M)")
-    return arr
-
-
 def remove_mean_phase(rx: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, float]:
     """Rotate rx by the conjugate of its mean phase offset against tx.
 
     The phase is estimated jointly over both polarizations (the nonlinear
-    phase rotation model is polarization-common). Returns the rotated rx
-    and the removed phase in radians.
+    phase rotation model is polarization-common). rx and tx are (2, M)
+    symbol arrays. Returns the rotated rx and the removed phase in radians.
     """
-    rx = _as_dual_pol(rx)
-    tx = _as_dual_pol(tx)
-    if rx.shape != tx.shape:
-        raise ValueError("rx and tx must have equal shapes")
+    if rx.ndim != 2 or rx.shape[0] != 2 or rx.shape != tx.shape:
+        raise ValueError("rx and tx must be (2, M) arrays of equal shape")
     corr = np.sum(rx * tx.conj())
     if abs(corr) == 0.0:
         raise ValueError("zero cross-correlation; mean phase undefined")
@@ -86,19 +75,13 @@ def snr(rx: np.ndarray, tx: np.ndarray) -> SnrResult:
     SNR_dB = 10 log10( sum|tx|^2 / sum|rx - tx|^2 ), pooled over both
     polarizations after removing the joint mean phase (remove_mean_phase);
     per-polarization figures use the same alignment. An exact match reports
-    the cap value with a flag instead of infinity.
+    the cap value with a flag instead of infinity. rx and tx are (2, M)
+    symbol arrays.
     """
-    rx = _as_dual_pol(rx)
-    tx = _as_dual_pol(tx)
-    if rx.shape != tx.shape:
-        raise ValueError("rx and tx must have equal shapes")
     rx, phi = remove_mean_phase(rx, tx)
     pooled, exact = _pool_snr_db(rx, tx)
-    if rx.shape[0] == 2:
-        sx, _ = _pool_snr_db(rx[0], tx[0])
-        sy, _ = _pool_snr_db(rx[1], tx[1])
-    else:
-        sx = sy = pooled
+    sx, _ = _pool_snr_db(rx[0], tx[0])
+    sy, _ = _pool_snr_db(rx[1], tx[1])
     return SnrResult(pooled, sx, sy, phi, rx.shape[-1], exact)
 
 
@@ -133,7 +116,7 @@ def symbols_from_dbp_output(w: DualPolWaveform, wdm: WdmConfig) -> np.ndarray:
     w = matched_filter(w, wdm)
     w = resample(w, wdm.baud_rate, allow_alias=True)
     amp = np.sqrt(wdm.launch_power_w / 2)
-    return np.vstack([w.x, w.y]) / amp
+    return w.field / amp
 
 
 def recover_symbols(w: DualPolWaveform, wdm: WdmConfig, dbp_cfg: DbpConfig,

@@ -199,9 +199,11 @@ def sweep_splitting_ratio(rhos, eval_rx: DualPolWaveform,
     for i, rho in enumerate(rhos):
         cfg_rho = replace(cfg, splitting_ratio=float(rho))
         rate = cfg_rho.oversampling * wdm.baud_rate
-        coeffs = make_dbp_coefficient_set(cfg_rho, rate, p_ref)
-        if train is not None:
-            coeffs = optimize_coefficients(train, cfg_rho, coeffs).coeffs
+        coeffs = None
+        if cfg_rho.uses_coefficients:
+            coeffs = make_dbp_coefficient_set(cfg_rho, rate, p_ref)
+            if train is not None:
+                coeffs = optimize_coefficients(train, cfg_rho, coeffs).coeffs
         curve[i] = evaluate(eval_rx, eval_record, wdm, cfg_rho,
                             coeffs).snr_db
     best = int(np.argmax(curve))
@@ -216,8 +218,8 @@ def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
     """SNR versus per-channel launch power over a fresh simulation per point.
 
     coeff_fn(cfg, rate_hz, power_w) supplies the coefficient set at each
-    power (default: analytic sets for the coefficient-driven variants,
-    nothing for EDC and the fine-step oracle). With threads > 1 the grid
+    power (default: analytic sets when DbpConfig.uses_coefficients, else
+    nothing). With threads > 1 the grid
     points run in a thread pool; every point is seeded on its own, so the
     curve does not depend on the thread count.
     """
@@ -232,10 +234,10 @@ def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
         rate = cfg.oversampling * wdm_p.baud_rate
         if coeff_fn is not None:
             coeffs = coeff_fn(cfg, rate, wdm_p.launch_power_w)
-        elif cfg.variant in ("EDC", "IDEAL_SSFM"):
-            coeffs = None
-        else:
+        elif cfg.uses_coefficients:
             coeffs = make_dbp_coefficient_set(cfg, rate, wdm_p.launch_power_w)
+        else:
+            coeffs = None
         return evaluate(rx, record, wdm_p, cfg, coeffs).snr_db
 
     if threads > 1:

@@ -1,11 +1,14 @@
 """Waveform containers, WDM signal synthesis, and spectral-grid operations.
 
-Signals are stored as dual-polarization complex field samples in physical
-units (sqrt(W)), so ``mean(|x|^2 + |y|^2)`` is the instantaneous total power
-in watts. All spectral operations (pulse shaping, resampling,
-demultiplexing) act on the block FFT grid and treat the sequence as
-circularly periodic, which keeps block-based processing free of edge
-transients. The engine's subband partition lives in dbp.
+A signal is one Jones vector per sample: DualPolWaveform.field is a (2, N)
+complex array in physical units (sqrt(W)), row 0 the x and row 1 the y
+polarization, so ``mean(|x|^2 + |y|^2)`` is the total power in watts. Every
+module computes on that array directly; ``x`` and ``y`` are row views for
+readers that want one polarization. All spectral operations (pulse
+shaping, resampling, demultiplexing) transform the field along its last
+axis on the block FFT grid and treat the sequence as circularly periodic,
+which keeps block-based processing free of edge transients. The engine's
+subband partition lives in dbp.
 
 Main entry points
 -----------------
@@ -35,45 +38,58 @@ class DualPolWaveform:
 
     Attributes
     ----------
-    x, y : np.ndarray
-        Complex field samples per polarization, in sqrt(W).
+    field : np.ndarray
+        (2, N) complex128 Jones-vector samples in sqrt(W): row 0 is the x
+        polarization, row 1 the y polarization. Any other shape raises
+        ValueError at construction.
     sample_rate : float
         Sample rate in Hz.
     center_freq : float
         Absolute optical frequency offset (Hz) of this baseband
         representation relative to the full-band reference.
+
+    ``x`` and ``y`` are read-only properties returning the row views
+    ``field[0]`` and ``field[1]`` (writes through them change ``field``).
     """
 
-    x: np.ndarray
-    y: np.ndarray
+    field: np.ndarray
     sample_rate: float
     center_freq: float = 0.0
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.complex128)
-        self.y = np.asarray(self.y, dtype=np.complex128)
-        if self.x.shape != self.y.shape or self.x.ndim != 1:
-            raise ValueError("x and y must be 1-D arrays of equal length")
+        self.field = np.asarray(self.field, dtype=np.complex128)
+        if self.field.ndim != 2 or self.field.shape[0] != 2:
+            raise ValueError("field must be a (2, N) array, got shape "
+                             f"{self.field.shape}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
     @property
+    def x(self) -> np.ndarray:
+        return self.field[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.field[1]
+
+    @property
     def num_samples(self) -> int:
-        return self.x.size
+        return self.field.shape[1]
 
     @property
     def power(self) -> float:
         """Mean total power in W (both polarizations)."""
+        # per-sample sum first: propagate_link plans its steps from this
+        # value, and another summation order can move it by an ulp
         return float(np.mean(np.abs(self.x) ** 2 + np.abs(self.y) ** 2))
 
     def require_finite(self):
-        if not (np.all(np.isfinite(self.x.view(float)))
-                and np.all(np.isfinite(self.y.view(float)))):
+        if not np.all(np.isfinite(self.field)):
             raise ValueError("waveform contains non-finite samples")
 
     def copy(self) -> "DualPolWaveform":
-        return DualPolWaveform(self.x.copy(), self.y.copy(),
-                               self.sample_rate, self.center_freq)
+        return DualPolWaveform(self.field.copy(), self.sample_rate,
+                               self.center_freq)
 
 
 def _parse_format(fmt) -> int:
@@ -236,13 +252,10 @@ def generate_wdm(cfg: WdmConfig, num_symbols: int, sim_rate: float | None = None
         band = np.flatnonzero(rc > 0)
         # unit expected power per polarization before the amp scaling
         g = np.sqrt(rc[band]) * np.sqrt(n * n / (m * np.sum(rc[band])))
-        for pol in range(2):
-            s_rep = np.fft.fft(symbols[ch, pol])[(band - k_c) % m]
-            spec[pol, band] += amp * g * s_rep
+        s_rep = np.fft.fft(symbols[ch], axis=-1)[:, (band - k_c) % m]
+        spec[:, band] += amp * g * s_rep
 
-    x = np.fft.ifft(spec[0])
-    y = np.fft.ifft(spec[1])
-    wave = DualPolWaveform(x, y, rate, 0.0)
+    wave = DualPolWaveform(np.fft.ifft(spec, axis=-1), rate, 0.0)
     record = SymbolRecord(symbols, cfg.baud_rate, cfg.format, seed)
     return wave, record
 
@@ -256,9 +269,8 @@ def matched_filter(w: DualPolWaveform, cfg: WdmConfig) -> DualPolWaveform:
     """
     freqs = _signed_bin_freqs(w.num_samples, w.sample_rate)
     g = np.sqrt(raised_cosine_spectrum(freqs, cfg.baud_rate, cfg.rolloff))
-    x = np.fft.ifft(np.fft.fft(w.x) * g)
-    y = np.fft.ifft(np.fft.fft(w.y) * g)
-    return DualPolWaveform(x, y, w.sample_rate, w.center_freq)
+    field = np.fft.ifft(np.fft.fft(w.field, axis=-1) * g, axis=-1)
+    return DualPolWaveform(field, w.sample_rate, w.center_freq)
 
 
 def _regrid(spec: np.ndarray, new_len: int) -> np.ndarray:
@@ -272,6 +284,7 @@ def _regrid(spec: np.ndarray, new_len: int) -> np.ndarray:
     signed = np.where(signed < (n + 1) // 2, signed, signed - n)
     target = np.mod(signed, new_len)
     out = np.zeros(spec.shape[:-1] + (new_len,), dtype=np.complex128)
+    # one 1-D np.add.at per row: a single 2-D np.add.at measured 2-5x slower
     for row in range(spec.shape[0]):
         np.add.at(out[row], target, spec[row])
     return out
@@ -295,7 +308,7 @@ def resample(w: DualPolWaveform, new_rate: float,
     if new_len == n:
         return w.copy()
 
-    spec = np.vstack([np.fft.fft(w.x), np.fft.fft(w.y)])
+    spec = np.fft.fft(w.field, axis=-1)
     if new_len < n:
         freqs = _signed_bin_freqs(n, w.sample_rate)
         oob = np.abs(freqs) > new_rate / 2
@@ -306,8 +319,8 @@ def resample(w: DualPolWaveform, new_rate: float,
                 f"{frac:.2e} of signal energy beyond the new Nyquist band")
     out = _regrid(spec, new_len) * (new_len / n)
     actual_rate = new_len * w.sample_rate / n
-    return DualPolWaveform(np.fft.ifft(out[0]), np.fft.ifft(out[1]),
-                           actual_rate, w.center_freq)
+    return DualPolWaveform(np.fft.ifft(out, axis=-1), actual_rate,
+                           w.center_freq)
 
 
 def demux_channel(w: DualPolWaveform, channel_freq: float,
@@ -325,12 +338,10 @@ def demux_channel(w: DualPolWaveform, channel_freq: float,
     if n_bins < 2 or n_bins > n:
         raise ValueError("bandwidth out of range for this grid")
     c = int(round(channel_freq / df))
-    shifted = np.fft.fftshift(
-        np.vstack([np.fft.fft(w.x), np.fft.fft(w.y)]), axes=-1)
+    shifted = np.fft.fftshift(np.fft.fft(w.field, axis=-1), axes=-1)
     lo = n // 2 + c - n_bins // 2
     if lo < 0 or lo + n_bins > n:
         raise ValueError("channel band exceeds the sampled spectrum")
     sl = shifted[:, lo:lo + n_bins] * (n_bins / n)
-    x = np.fft.ifft(np.fft.ifftshift(sl[0]))
-    y = np.fft.ifft(np.fft.ifftshift(sl[1]))
-    return DualPolWaveform(x, y, n_bins * df, w.center_freq + c * df)
+    field = np.fft.ifft(np.fft.ifftshift(sl, axes=-1), axis=-1)
+    return DualPolWaveform(field, n_bins * df, w.center_freq + c * df)

@@ -6,14 +6,17 @@ fast enough for a unit suite.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import fiberdbp.cli
-from fiberdbp import (build_training_set, load_coefficients, load_waveform,
-                      make_dbp_coefficient_set, optimize_coefficients,
-                      read_csv, sweep_launch_power, write_csv)
+import fiberdbp.optimize
+from fiberdbp import (build_training_set, generate_wdm, load_coefficients,
+                      load_waveform, make_dbp_coefficient_set,
+                      optimize_coefficients, propagate_link, read_csv,
+                      sweep_launch_power, sweep_splitting_ratio, write_csv)
 from fiberdbp.cli import ExperimentConfig, main
 
 MINI_YAML = """\
@@ -86,6 +89,25 @@ def test_unknown_keys_and_bad_sweeps_rejected(ws):
     doc["sweeps"] = {"bogus": [1, 2]}
     with pytest.raises(ValueError, match="bogus"):
         ExperimentConfig.from_dict(doc).validate()
+
+
+def test_unknown_coefficient_source_rejected(ws):
+    _, cfg_path = ws
+    doc = ExperimentConfig.from_yaml(cfg_path).to_dict()
+    doc["dbp"]["coefficient_source"] = "optimised"
+    with pytest.raises(ValueError, match="'optimised'.*'analytic', 'optimized'"):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_absent_keys_take_field_defaults(ws):
+    _, cfg_path = ws
+    cfg = ExperimentConfig.from_yaml(cfg_path)
+    doc = {"wdm": asdict(cfg.wdm), "link": asdict(cfg.link), "dbp": cfg.dbp,
+           "seeds": {"eval": 5}}
+    got = ExperimentConfig.from_dict(doc)
+    assert got == ExperimentConfig(cfg.wdm, cfg.link, cfg.dbp,
+                                   seeds={"train": 1, "val": 2, "eval": 5})
+    assert got.to_dict() == asdict(got)
 
 
 def test_config_hash_ignores_execution_only_keys(ws):
@@ -228,29 +250,48 @@ def test_zero_step_rows_build_no_taps(ws, monkeypatch):
 
 def test_optimized_sweep_builds_one_training_set(ws, monkeypatch):
     # the training set is simulated once per command, at the config's
-    # launch power, and gives the same curve as one rebuilt per point
+    # launch power, shared by the rho and power grids, and gives the same
+    # curves as one rebuilt per grid and per point
     root, _ = ws
     text = MINI_YAML.replace("  oversampling: 1.125\n",
                              "  oversampling: 1.125\n"
                              "  coefficient_source: optimized\n")
-    text = text.replace("  rho: [0.1, 0.9]\n", "").replace(
-        "  n_steps: [1, 2]\n", "")
+    text = text.replace("  n_steps: [1, 2]\n", "")
     cfg_path = root / "optimized.yaml"
     cfg_path.write_text(text)
     cfg = ExperimentConfig.from_yaml(cfg_path)
     assert cfg.dbp_config().coefficient_source == "optimized"
 
     trained = counting(monkeypatch, "build_training_set")
+    rho_tuned = []
+    real_tune = fiberdbp.optimize.optimize_coefficients
+    monkeypatch.setattr(fiberdbp.optimize, "optimize_coefficients",
+                        lambda *a: rho_tuned.append(a) or real_tune(*a))
     out = root / "sw_opt"
     assert run(cfg_path, out, "sweep") == 0
     assert len(trained) == 1
+    assert len(rho_tuned) == len(cfg.sweeps["rho"])
+    monkeypatch.undo()
+
+    def training_set():
+        return build_training_set(cfg.link, cfg.wdm, cfg.num_symbols,
+                                  cfg.sim, cfg.seeds["train"],
+                                  cfg.seeds["val"], cfg.sim_rate_hz)
+
+    tx, record = generate_wdm(cfg.wdm, cfg.num_symbols,
+                              sim_rate=cfg.sim_rate_hz, seed=cfg.seeds["eval"])
+    rho_ref = sweep_splitting_ratio(cfg.sweeps["rho"],
+                                    propagate_link(tx, cfg.link, cfg.sim),
+                                    record, cfg.wdm, cfg.dbp_config(),
+                                    train=training_set())
+    write_csv(root / "sw_opt_rho_ref.csv", rho_ref.csv_rows(),
+              cfg.config_hash())
+    assert (out / "sweep_rho.csv").read_bytes() \
+        == (root / "sw_opt_rho_ref.csv").read_bytes()
 
     def per_point(d, rate, p):
-        train = build_training_set(cfg.link, cfg.wdm, cfg.num_symbols,
-                                   cfg.sim, cfg.seeds["train"],
-                                   cfg.seeds["val"], cfg.sim_rate_hz)
         init = make_dbp_coefficient_set(d, rate, p)
-        return optimize_coefficients(train, d, init).coeffs
+        return optimize_coefficients(training_set(), d, init).coeffs
 
     ref = sweep_launch_power(cfg.sweeps["power_dbm"], cfg.link, cfg.wdm,
                              cfg.dbp_config(), cfg.num_symbols, cfg.sim,

@@ -95,7 +95,7 @@ def run_counted(link, rx, variant, n_steps, n_sb, block, overlap):
                     n_subbands=n_sb, block_size=block, overlap=overlap,
                     oversampling=2.0)
     coeffs = None
-    if variant not in ("EDC", "IDEAL_SSFM") and n_steps:
+    if cfg.uses_coefficients:
         coeffs = make_dbp_coefficient_set(cfg, rx.sample_rate, 1e-3,
                                           oversample=16)
     return cfg, count_runtime_multiplies(rx, cfg, coeffs)

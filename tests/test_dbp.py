@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fiberdbp import (DbpConfig, LinkConfig, SimSettings, WdmConfig,
+from fiberdbp import (CoefficientSet, DbpConfig, LinkConfig, SimSettings, WdmConfig,
                       build_mimo_transfer, channel_memory_samples,
                       generate_wdm, gvd_phasor, make_dbp_coefficient_set,
                       nlpr_step, propagate_link, run_dbp,
@@ -35,7 +37,7 @@ def cfg_for(link, **kw):
 
 def run(w, cfg, **kw):
     coeffs = None
-    if cfg.variant not in ("EDC", "IDEAL_SSFM") and cfg.n_steps:
+    if cfg.uses_coefficients:
         coeffs = make_dbp_coefficient_set(cfg, w.sample_rate, 1e-3, **kw)
     return run_dbp(w, cfg, coeffs)
 
@@ -59,7 +61,7 @@ def test_single_band_cb_equals_essfm(link, test_wave):
     cb = run(test_wave, cfg_for(link, variant="CB_ESSFM", n_subbands=1,
                                 splitting_ratio=0.5))
     es = run(test_wave, cfg_for(link, variant="ESSFM"))
-    assert rel_rms(np.vstack([cb.x, cb.y]), np.vstack([es.x, es.y])) < 1e-12
+    assert rel_rms(cb.field, es.field) < 1e-12
 
 
 def test_zero_memory_essfm_equals_ossfm(link, test_wave):
@@ -67,7 +69,7 @@ def test_zero_memory_essfm_equals_ossfm(link, test_wave):
     es = run(test_wave, cfg_for(link, variant="ESSFM"), memory=0,
              oversample=16)
     os_ = run(test_wave, cfg_for(link, variant="OSSFM"), oversample=16)
-    assert rel_rms(np.vstack([es.x, es.y]), np.vstack([os_.x, os_.y])) < 1e-12
+    assert rel_rms(es.field, os_.field) < 1e-12
 
 
 @pytest.mark.parametrize("cb_n_sb", [2, 4])
@@ -79,8 +81,7 @@ def test_zero_steps_equals_edc(link, test_wave, cb_n_sb):
     for variant, n_sb in (("CB_ESSFM", cb_n_sb), ("ESSFM", 1)):
         out = run(test_wave, cfg_for(link, variant=variant, n_steps=0,
                                      n_subbands=n_sb))
-        assert rel_rms(np.vstack([out.x, out.y]),
-                       np.vstack([edc.x, edc.y])) < 1e-12
+        assert rel_rms(out.field, edc.field) < 1e-12
 
 
 def test_single_block_equals_blockwise(link, test_wave):
@@ -88,8 +89,7 @@ def test_single_block_equals_blockwise(link, test_wave):
                                    block_size=8192, overlap=0))
     split = run(test_wave, cfg_for(link, variant="CB_ESSFM", n_subbands=2,
                                    block_size=4096, overlap=2048))
-    err = rel_rms(np.vstack([split.x, split.y]),
-                  np.vstack([whole.x, whole.y]))
+    err = rel_rms(split.field, whole.field)
     assert err < 1e-3
 
 
@@ -127,7 +127,7 @@ def test_edc_inverts_linear_channel(link):
     rx = propagate_link(w, lin, SimSettings(step_km=1.0,
                                             noise_enabled=False))
     out = run_dbp(rx, cfg_for(lin, variant="EDC", n_steps=0))
-    assert rel_rms(np.vstack([out.x, out.y]), np.vstack([w.x, w.y])) < 1e-4
+    assert rel_rms(out.field, w.field) < 1e-4
 
 
 def test_gvd_step_sign_opposes_forward():
@@ -198,6 +198,34 @@ def test_nlpr_step_rejects_mismatched_fields(link):
             nlpr_step(bad, mimo, 1.0)
 
 
+@st.composite
+def nlpr_inputs(draw):
+    """Random (2, n_sb, N') fields, per-separation taps and a phase scale."""
+    n_sb = draw(st.integers(1, 3))
+    n_prime = draw(st.sampled_from([8, 16]))
+    values = st.floats(-10, 10, allow_subnormal=False)
+    parts = draw(arrays(np.float64, (2, 2, n_sb, n_prime), elements=values))
+    taps = {}
+    for h in range(n_sb):
+        c = draw(arrays(np.float64, 2 * draw(st.integers(0, 3)) + 1,
+                        elements=values))
+        taps[h] = c + c[::-1] if h == 0 else c  # same-band taps are even
+    coeffs = CoefficientSet(n_sb, 1.0, 1.0, 1.0, 0.0, np.ones(1), "any", taps)
+    return (parts[0] + 1j * parts[1], build_mimo_transfer(coeffs, n_prime),
+            draw(st.floats(-100, 100)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nlpr_inputs())
+def test_nlpr_step_preserves_joint_intensity(case):
+    # phase-only: each sample's |x|^2 + |y|^2 survives any taps and scale
+    fields, mimo, scale = case
+    out = nlpr_step(fields, mimo, scale)
+    before = np.abs(fields[0]) ** 2 + np.abs(fields[1]) ** 2
+    after = np.abs(out[0]) ** 2 + np.abs(out[1]) ** 2
+    np.testing.assert_allclose(after, before, rtol=1e-12, atol=0)
+
+
 def test_coefficient_set_step_scales(link):
     # three steps per 240 km: engine applies steps in backward order, so
     # the scales run from the last span's input power backwards
@@ -220,10 +248,14 @@ def test_ssfm_coefficient_set_is_single_spike(link):
 
 
 def test_builder_rejects_linear_variants(link):
-    for variant, steps in (("EDC", 0), ("IDEAL_SSFM", 300)):
-        with pytest.raises(ValueError):
-            make_dbp_coefficient_set(cfg_for(link, variant=variant,
-                                             n_steps=steps), RATE, 1e-3)
+    # the engine reads no set for EDC, the fine-step oracle, or N_st = 0
+    for variant, steps in (("EDC", 0), ("IDEAL_SSFM", 300), ("CB_ESSFM", 0)):
+        cfg = cfg_for(link, variant=variant, n_steps=steps)
+        assert not cfg.uses_coefficients
+        for build in (make_dbp_coefficient_set, standard_ssfm_coefficient_set):
+            with pytest.raises(ValueError, match="takes no coefficient set"):
+                build(cfg, RATE, 1e-3)
+    assert cfg_for(link, variant="OSSFM", n_steps=1).uses_coefficients
 
 
 def test_channel_memory_scales(link):
@@ -242,4 +274,4 @@ def test_ideal_ssfm_restores_nonlinear_channel(link):
     out = run_dbp(rx, DbpConfig(link=link, variant="IDEAL_SSFM",
                                 n_steps=960, block_size=4096,
                                 oversampling=2.0))
-    assert rel_rms(np.vstack([out.x, out.y]), np.vstack([w.x, w.y])) < 1e-2
+    assert rel_rms(out.field, w.field) < 1e-2

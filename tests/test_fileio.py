@@ -1,12 +1,17 @@
 """Round-trip and validation tests for the on-disk formats."""
 
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fiberdbp import (CoefficientSet, DbpConfig, LinkConfig, WdmConfig,
-                      generate_wdm, load_coefficients, load_symbols,
+from fiberdbp import (CoefficientSet, DbpConfig, DualPolWaveform, LinkConfig,
+                      WdmConfig, generate_wdm, load_coefficients, load_symbols,
                       load_waveform, make_dbp_coefficient_set, read_csv,
                       save_coefficients, save_symbols, save_waveform,
                       write_csv)
@@ -35,6 +40,33 @@ def test_waveform_rewrite_is_byte_identical(tmp_path, waveform):
     save_waveform(p1, w)
     save_waveform(p2, load_waveform(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_waveform_file_layout(tmp_path):
+    # header, then per sample xRe xIm yRe yIm as little-endian float64
+    field = np.array([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
+    p = tmp_path / "two.fdbp"
+    save_waveform(p, DualPolWaveform(field, 64e9, -37.5e9))
+    assert p.read_bytes() == (
+        struct.pack("<4sHddQ", b"FDBP", 1, 64e9, -37.5e9, 2)
+        + struct.pack("<8d", 1, 2, 5, 6, 3, 4, 7, 8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(arrays(np.float64, st.tuples(st.just(2), st.integers(1, 8), st.just(2)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[[-0.0, 0.0]], [[0.0, -0.0]]]))
+def test_waveform_save_load_save_is_byte_exact(parts):
+    # (2, N, 2) float64 (re, im) pairs viewed as a (2, N) field, so signed
+    # zeros reach the file unchanged
+    field = parts.view(np.complex128)[..., 0]
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = Path(tmp) / "a.fdbp", Path(tmp) / "b.fdbp"
+        save_waveform(p1, DualPolWaveform(field, 1e9))
+        save_waveform(p2, load_waveform(p1))
+        assert p1.read_bytes()[-parts.nbytes:] == parts.transpose(1, 0, 2) \
+            .astype("<f8").tobytes()
+        assert p2.read_bytes() == p1.read_bytes()
 
 
 def test_waveform_rejects_bad_magic_and_version(tmp_path, waveform):

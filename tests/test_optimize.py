@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fiberdbp.optimize
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, SweepResult,
                       TrainingSet, WdmConfig, build_training_set, generate_wdm,
                       make_dbp_coefficient_set, optimize_coefficients,
@@ -141,3 +142,20 @@ def test_launch_power_sweep_fresh_simulation_per_point():
     # noise off: higher launch power means more uncompensated distortion
     assert sw.snr_db[0] > sw.snr_db[1]
     assert sw.best_value == -2.0
+
+
+def test_launch_power_sweep_builds_no_taps_at_zero_steps(monkeypatch):
+    # at N_st = 0 the engine reads no set, so the default path builds none
+    # and the curve is the EDC one
+    built = []
+    real = fiberdbp.optimize.make_dbp_coefficient_set
+    monkeypatch.setattr(fiberdbp.optimize, "make_dbp_coefficient_set",
+                        lambda *a, **kw: built.append(a) or real(*a, **kw))
+    edc = DbpConfig(link=LINK_NL, variant="EDC", n_steps=0, block_size=288,
+                    overlap=0, oversampling=1.125)
+    curves = [sweep_launch_power([-2.0, 2.0], LINK_NL, WDM, cfg,
+                                 num_symbols=256, sim=SIM_OFF).snr_db
+              for cfg in (edc, replace(edc, variant="CB_ESSFM",
+                                       n_subbands=2))]
+    assert built == []
+    np.testing.assert_allclose(curves[1], curves[0], rtol=0, atol=1e-9)

@@ -61,7 +61,7 @@ def test_matched_filter_removes_isi():
     w, rec = generate_wdm(cfg, 2048, sim_rate=128e9, seed=3)
     filtered = matched_filter(w, cfg)
     one_sps = resample(filtered, cfg.baud_rate, allow_alias=True)
-    sym = np.vstack([one_sps.x, one_sps.y]) / np.sqrt(cfg.launch_power_w / 2)
+    sym = one_sps.field / np.sqrt(cfg.launch_power_w / 2)
     err = rel_rms(sym, rec.channel(0))
     assert err < 5e-4
 
@@ -71,8 +71,7 @@ def test_resample_round_trip_is_exact():
     w, _ = generate_wdm(cfg, 1024, sim_rate=64e9, seed=8)
     up = resample(w, 128e9)
     back = resample(up, 64e9)
-    assert rel_rms(np.vstack([back.x, back.y]),
-                   np.vstack([w.x, w.y])) < 1e-12
+    assert rel_rms(back.field, w.field) < 1e-12
     assert up.num_samples == 2 * w.num_samples
     # energy is preserved either way
     assert abs(up.power - w.power) < 1e-12 * w.power
@@ -98,13 +97,28 @@ def test_demux_selects_one_channel(desk_wdm):
     w1 = resample(ch, desk_wdm.baud_rate * 2, allow_alias=True)
     filt = matched_filter(w1, alone)
     sym = resample(filt, desk_wdm.baud_rate, allow_alias=True)
-    est = np.vstack([sym.x, sym.y]) / np.sqrt(alone.launch_power_w / 2)
+    est = sym.field / np.sqrt(alone.launch_power_w / 2)
     # neighbors at 37.5 GHz barely overlap the 35.2 GHz band edge
     assert rel_rms(est, rec.channel(1)) < 0.02
 
 
 def test_waveform_copy_is_independent():
-    w = DualPolWaveform(np.ones(8, complex), np.zeros(8, complex), 1.0, 0.0)
+    w = DualPolWaveform([np.ones(8, complex), np.zeros(8, complex)], 1.0, 0.0)
     c = w.copy()
     c.x[:] = 0
     assert w.x[0] == 1.0
+
+
+@pytest.mark.parametrize("shape", [(8,), (1, 8), (3, 8), (8, 2), (2, 8, 1)])
+def test_waveform_rejects_non_jones_field(shape):
+    with pytest.raises(ValueError, match=r"\(2, N\)"):
+        DualPolWaveform(np.zeros(shape, complex), 1.0)
+
+
+def test_waveform_polarizations_are_field_rows():
+    w = DualPolWaveform(np.arange(6).reshape(2, 3), 1.0)
+    assert w.field.dtype == np.complex128 and w.num_samples == 3
+    assert np.shares_memory(w.x, w.field) and np.shares_memory(w.y, w.field)
+    assert np.array_equal(w.y, [3, 4, 5])
+    with pytest.raises(AttributeError):
+        w.x = np.zeros(3)
