@@ -279,9 +279,10 @@ def cmd_dbp(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
+    if "rho" not in cfg.sweeps and "power_dbm" not in cfg.sweeps:
+        raise SystemExit("sweep runs the rho and power_dbm grids; the config "
+                         "declares neither")
     out = _out_dir(cfg, args)
-    if not cfg.sweeps:
-        raise SystemExit("config declares no sweep grids")
     dcfg = cfg.dbp_config()
     train = _training_set(cfg, [dcfg])
     wrote = []

@@ -45,10 +45,13 @@ def load_waveform(path) -> DualPolWaveform:
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         data = np.frombuffer(fh.read(count * 32), dtype="<f8")
+        trailing = fh.read(1)
     # checked in float64 units before the complex view, so that a cut of
     # half a complex value also reports truncation
     if data.size != count * 4:
         raise ValueError(f"{path}: truncated payload")
+    if trailing:
+        raise ValueError(f"{path}: trailing data")
     field = data.view("<c16").reshape(count, 2).T
     return DualPolWaveform(field.astype(np.complex128, order="C"), rate,
                            center)

@@ -16,11 +16,13 @@ identical spans has the closed form
 
 with removable singularities at b -> 0 and sin(b L/N_sp) -> 0.
 
-This module provides the closed form, an independent quadrature oracle, the
-memory-length rule for the filtered-phase coefficients, the analytic
-coefficient integration (2-D kernel transform on an oversampled uniform
-grid, decimated to the tap lattice), and a dense Volterra-coefficient oracle
-for validation.
+This module provides the closed form, its exact piecewise counterpart for
+steps that are not whole spans, the memory-length rule for the
+filtered-phase coefficients, and the analytic coefficient integration: the
+kernel on an oversampled uniform grid, reduced row chunk by row chunk to
+its weighted diagonal sums, then one FFT of those sums folded over the
+transform period gives the taps. The quadrature and Volterra oracles that
+validate it live with the tests.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .channel import LN10_OVER_10
 
 CONV_TOL = 1e-3  # tap change under grid doubling that warns
 IMAG_TOL = 1e-9  # discarded imaginary residue over the peak that warns
+# kernel rows per block in _coeff_grid_eval: 128 holds the 1-step
+# full-scale build (10 769 nodes) near 270 MB; 256 needed 460 MB, no faster
+_ROW_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -175,40 +180,6 @@ def kernel_closed_form(mu, nu, geom: StepGeometry) -> np.ndarray:
             * _sin_ratio(b * lsp, n_sp))
 
 
-def kernel_quadrature(mu, nu, geom: StepGeometry,
-                      num_points: int | None = None) -> np.ndarray:
-    """Step kernel by direct numerical integration (validation oracle).
-
-    Composite Simpson integration of gamma g(z) exp(-j 2 b z) over the
-    symmetric window [-L/2, L/2], per span segment so the power-profile
-    discontinuities fall on segment edges. ``num_points`` is the node count
-    per span; as a rule it should be at least ten per oscillation of the
-    integrand (period pi/|b| in z). The default targets relative errors
-    below 1e-8.
-    """
-    n_sp = geom.num_spans
-    lsp = geom.span_km
-    alpha = geom.alpha_np_km
-    shape = np.broadcast(np.asarray(mu), np.asarray(nu)).shape
-    b = np.broadcast_to(_beat(mu, nu, geom), shape).ravel().astype(float)
-
-    if num_points is None:
-        osc = np.max(np.abs(2 * b)) * lsp / (2 * np.pi)
-        num_points = int(max(801, np.ceil(100 * osc)))
-    if num_points % 2 == 0:
-        num_points += 1
-
-    zeta = np.linspace(0.0, lsp, num_points)
-    profile = (geom.gamma_w_km * np.exp(-alpha * zeta)
-               * _simpson_weights(num_points, lsp))
-
-    total = np.zeros(b.size, dtype=complex)
-    for k in range(n_sp):
-        z0 = -geom.length_km / 2.0 + k * lsp
-        total += np.exp(-2j * np.outer(b, z0 + zeta)) @ profile
-    return total.reshape(shape) if shape else total[0]
-
-
 def _kernel_segments(mu, nu, geom: StepGeometry) -> np.ndarray:
     """Exact kernel for arbitrary step alignment and splitting ratio.
 
@@ -235,14 +206,18 @@ def _kernel_segments(mu, nu, geom: StepGeometry) -> np.ndarray:
 def step_kernel(mu, nu, geom: StepGeometry) -> np.ndarray:
     """Kernel of a step honoring its splitting ratio and span alignment.
 
-    Falls back to the closed form when the window is symmetric and
-    span-aligned, otherwise uses the exact piecewise evaluation.
+    A span-aligned step of whole spans uses the closed form: moving the
+    rotation point from the step center to rho * L only shifts the
+    integration window, which multiplies the kernel by
+    exp(-2j b (1/2 - rho) L). Other steps use the exact piecewise
+    evaluation.
     """
-    aligned = (geom.start_offset_km == 0.0 and geom.rho == 0.5)
-    if aligned:
-        n = geom.length_km / geom.span_km
-        if abs(n - round(n)) <= 1e-9 and round(n) >= 1:
-            return kernel_closed_form(mu, nu, geom)
+    n = geom.length_km / geom.span_km
+    if (geom.start_offset_km == 0.0 and abs(n - round(n)) <= 1e-9
+            and round(n) >= 1):
+        shift = (0.5 - geom.rho) * geom.length_km
+        return (kernel_closed_form(mu, nu, geom)
+                * np.exp(-2j * shift * _beat(mu, nu, geom)))
     return _kernel_segments(mu, nu, geom)
 
 
@@ -277,25 +252,38 @@ def _coeff_grid_eval(geom: StepGeometry, separation_hz: float, memory: int,
     describes parametric power transfer rather than phase rotation, so the
     phase model drops it (equivalently, keeps the real part of the raw
     transform). The result is real up to quadrature round-off.
+
+    The kernel is evaluated _ROW_CHUNK rows at a time, so memory grows
+    with num_nodes rather than its square.
     """
     rp = subband_rate
-    offs = np.linspace(-rp / 2.0, rp / 2.0, num_nodes)
-    mu = separation_hz + offs
-    kern = step_kernel(mu[:, None], mu[None, :], geom)
-    kern = 0.5 * (kern + kern.conj().T)
-    wgt = _simpson_weights(num_nodes, rp)
-    kern = kern * wgt[:, None] * wgt[None, :]
-
-    # sum over anti-diagonals: S[d] = sum_{p-q=d} w_p w_q K[p,q]
     n = num_nodes
-    diag_sum = np.empty(2 * n - 1, dtype=complex)
-    for off in range(-(n - 1), n):
-        diag_sum[off + n - 1] = np.trace(kern, offset=off)
+    mu = separation_hz + np.linspace(-rp / 2.0, rp / 2.0, n)
+    wgt = _simpson_weights(n, rp)
 
-    d = np.arange(-(n - 1), n)  # d = -offset = p - q
+    # raw diagonal sums R[d] = sum_{q-p=d} w_p w_q K[p,q], stored at d + n-1
+    raw_re = np.zeros(2 * n - 1)
+    raw_im = np.zeros(2 * n - 1)
+    lag = np.arange(n)[None, :] - np.arange(_ROW_CHUNK)[:, None] + (n - 1)
+    for p0 in range(0, n, _ROW_CHUNK):
+        rows = slice(p0, min(p0 + _ROW_CHUNK, n))
+        blk = step_kernel(mu[rows, None], mu[None, :], geom)
+        blk *= wgt[rows, None]
+        blk *= wgt[None, :]
+        idx = (lag[:blk.shape[0]] - p0).ravel()
+        raw_re += np.bincount(idx, blk.real.ravel(), 2 * n - 1)
+        raw_im += np.bincount(idx, blk.imag.ravel(), 2 * n - 1)
+    raw = raw_re + 1j * raw_im
+    # Hermitian part: S[d] = (R[d] + conj R[-d]) / 2
+    diag_sum = 0.5 * (raw + raw[::-1].conj())
+
+    # c[m] = sum_d exp(-2 pi j m d / (n-1)) S[d]: the phase has period n-1
+    # in d, so fold S modulo n-1 and take one FFT
+    period = n - 1
+    folded = diag_sum[:period] + diag_sum[period:2 * period]
+    folded[0] += diag_sum[2 * period]
     m = np.arange(-memory, memory + 1)
-    phases = np.exp(2j * np.pi * np.outer(m, -d) / (n - 1))
-    c = phases @ diag_sum
+    c = np.fft.fft(folded)[m % period]
     return c * reference_power_w / rp ** 2
 
 
@@ -340,42 +328,6 @@ def analytic_coefficients(geom: StepGeometry, separation_hz: float,
             f"imaginary residue {residue:.1e} of peak discarded from "
             "coefficients", RuntimeWarning)
     return np.ascontiguousarray(c.real)
-
-
-def volterra_oracle(geom: StepGeometry, subband_rate: float, window: int,
-                    reference_power_w: float) -> np.ndarray:
-    """Dense intraband Volterra phase coefficients d[m, n] (oracle).
-
-    d[m, n] = (P / R'^2) \\iint K(mu, nu) e^{j 2 pi (m mu - n nu)/R'} dmu dnu
-    over the centered square of side R', evaluated with composite
-    12-point Gauss-Legendre panels (a scheme independent of analytic_coefficients).
-    The returned matrix is the Hermitian part of the raw transform — the
-    phase component of the perturbation, so that the quadratic form built
-    from it is real — and its diagonal is the separation-0 coefficient
-    vector. Guarded to window <= 64; the matrix is O((2 window + 1)^2)
-    integrals.
-    """
-    if window > 64:
-        raise ValueError("window too large; the dense oracle is O(window^2)")
-    rp = subband_rate
-    # worst-case phase rate vs frequency: tap lattice + kernel oscillation
-    omega = (2 * np.pi * window / rp
-             + 8 * np.pi ** 2 * abs(geom.beta2_s2_km) * rp * geom.length_km)
-    panels = int(np.ceil(1.5 * omega * rp / (2 * np.pi))) + 8
-
-    nodes, wts = np.polynomial.legendre.leggauss(12)
-    edges = np.linspace(-rp / 2.0, rp / 2.0, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    f = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * wts[None, :]).ravel()
-
-    kern = step_kernel(f[:, None], f[None, :], geom)
-    m = np.arange(-window, window + 1)
-    left = (w[:, None] * np.exp(2j * np.pi * np.outer(f, m) / rp))
-    right = (w[:, None] * np.exp(-2j * np.pi * np.outer(f, m) / rp))
-    d = (left.T @ kern @ right) * reference_power_w / rp ** 2
-    return 0.5 * (d + d.conj().T)
 
 
 @dataclass

@@ -11,22 +11,26 @@ gated behind RUN_FULL_SCALE=1.
 """
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fiberdbp
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, StepGeometry,
                       WdmConfig, analytic_coefficients, build_mimo_transfer,
                       build_training_set, cb_essfm_cost,
                       channel_memory_samples, essfm_time_domain_cost,
                       evaluate, generate_wdm, kernel_closed_form,
-                      kernel_quadrature, make_dbp_coefficient_set, nlpr_step,
+                      make_dbp_coefficient_set, nlpr_step,
                       optimize_coefficients, prepare_dbp_input,
-                      propagate_link, recover_symbols, run_dbp, snr,
-                      volterra_oracle)
+                      propagate_link, recover_symbols, run_dbp, snr)
 
 from conftest import rel_rms
+from oracles import kernel_quadrature, volterra_oracle
 
 # full-scale block parameters for the cost golden values
 N_FULL, N_OV_FULL, SPS = 16384, 1800, 1.125
@@ -437,3 +441,35 @@ def test_full_scale_gain_over_linear_equalization():
           f"1-step gain {gain_1:.3f} dB")
     assert 0.8 <= gain_15 <= 1.2, f"15-step gain {gain_15:.3f} dB"
     assert 0.19 <= gain_1 <= 0.49, f"1-step gain {gain_1:.3f} dB"
+
+
+# the 1-step full-scale taps (n = 10 769 kernel grid nodes) at a splitting
+# ratio off the step center; prints wall seconds and peak RSS in KiB
+ONE_STEP_TAPS = """
+import resource, time
+from fiberdbp import DbpConfig, LinkConfig, make_dbp_coefficient_set
+cfg = DbpConfig(link=LinkConfig(num_spans=15, span_length_km=80.0),
+                variant="CB_ESSFM", n_steps=1, n_subbands=2,
+                splitting_ratio=0.15, block_size=16384, overlap=1800,
+                oversampling=1.125)
+t0 = time.perf_counter()
+make_dbp_coefficient_set(cfg, 1.125 * 93e9, 10 ** 0.3 * 1e-3)
+print(time.perf_counter() - t0,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(os.environ.get("RUN_FULL_SCALE") != "1",
+                    reason="minute-long full-scale tap build; "
+                           "set RUN_FULL_SCALE=1")
+def test_full_scale_one_step_taps_fit_in_half_a_gigabyte():
+    src = str(Path(fiberdbp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", ONE_STEP_TAPS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    seconds, rss_kib = out.split()
+    rss_mb = int(rss_kib) / 1024
+    print(f"1-step full-scale taps: {float(seconds):.1f} s, {rss_mb:.0f} MB")
+    assert rss_mb < 512

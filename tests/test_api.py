@@ -22,8 +22,7 @@ PUBLIC = {
     "propagate_link", "span_step_sizes",
     # kernel
     "CoefficientSet", "StepGeometry", "analytic_coefficients",
-    "coefficient_memory", "kernel_closed_form", "kernel_quadrature",
-    "step_kernel", "volterra_oracle",
+    "coefficient_memory", "kernel_closed_form", "step_kernel",
     # dbp
     "DbpConfig", "build_mimo_transfer", "channel_memory_samples",
     "gvd_phasor", "make_dbp_coefficient_set", "nlpr_step", "run_dbp",

@@ -301,6 +301,25 @@ def test_optimized_sweep_builds_one_training_set(ws, monkeypatch):
         == (root / "sw_opt_ref.csv").read_bytes()
 
 
+def test_sweep_without_its_grids_rejected(ws, monkeypatch):
+    # figure-only grids give sweep nothing to run: it must stop before it
+    # simulates the training set, naming the grids it does run
+    root, _ = ws
+    text = MINI_YAML.replace("  oversampling: 1.125\n",
+                             "  oversampling: 1.125\n"
+                             "  coefficient_source: optimized\n")
+    text = text.replace("  rho: [0.1, 0.9]\n", "")
+    text = text.replace("  power_dbm: [0.0, 2.0]\n", "")
+    cfg_path = root / "figure_grids_only.yaml"
+    cfg_path.write_text(text)
+    trained = counting(monkeypatch, "build_training_set")
+    out = root / "sw_none"
+    with pytest.raises(SystemExit, match="rho and power_dbm"):
+        run(cfg_path, out, "sweep")
+    assert trained == []
+    assert not out.exists()
+
+
 def test_unknown_subcommand_rejected(ws):
     _, cfg_path = ws
     with pytest.raises(SystemExit):

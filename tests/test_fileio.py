@@ -101,6 +101,15 @@ def test_waveform_rejects_truncation(tmp_path, waveform):
         load_waveform(cut)
 
 
+def test_waveform_rejects_trailing_data(tmp_path):
+    p = tmp_path / "four.fdbp"
+    save_waveform(p, DualPolWaveform(np.ones((2, 4), dtype=complex), 64e9,
+                                     0.0))
+    p.write_bytes(p.read_bytes() + bytes(40))
+    with pytest.raises(ValueError, match="trailing data"):
+        load_waveform(p)
+
+
 def test_symbol_record_round_trip(tmp_path, waveform):
     _, rec = waveform
     p = tmp_path / "syms.npz"

@@ -1,11 +1,16 @@
 """Coupling kernel: closed form vs quadrature, symmetries, coefficients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fiberdbp.kernel
 from fiberdbp import (StepGeometry, analytic_coefficients, coefficient_memory,
-                      kernel_closed_form, kernel_quadrature, step_kernel,
-                      volterra_oracle)
+                      kernel_closed_form, step_kernel)
+from fiberdbp.kernel import _ROW_CHUNK, _coeff_grid_eval, _kernel_segments
+
+from oracles import dense_coeff_grid_eval, kernel_quadrature, volterra_oracle
 
 # frozen regression pins, three-span step at 52.3125 GHz subband rate, 1 mW
 C0_CENTER = 7.1189805043e-3
@@ -199,3 +204,49 @@ def test_interband_coefficients_asymmetric_support(geom240):
 def test_coefficient_rejects_bad_memory(geom240, bad):
     with pytest.raises(ValueError):
         analytic_coefficients(geom240, 0.0, bad, SUB_RATE, 1e-3)
+
+
+@pytest.mark.parametrize("num_spans, rho", [(3, 0.5), (5, 0.15)])
+@pytest.mark.parametrize("h", [0, 1])
+@pytest.mark.parametrize("num_nodes", [65, 601])
+def test_chunked_transform_matches_dense(num_spans, rho, h, num_nodes):
+    # one grid smaller than a row chunk, one not a multiple of it
+    assert num_nodes < _ROW_CHUNK or num_nodes % _ROW_CHUNK
+    geom = StepGeometry(length_km=80.0 * num_spans, span_km=80.0, rho=rho)
+    args = (geom, h * SUB_RATE, 20, SUB_RATE, 1e-3, num_nodes)
+    got = _coeff_grid_eval(*args)
+    ref = dense_coeff_grid_eval(*args)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("num_spans", [1, 5, 15])
+@pytest.mark.parametrize("rho", [0.0, 0.1, 0.15, 0.5, 1.0])
+def test_span_aligned_steps_use_closed_form_at_every_rho(num_spans, rho,
+                                                         monkeypatch):
+    geom = StepGeometry(length_km=80.0 * num_spans, span_km=80.0, rho=rho)
+    rng = np.random.default_rng(19)
+    mu = rng.uniform(-SUB_RATE, 2 * SUB_RATE, 200)
+    nu = rng.uniform(-SUB_RATE, 2 * SUB_RATE, 200)
+    ref = _kernel_segments(mu, nu, geom)
+
+    def unexpected(*args):
+        raise AssertionError("span-aligned step took the piecewise path")
+
+    monkeypatch.setattr(fiberdbp.kernel, "_kernel_segments", unexpected)
+    got = step_kernel(mu, nu, geom)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_transform_memory_grows_linearly_in_nodes():
+    geom = StepGeometry(length_km=400.0, span_km=80.0, rho=0.15)
+
+    def peak(num_nodes):
+        tracemalloc.start()
+        try:
+            _coeff_grid_eval(geom, 0.0, 20, SUB_RATE, 1e-3, num_nodes)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a dense n x n evaluation quadruples here
+    assert peak(2049) < 2.5 * peak(1025)
