@@ -15,6 +15,15 @@ The backward propagator applies the exact algebraic inverse of every fine
 step in reverse order, so a noise-free forward/backward round trip
 reconstructs the input to FFT round-off; it doubles as the ideal (fine-step)
 digital backpropagation reference.
+
+Every span has the same fine-step plan, so both propagators build the
+(half-step phasor, rotation coefficient) operators once per link and hand
+them to each span. A span runs in place on the field: each polarization row
+is Fourier-transformed as a 1-D array in place, and the total power and the
+rotation cos(phi) + j sin(phi) go to work buffers, so no fine step
+allocates. The output is bit-identical to the direct loop that builds its
+operators per span and allocates every step (``split_step_oracle`` in
+tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -172,39 +181,62 @@ def edfa(w: DualPolWaveform, gain_db: float, nf_db: float, seed,
     return out
 
 
-def _run_spans(field: np.ndarray, rate: float, link: LinkConfig,
-               steps: np.ndarray, inverse: bool) -> np.ndarray:
-    """Split-step integration of the fiber part of the spans (no EDFA).
+def _step_operators(n: int, rate: float, link: LinkConfig, steps: np.ndarray,
+                    inverse: bool) -> list[tuple[np.ndarray, float]]:
+    """(half-step phasor, rotation coefficient) of every fine step of a span.
 
-    ``field`` is (2, n) and is left unmodified. With ``inverse`` the exact
-    inverse of every forward fine step is applied in reverse order (negated
-    dispersion and nonlinear rotation, loss turned into growth).
+    Listed in the order ``_run_spans`` applies them; with ``inverse`` the
+    steps run in reverse with negated dispersion and rotation and loss
+    turned into growth. Steps of equal length share one phasor array, so
+    the list holds one array per distinct step length.
+    """
+    alpha = link.alpha_np_km
+    sgn = -1.0 if inverse else 1.0
+    built: dict[float, tuple[np.ndarray, float]] = {}
+    for dz in steps:
+        if dz not in built:
+            half = (_gvd_phasor(n, rate, sgn * link.beta2_s2_km, dz / 2.0)
+                    * np.exp(-sgn * alpha * dz / 4.0))
+            leff = dz if alpha == 0.0 else 2.0 / alpha * np.sinh(alpha * dz / 2.0)
+            built[dz] = (half, -sgn * link.gamma_w_km * leff)
+    return [built[dz] for dz in (steps[::-1] if inverse else steps)]
+
+
+def _run_spans(field: np.ndarray,
+               operators: list[tuple[np.ndarray, float]]) -> None:
+    """Split-step integration of the fiber part of one span (no EDFA).
+
+    ``field`` is a C-contiguous (2, n) complex128 array and is transformed
+    in place by ``operators``, the per-link list from ``_step_operators``.
+    Each polarization row is transformed as a 1-D array in place (a batch
+    transform of the (2, n) field allocates scratch on every call), and the
+    power P, the phase coef P and the rotation exp(j coef P), written as
+    cos + j sin, go to work buffers allocated once per call, so no fine step
+    allocates.
     """
     n = field.shape[-1]
-    alpha = link.alpha_np_km
-    gamma = link.gamma_w_km
-    sgn = -1.0 if inverse else 1.0
-    order = steps[::-1] if inverse else steps
+    power = np.empty(n)
+    phase = np.empty(n)
+    rot = np.empty(n, dtype=np.complex128)
 
-    half_cache: dict[float, np.ndarray] = {}
-    leff_cache: dict[float, float] = {}
-    for dz in order:
-        if dz not in half_cache:
-            half_cache[dz] = (_gvd_phasor(n, rate, sgn * link.beta2_s2_km, dz / 2.0)
-                              * np.exp(-sgn * alpha * dz / 4.0))
-            leff_cache[dz] = (dz if alpha == 0.0
-                              else 2.0 / alpha * np.sinh(alpha * dz / 2.0))
+    def fft_rows(transform):
+        for row in field:
+            transform(row, out=row)
 
-    spec = np.fft.fft(field, axis=-1)
-    for dz in order:
-        half = half_cache[dz]
-        spec *= half
-        field = np.fft.ifft(spec, axis=-1)
-        power = np.abs(field[0]) ** 2 + np.abs(field[1]) ** 2
-        field *= np.exp(-1j * sgn * gamma * leff_cache[dz] * power)
-        spec = np.fft.fft(field, axis=-1)
-        spec *= half
-    return np.fft.ifft(spec, axis=-1)
+    fft_rows(np.fft.fft)
+    for half, coef in operators:
+        field *= half
+        fft_rows(np.fft.ifft)
+        np.square(np.abs(field[0], out=power), out=power)
+        np.square(np.abs(field[1], out=phase), out=phase)
+        power += phase
+        np.multiply(power, coef, out=phase)
+        np.cos(phase, out=rot.real)
+        np.sin(phase, out=rot.imag)
+        field *= rot
+        fft_rows(np.fft.fft)
+        field *= half
+    fft_rows(np.fft.ifft)
 
 
 def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
@@ -220,12 +252,12 @@ def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
     """
     w.require_finite()
     _check_headroom(w)
-    steps = span_step_sizes(link, sim, w.power)
+    operators = _step_operators(w.num_samples, w.sample_rate, link,
+                                span_step_sizes(link, sim, w.power),
+                                inverse=False)
     out = w.copy()
     for span in range(first_span, link.num_spans):
-        field = _run_spans(out.field, out.sample_rate, link, steps,
-                           inverse=False)
-        out = DualPolWaveform(field, out.sample_rate, out.center_freq)
+        _run_spans(out.field, operators)
         out = edfa(out, link.span_gain_db, link.edfa_noise_figure_db,
                    (sim.noise_seed, span), noise_enabled=sim.noise_enabled,
                    carrier_hz=link.carrier_freq_hz)
@@ -244,14 +276,15 @@ def backward_propagate(w: DualPolWaveform, link: LinkConfig,
     """
     w.require_finite()
     g = 10.0 ** (link.span_gain_db / 20.0)
-    out = w.copy()
     # the received power equals the launch power (loss exactly compensated),
     # so this reproduces the forward pass's step sequence
-    steps = span_step_sizes(link, sim, w.power)
+    operators = _step_operators(w.num_samples, w.sample_rate, link,
+                                span_step_sizes(link, sim, w.power),
+                                inverse=True)
+    out = w.copy()
     for _ in range(link.num_spans):
-        field = _run_spans(out.field / g, out.sample_rate, link, steps,
-                           inverse=True)
-        out = DualPolWaveform(field, out.sample_rate, out.center_freq)
+        out.field /= g
+        _run_spans(out.field, operators)
     return out
 
 

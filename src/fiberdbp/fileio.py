@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -27,11 +28,22 @@ _HEADER = struct.Struct("<4sHddQ")
 
 def save_waveform(path, w: DualPolWaveform) -> None:
     """Write magic, version, rates, then per sample xRe xIm yRe yIm float64
-    (the (N, 2) transpose of the field)."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, w.sample_rate, w.center_freq,
-                              w.num_samples))
-        fh.write(w.field.T.astype("<c16").tobytes())
+    (the (N, 2) transpose of the field).
+
+    The bytes go to a temporary file beside ``path`` that is then renamed
+    onto it, so a write that fails or is interrupted leaves any previous
+    file at ``path`` whole (a checkpoint that ``simulate --resume`` reads).
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, w.sample_rate,
+                                  w.center_freq, w.num_samples))
+            fh.write(w.field.T.astype("<c16").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_waveform(path) -> DualPolWaveform:

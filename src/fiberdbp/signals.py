@@ -338,10 +338,15 @@ def demux_channel(w: DualPolWaveform, channel_freq: float,
     if n_bins < 2 or n_bins > n:
         raise ValueError("bandwidth out of range for this grid")
     c = int(round(channel_freq / df))
-    shifted = np.fft.fftshift(np.fft.fft(w.field, axis=-1), axes=-1)
     lo = n // 2 + c - n_bins // 2
     if lo < 0 or lo + n_bins > n:
         raise ValueError("channel band exceeds the sampled spectrum")
-    sl = shifted[:, lo:lo + n_bins] * (n_bins / n)
+    # bins lo .. lo + n_bins - 1 of the fftshifted spectrum, picked row by
+    # row from the unshifted one, so no (2, n) spectrum is ever held
+    band = (np.arange(lo, lo + n_bins) - n // 2) % n
+    sl = np.empty((2, n_bins), dtype=np.complex128)
+    for row, x in zip(sl, w.field):
+        row[:] = np.fft.fft(x)[band]
+    sl *= n_bins / n
     field = np.fft.ifft(np.fft.ifftshift(sl, axes=-1), axis=-1)
     return DualPolWaveform(field, n_bins * df, w.center_freq + c * df)

@@ -1,13 +1,14 @@
-"""Validation oracles for the kernel module, kept with the tests.
+"""Validation oracles for the kernel and channel modules, kept with the tests.
 
-Each oracle computes what a fiberdbp.kernel routine computes by a slower,
-more direct route: quadrature of the step kernel, dense Gauss-Legendre
-Volterra coefficients, and the dense n x n kernel transform that the
-row-chunked one replaced.
+Each oracle computes what a fiberdbp routine computes by a slower, more
+direct route: quadrature of the step kernel, dense Gauss-Legendre Volterra
+coefficients, the dense n x n kernel transform that the row-chunked one
+replaced, and the allocating split-step loop that the in-place one replaced.
 """
 
 import numpy as np
 
+from fiberdbp.channel import LinkConfig, _gvd_phasor
 from fiberdbp.kernel import StepGeometry, _beat, _simpson_weights, step_kernel
 
 
@@ -111,3 +112,38 @@ def dense_coeff_grid_eval(geom: StepGeometry, separation_hz: float,
     phases = np.exp(-2j * np.pi * np.outer(m, d) / (n - 1))
     c = phases @ diag_sum
     return c * reference_power_w / rp ** 2
+
+
+def split_step_oracle(field: np.ndarray, rate: float, link: LinkConfig,
+                      steps: np.ndarray, inverse: bool) -> np.ndarray:
+    """Split-step integration of the fiber part of the spans (no EDFA).
+
+    ``field`` is (2, n) and is left unmodified. With ``inverse`` the exact
+    inverse of every forward fine step is applied in reverse order (negated
+    dispersion and nonlinear rotation, loss turned into growth).
+    """
+    n = field.shape[-1]
+    alpha = link.alpha_np_km
+    gamma = link.gamma_w_km
+    sgn = -1.0 if inverse else 1.0
+    order = steps[::-1] if inverse else steps
+
+    half_cache: dict[float, np.ndarray] = {}
+    leff_cache: dict[float, float] = {}
+    for dz in order:
+        if dz not in half_cache:
+            half_cache[dz] = (_gvd_phasor(n, rate, sgn * link.beta2_s2_km, dz / 2.0)
+                              * np.exp(-sgn * alpha * dz / 4.0))
+            leff_cache[dz] = (dz if alpha == 0.0
+                              else 2.0 / alpha * np.sinh(alpha * dz / 2.0))
+
+    spec = np.fft.fft(field, axis=-1)
+    for dz in order:
+        half = half_cache[dz]
+        spec *= half
+        field = np.fft.ifft(spec, axis=-1)
+        power = np.abs(field[0]) ** 2 + np.abs(field[1]) ** 2
+        field *= np.exp(-1j * sgn * gamma * leff_cache[dz] * power)
+        spec = np.fft.fft(field, axis=-1)
+        spec *= half
+    return np.fft.ifft(spec, axis=-1)

@@ -6,7 +6,9 @@ import pytest
 from fiberdbp import (DualPolWaveform, LinkConfig, SimSettings, WdmConfig,
                       backward_propagate, edfa, generate_wdm, propagate_link,
                       span_step_sizes)
+from fiberdbp.channel import _run_spans, _step_operators
 from conftest import rel_rms
+from oracles import split_step_oracle
 
 
 def two_span_link(**kw):
@@ -135,6 +137,69 @@ def test_checkpoint_resume_is_bit_exact(desk_link, desk_wdm):
     resumed = propagate_link(snaps[2], desk_link, sim, first_span=2)
     assert np.array_equal(full.x, resumed.x)
     assert np.array_equal(full.y, resumed.y)
+
+
+# 1024 samples stay small; 10240 complex samples (160 KiB a row) exceed
+# glibc's 128 KiB mmap threshold, where the batch transforms allocated
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("n", [1024, 10240])
+@pytest.mark.parametrize("plan", [dict(step_km=2.0),
+                                  dict(max_phase_rad=4e-3, max_step_km=8.0)],
+                         ids=["uniform", "adaptive"])
+def test_run_spans_matches_oracle_bit_for_bit(plan, n, inverse):
+    link = LinkConfig(num_spans=1, span_length_km=80.0)
+    p0, rate = 6e-3, 64e9
+    steps = span_step_sizes(link, SimSettings(**plan), p0)
+    assert len(np.unique(steps)) == (1 if "step_km" in plan else steps.size)
+    rng = np.random.default_rng(n)
+    field = np.sqrt(p0 / 4) * (rng.standard_normal((2, n))
+                               + 1j * rng.standard_normal((2, n)))
+    got = field.copy()
+    _run_spans(got, _step_operators(n, rate, link, steps, inverse))
+    assert np.array_equal(got, split_step_oracle(field, rate, link, steps,
+                                                 inverse))
+
+
+def test_link_matches_oracle_spans_bit_for_bit(desk_link, desk_wdm):
+    sim = SimSettings(max_phase_rad=2e-3, noise_enabled=True, noise_seed=4)
+    w, _ = generate_wdm(desk_wdm, 512, seed=12)
+    rate, g = w.sample_rate, 10.0 ** (desk_link.span_gain_db / 20.0)
+    steps = span_step_sizes(desk_link, sim, w.power)
+    ref = w
+    for span in range(desk_link.num_spans):
+        ref = DualPolWaveform(
+            split_step_oracle(ref.field, rate, desk_link, steps, False), rate)
+        ref = edfa(ref, desk_link.span_gain_db, desk_link.edfa_noise_figure_db,
+                   (sim.noise_seed, span), carrier_hz=desk_link.carrier_freq_hz)
+    rx = propagate_link(w, desk_link, sim)
+    assert np.array_equal(rx.field, ref.field)
+
+    back = rx.field
+    steps = span_step_sizes(desk_link, sim, rx.power)
+    for _ in range(desk_link.num_spans):
+        back = split_step_oracle(back / g, rate, desk_link, steps, True)
+    assert np.array_equal(backward_propagate(rx, desk_link, sim).field, back)
+
+
+def test_propagation_leaves_inputs_and_snapshots_intact(desk_link, desk_wdm):
+    sim = SimSettings(max_phase_rad=2e-3, noise_enabled=True, noise_seed=6)
+    w, _ = generate_wdm(desk_wdm, 512, seed=13)
+    tx = w.field.tobytes()
+    snaps, taken = {}, {}
+
+    def keep(span, snap):
+        snaps[span] = snap
+        taken[span] = snap.field.tobytes()
+
+    rx = propagate_link(w, desk_link, sim, checkpoint=keep)
+    assert w.field.tobytes() == tx
+    # every snapshot still holds the bytes it had when it was handed over
+    assert {k: s.field.tobytes() for k, s in snaps.items()} == taken
+    propagate_link(snaps[2], desk_link, sim, first_span=2)
+    assert snaps[2].field.tobytes() == taken[2]
+    received = rx.field.tobytes()
+    backward_propagate(rx, desk_link, sim)
+    assert rx.field.tobytes() == received
 
 
 def test_sim_settings_xor():

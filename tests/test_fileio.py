@@ -110,6 +110,26 @@ def test_waveform_rejects_trailing_data(tmp_path):
         load_waveform(p)
 
 
+class _PayloadFails:
+    """Waveform whose header fields read fine and whose samples raise."""
+
+    sample_rate, center_freq, num_samples = 64e9, 0.0, 4
+
+    @property
+    def field(self):
+        raise OSError("disk full after the header")
+
+
+def test_failed_waveform_write_keeps_previous_file(tmp_path, waveform):
+    p = tmp_path / "ckpt_span002.fdbp"
+    save_waveform(p, waveform[0])
+    before = p.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        save_waveform(p, _PayloadFails())
+    assert p.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [p]
+
+
 def test_symbol_record_round_trip(tmp_path, waveform):
     _, rec = waveform
     p = tmp_path / "syms.npz"

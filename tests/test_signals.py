@@ -102,6 +102,22 @@ def test_demux_selects_one_channel(desk_wdm):
     assert rel_rms(est, rec.channel(1)) < 0.02
 
 
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_demux_takes_exact_bins_of_the_shifted_spectrum(n):
+    rng = np.random.default_rng(n)
+    w = DualPolWaveform(rng.standard_normal((2, n))
+                        + 1j * rng.standard_normal((2, n)), 64e9, 5e9)
+    df = w.sample_rate / n
+    shifted = np.fft.fftshift(np.fft.fft(w.field, axis=-1), axes=-1)
+    for f_c, bw in ((0.0, 16e9), (20e9, 24e9), (-31e9, 2e9)):
+        ch = demux_channel(w, f_c, bw)
+        n_bins = round(ch.sample_rate / df)
+        lo = n // 2 + round((ch.center_freq - w.center_freq) / df) - n_bins // 2
+        sl = shifted[:, lo:lo + n_bins] * (n_bins / n)
+        expect = np.fft.ifft(np.fft.ifftshift(sl, axes=-1), axis=-1)
+        assert np.array_equal(ch.field, expect)
+
+
 def test_waveform_copy_is_independent():
     w = DualPolWaveform([np.ones(8, complex), np.zeros(8, complex)], 1.0, 0.0)
     c = w.copy()
