@@ -16,14 +16,13 @@ step in reverse order, so a noise-free forward/backward round trip
 reconstructs the input to FFT round-off; it doubles as the ideal (fine-step)
 digital backpropagation reference.
 
-Every span has the same fine-step plan, so both propagators build the
-(half-step phasor, rotation coefficient) operators once per link and hand
-them to each span. A span runs in place on the field: each polarization row
-is Fourier-transformed as a 1-D array in place, and the total power and the
-rotation cos(phi) + j sin(phi) go to work buffers, so no fine step
-allocates. The output is bit-identical to the direct loop that builds its
-operators per span and allocates every step (``split_step_oracle`` in
-tests/oracles.py).
+Every span has the same fine-step plan, so both propagators build it once
+per link as scalars (length, rotation coefficient and loss factor of each
+fine step). A span runs in place on the field with work buffers of O(n)
+size, whatever the number of distinct step lengths (see ``_run_spans``),
+and its output is bit-identical to the direct loop that builds one
+full-length phasor per step length and allocates every step
+(``split_step_oracle`` in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -140,11 +139,6 @@ def span_step_sizes(link: LinkConfig, sim: SimSettings,
     return np.diff(cuts)
 
 
-def _gvd_phasor(n: int, rate: float, beta2_s2_km: float, dz_km: float) -> np.ndarray:
-    f = np.fft.fftfreq(n, d=1.0 / rate)
-    return np.exp(-2j * np.pi ** 2 * beta2_s2_km * f ** 2 * dz_km)
-
-
 def ase_variance_per_pol(link: LinkConfig, bandwidth_hz: float) -> float:
     """Total ASE power (W) per polarization over ``bandwidth_hz``.
 
@@ -181,51 +175,73 @@ def edfa(w: DualPolWaveform, gain_db: float, nf_db: float, seed,
     return out
 
 
-def _step_operators(n: int, rate: float, link: LinkConfig, steps: np.ndarray,
-                    inverse: bool) -> list[tuple[np.ndarray, float]]:
-    """(half-step phasor, rotation coefficient) of every fine step of a span.
+def _step_operators(link: LinkConfig, steps: np.ndarray, inverse: bool
+                    ) -> tuple[float, list[tuple[float, float, float]]]:
+    """Dispersion coefficient and per-step scalars of a span's fine steps.
 
-    Listed in the order ``_run_spans`` applies them; with ``inverse`` the
-    steps run in reverse with negated dispersion and rotation and loss
-    turned into growth. Steps of equal length share one phasor array, so
-    the list holds one array per distinct step length.
+    Returns -2 pi^2 beta2 (negated with ``inverse``) and, in the order
+    ``_run_spans`` applies them, (dz, rotation coefficient, half-step loss
+    factor) for every fine step; with ``inverse`` the steps run in reverse
+    with negated rotation and loss turned into growth. Nothing here depends
+    on the sample count: ``_run_spans`` builds each step's phasor in place.
     """
     alpha = link.alpha_np_km
     sgn = -1.0 if inverse else 1.0
-    built: dict[float, tuple[np.ndarray, float]] = {}
-    for dz in steps:
-        if dz not in built:
-            half = (_gvd_phasor(n, rate, sgn * link.beta2_s2_km, dz / 2.0)
-                    * np.exp(-sgn * alpha * dz / 4.0))
-            leff = dz if alpha == 0.0 else 2.0 / alpha * np.sinh(alpha * dz / 2.0)
-            built[dz] = (half, -sgn * link.gamma_w_km * leff)
-    return [built[dz] for dz in (steps[::-1] if inverse else steps)]
+    ops = []
+    for dz in (steps[::-1] if inverse else steps):
+        leff = dz if alpha == 0.0 else 2.0 / alpha * np.sinh(alpha * dz / 2.0)
+        ops.append((dz, -sgn * link.gamma_w_km * leff,
+                    np.exp(-sgn * alpha * dz / 4.0)))
+    return -2.0 * np.pi ** 2 * (sgn * link.beta2_s2_km), ops
 
 
-def _run_spans(field: np.ndarray,
-               operators: list[tuple[np.ndarray, float]]) -> None:
+def _run_spans(field: np.ndarray, rate: float,
+               operators: tuple[float, list[tuple[float, float, float]]]
+               ) -> None:
     """Split-step integration of the fiber part of one span (no EDFA).
 
-    ``field`` is a C-contiguous (2, n) complex128 array and is transformed
-    in place by ``operators``, the per-link list from ``_step_operators``.
-    Each polarization row is transformed as a 1-D array in place (a batch
-    transform of the (2, n) field allocates scratch on every call), and the
-    power P, the phase coef P and the rotation exp(j coef P), written as
-    cos + j sin, go to work buffers allocated once per call, so no fine step
-    allocates.
+    ``field`` is a C-contiguous (2, n) complex128 array sampled at ``rate``
+    and is transformed in place by ``operators``, the per-link plan from
+    ``_step_operators``. Each polarization row is transformed as a 1-D
+    array in place (a batch transform of the (2, n) field allocates scratch
+    on every call). The half-step phasor exp(-2j pi^2 beta2 f^2 dz/2) times
+    the loss factor is written as cos + j sin into one buffer over bins
+    0..n//2; f^2 is even and ``fftfreq`` negates exactly, so the reversed
+    view ``half[n-m:0:-1]`` (m = n//2 + 1) serves bins m..n-1, and a step
+    as long as the one before reuses the buffer. The power P, the phase
+    coef P and the rotation exp(j coef P) go to work buffers too, so no
+    fine step allocates.
     """
+    gvd, steps = operators
     n = field.shape[-1]
+    m = n // 2 + 1
+    # same rounding as exp(-2j pi^2 beta2 f^2 dz): (gvd f^2) dz
+    gvd_f2 = gvd * np.fft.rfftfreq(n, d=1.0 / rate) ** 2
+    half = np.empty(m, dtype=np.complex128)
     power = np.empty(n)
     phase = np.empty(n)
     rot = np.empty(n, dtype=np.complex128)
+    pos, neg = field[:, :m], field[:, m:]
+    half_neg = half[n - m:0:-1]
 
     def fft_rows(transform):
         for row in field:
             transform(row, out=row)
 
+    def disperse():
+        np.multiply(pos, half, out=pos)
+        np.multiply(neg, half_neg, out=neg)
+
     fft_rows(np.fft.fft)
-    for half, coef in operators:
-        field *= half
+    built = None
+    for dz, coef, loss in steps:
+        if dz != built:  # equal steps are mostly neighbours in a plan
+            arg = np.multiply(gvd_f2, dz / 2.0, out=phase[:m])
+            np.cos(arg, out=half.real)
+            np.sin(arg, out=half.imag)
+            half *= loss
+            built = dz
+        disperse()
         fft_rows(np.fft.ifft)
         np.square(np.abs(field[0], out=power), out=power)
         np.square(np.abs(field[1], out=phase), out=phase)
@@ -235,29 +251,40 @@ def _run_spans(field: np.ndarray,
         np.sin(phase, out=rot.imag)
         field *= rot
         fft_rows(np.fft.fft)
-        field *= half
+        disperse()
     fft_rows(np.fft.ifft)
 
 
 def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
-                   checkpoint=None, first_span: int = 0) -> DualPolWaveform:
-    """Propagate through every span of the link, EDFA after each span.
+                   checkpoint=None, first_span: int = 0,
+                   snapshot: DualPolWaveform | None = None) -> DualPolWaveform:
+    """Propagate the transmitted waveform ``w`` through every span of the link.
 
-    ASE is seeded per span from sim.noise_seed, so runs are reproducible and
-    spans are statistically independent. ``checkpoint(span_index, waveform)``
-    is called with a snapshot after each amplifier when provided. Passing
-    first_span > 0 resumes a checkpointed run: w must then be the snapshot
-    taken after amplifier first_span, and the remaining spans keep the seeds
+    An EDFA follows each span. ASE is seeded per span from sim.noise_seed,
+    so runs are reproducible and spans are statistically independent.
+    ``checkpoint(span_index, waveform)`` is called with a snapshot after
+    each amplifier when provided. Passing first_span > 0 with the
+    ``snapshot`` taken after amplifier first_span resumes a checkpointed
+    run bit-exactly: the fine-step plan still comes from ``w`` (the
+    snapshot's power includes ASE), and the remaining spans keep the seeds
     they would have had in the uninterrupted run.
     """
     w.require_finite()
     _check_headroom(w)
-    operators = _step_operators(w.num_samples, w.sample_rate, link,
-                                span_step_sizes(link, sim, w.power),
+    if (not 0 <= first_span <= link.num_spans
+            or (first_span > 0) != (snapshot is not None)):
+        raise ValueError("resuming needs 0 < first_span <= num_spans and the "
+                         "snapshot taken after that amplifier")
+    if snapshot is not None:
+        snapshot.require_finite()
+        if (snapshot.num_samples, snapshot.sample_rate) != (w.num_samples,
+                                                            w.sample_rate):
+            raise ValueError("snapshot does not match the transmitted waveform")
+    operators = _step_operators(link, span_step_sizes(link, sim, w.power),
                                 inverse=False)
-    out = w.copy()
+    out = (w if snapshot is None else snapshot).copy()
     for span in range(first_span, link.num_spans):
-        _run_spans(out.field, operators)
+        _run_spans(out.field, out.sample_rate, operators)
         out = edfa(out, link.span_gain_db, link.edfa_noise_figure_db,
                    (sim.noise_seed, span), noise_enabled=sim.noise_enabled,
                    carrier_hz=link.carrier_freq_hz)
@@ -278,13 +305,12 @@ def backward_propagate(w: DualPolWaveform, link: LinkConfig,
     g = 10.0 ** (link.span_gain_db / 20.0)
     # the received power equals the launch power (loss exactly compensated),
     # so this reproduces the forward pass's step sequence
-    operators = _step_operators(w.num_samples, w.sample_rate, link,
-                                span_step_sizes(link, sim, w.power),
+    operators = _step_operators(link, span_step_sizes(link, sim, w.power),
                                 inverse=True)
     out = w.copy()
     for _ in range(link.num_spans):
         out.field /= g
-        _run_spans(out.field, operators)
+        _run_spans(out.field, out.sample_rate, operators)
     return out
 
 

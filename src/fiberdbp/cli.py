@@ -182,11 +182,10 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     seed = args.seed if args.seed is not None else cfg.seeds["eval"]
-    ckpt = None
+    ckpt = snapshot = None
     start_span = 0
     tx, record = generate_wdm(cfg.wdm, cfg.num_symbols,
                               sim_rate=cfg.sim_rate_hz, seed=seed)
-    state = tx
     if cfg.checkpoint_spans:
         def ckpt(span, w):
             fileio.save_waveform(out / f"ckpt_span{span:03d}.fdbp", w)
@@ -194,10 +193,10 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
             done = sorted(out.glob("ckpt_span*.fdbp"))
             if done:
                 start_span = int(done[-1].stem[-3:])
-                state = fileio.load_waveform(done[-1])
+                snapshot = fileio.load_waveform(done[-1])
                 print(f"resuming after span {start_span}")
-    rx = propagate_link(state, cfg.link, cfg.sim, checkpoint=ckpt,
-                        first_span=start_span)
+    rx = propagate_link(tx, cfg.link, cfg.sim, checkpoint=ckpt,
+                        first_span=start_span, snapshot=snapshot)
     fileio.save_waveform(out / "tx.fdbp", tx)
     fileio.save_waveform(out / "rx.fdbp", rx)
     fileio.save_symbols(out / "symbols.npz", record)

@@ -3,12 +3,13 @@
 Each oracle computes what a fiberdbp routine computes by a slower, more
 direct route: quadrature of the step kernel, dense Gauss-Legendre Volterra
 coefficients, the dense n x n kernel transform that the row-chunked one
-replaced, and the allocating split-step loop that the in-place one replaced.
+replaced, and the allocating split-step loop, with one full-length phasor
+per step length, that the in-place one replaced.
 """
 
 import numpy as np
 
-from fiberdbp.channel import LinkConfig, _gvd_phasor
+from fiberdbp.channel import LinkConfig
 from fiberdbp.kernel import StepGeometry, _beat, _simpson_weights, step_kernel
 
 
@@ -112,6 +113,11 @@ def dense_coeff_grid_eval(geom: StepGeometry, separation_hz: float,
     phases = np.exp(-2j * np.pi * np.outer(m, d) / (n - 1))
     c = phases @ diag_sum
     return c * reference_power_w / rp ** 2
+
+
+def _gvd_phasor(n: int, rate: float, beta2_s2_km: float, dz_km: float) -> np.ndarray:
+    f = np.fft.fftfreq(n, d=1.0 / rate)
+    return np.exp(-2j * np.pi ** 2 * beta2_s2_km * f ** 2 * dz_km)
 
 
 def split_step_oracle(field: np.ndarray, rate: float, link: LinkConfig,

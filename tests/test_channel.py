@@ -1,5 +1,7 @@
 """Forward fiber propagation: dispersion, SPM, loss/gain, ASE, inverse."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,15 +136,62 @@ def test_checkpoint_resume_is_bit_exact(desk_link, desk_wdm):
     snaps = {}
     full = propagate_link(w, desk_link, sim,
                           checkpoint=lambda k, s: snaps.update({k: s}))
-    resumed = propagate_link(snaps[2], desk_link, sim, first_span=2)
+    resumed = propagate_link(w, desk_link, sim, first_span=2,
+                             snapshot=snaps[2])
     assert np.array_equal(full.x, resumed.x)
     assert np.array_equal(full.y, resumed.y)
 
 
+def test_resume_plans_from_the_transmitted_waveform():
+    # ASE raises every snapshot's power; with the phase budget just under a
+    # step-count boundary, a plan made from the snapshot has one more step
+    link = LinkConfig(num_spans=3, span_length_km=80.0)
+    wdm = WdmConfig(baud_rate=32e9, num_channels=1,
+                    launch_power_dbm_per_channel=0.0)
+    w, _ = generate_wdm(wdm, 256, seed=5)
+    budget = link.gamma_w_km * w.power * link.span_effective_length_km
+    sim = SimSettings(max_phase_rad=budget / 118.9, max_step_km=80.0,
+                      noise_seed=1)
+    snaps = {}
+    full = propagate_link(w, link, sim,
+                          checkpoint=lambda k, s: snaps.update({k: s}))
+    assert len(span_step_sizes(link, sim, w.power)) == 119
+    assert len(span_step_sizes(link, sim, snaps[1].power)) == 120
+    resumed = propagate_link(w, link, sim, first_span=1, snapshot=snaps[1])
+    assert np.array_equal(resumed.field, full.field)
+    with pytest.raises(ValueError, match="snapshot"):
+        propagate_link(w, link, sim, first_span=1)
+
+
+def test_propagation_memory_does_not_grow_with_distinct_steps(desk_wdm):
+    link = LinkConfig(num_spans=1, span_length_km=80.0)
+    sim = SimSettings(max_phase_rad=2e-3, noise_seed=1)
+    w, _ = generate_wdm(desk_wdm, 4800, seed=7)
+    n = w.num_samples
+    assert n >= 2 ** 15
+    assert np.unique(span_step_sizes(link, sim, w.power)).size > 100
+    field_bytes = 32 * n  # one (2, n) complex128 field
+    # Live at once, counted in fields: the running copy (1); in the span,
+    # power and phase (1/4 each), rotation (1/2), half-spectrum phasor
+    # (1/4) and its gvd f^2 table (1/8); at the EDFA, the amplified copy,
+    # the (2, 2, n) normal draws and two complex noise temporaries (4).
+    # The EDFA sets the peak at 5 fields; one more covers the step plan,
+    # RNG state and small temporaries. One full-length phasor per distinct
+    # step length would add half a field each.
+    tracemalloc.start()
+    try:
+        propagate_link(w, link, sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * field_bytes, peak / field_bytes
+
+
 # 1024 samples stay small; 10240 complex samples (160 KiB a row) exceed
-# glibc's 128 KiB mmap threshold, where the batch transforms allocated
+# glibc's 128 KiB mmap threshold, where the batch transforms allocated; the
+# odd sizes have no Nyquist bin, so the negative-frequency fold differs
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
-@pytest.mark.parametrize("n", [1024, 10240])
+@pytest.mark.parametrize("n", [1024, 10240, 1023, 10241])
 @pytest.mark.parametrize("plan", [dict(step_km=2.0),
                                   dict(max_phase_rad=4e-3, max_step_km=8.0)],
                          ids=["uniform", "adaptive"])
@@ -155,7 +204,7 @@ def test_run_spans_matches_oracle_bit_for_bit(plan, n, inverse):
     field = np.sqrt(p0 / 4) * (rng.standard_normal((2, n))
                                + 1j * rng.standard_normal((2, n)))
     got = field.copy()
-    _run_spans(got, _step_operators(n, rate, link, steps, inverse))
+    _run_spans(got, rate, _step_operators(link, steps, inverse))
     assert np.array_equal(got, split_step_oracle(field, rate, link, steps,
                                                  inverse))
 
@@ -195,7 +244,7 @@ def test_propagation_leaves_inputs_and_snapshots_intact(desk_link, desk_wdm):
     assert w.field.tobytes() == tx
     # every snapshot still holds the bytes it had when it was handed over
     assert {k: s.field.tobytes() for k, s in snaps.items()} == taken
-    propagate_link(snaps[2], desk_link, sim, first_span=2)
+    propagate_link(w, desk_link, sim, first_span=2, snapshot=snaps[2])
     assert snaps[2].field.tobytes() == taken[2]
     received = rx.field.tobytes()
     backward_propagate(rx, desk_link, sim)

@@ -146,6 +146,21 @@ def test_simulate_rerun_is_byte_identical(ws):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_simulate_resume_matches_uninterrupted_run(ws):
+    root, _ = ws
+    cfg_path = root / "ckpt.yaml"
+    cfg_path.write_text(MINI_YAML.replace("noise_enabled: false",
+                                          "noise_enabled: true")
+                        + "checkpoint_spans: true\n")
+    full, part = root / "ckpt_full", root / "ckpt_part"
+    run(cfg_path, full, "simulate")
+    part.mkdir()
+    snap = "ckpt_span001.fdbp"
+    (part / snap).write_bytes((full / snap).read_bytes())
+    assert run(cfg_path, part, "simulate", "--resume") == 0
+    assert (part / "rx.fdbp").read_bytes() == (full / "rx.fdbp").read_bytes()
+
+
 def test_coeffs_then_dbp_chain(ws):
     root, cfg_path = ws
     out = root / "chain"
