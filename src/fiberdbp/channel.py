@@ -293,20 +293,21 @@ def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
     return out
 
 
-def backward_propagate(w: DualPolWaveform, link: LinkConfig,
-                       sim: SimSettings) -> DualPolWaveform:
+def backward_propagate(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
+                       launch_power_w: float) -> DualPolWaveform:
     """Exact noise-free inverse of propagate_link (ideal backpropagation).
 
     Spans are undone last-to-first: the amplifier gain is removed, then the
-    fiber fine steps are inverted in reverse order with the same step
-    sequence the forward pass used.
+    fiber fine steps are inverted in reverse order. The steps are planned
+    from ``launch_power_w``, the power of the waveform propagate_link was
+    handed, so they are the forward pass's steps; the received power is
+    higher by the ASE, and an adaptive plan from it can take another step
+    count. A uniform plan (``sim.step_km``) does not read the power.
     """
     w.require_finite()
     g = 10.0 ** (link.span_gain_db / 20.0)
-    # the received power equals the launch power (loss exactly compensated),
-    # so this reproduces the forward pass's step sequence
-    operators = _step_operators(link, span_step_sizes(link, sim, w.power),
-                                inverse=True)
+    operators = _step_operators(
+        link, span_step_sizes(link, sim, launch_power_w), inverse=True)
     out = w.copy()
     for _ in range(link.num_spans):
         out.field /= g

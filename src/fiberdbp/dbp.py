@@ -12,7 +12,9 @@ MIMO-coupled function of all subband intensities. The first step
 compensates a fraction (1 - rho) of a step length of dispersion, interior
 steps a full length (adjacent half-blocks merged), and a final dispersion
 stage adds the remaining rho fraction, so the rotation sits at fraction rho
-inside each step.
+inside each step. One engine pass can carry a batch of tap sets on the
+same input (a leading axis on every array); run_dbp passes one set, and
+the coefficient optimizer passes the perturbed sets of a Jacobian.
 
 Variants
 --------
@@ -189,24 +191,42 @@ def build_mimo_transfer(coeffs: CoefficientSet, block_len: int) -> MimoTransfer:
     return out
 
 
-def nlpr_step(fields: np.ndarray, mimo: MimoTransfer, theta_scale: float,
-              counter=None) -> np.ndarray:
-    """Apply the nonlinear phase rotation to (2, n_sb, N') time-domain fields.
+def _intensity(fields: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """|x|^2 + |y|^2 of (B, 2, ...) fields into out (tmp: work space)."""
+    np.square(np.abs(fields[:, 0], out=out), out=out)
+    np.square(np.abs(fields[:, 1], out=tmp), out=tmp)
+    out += tmp
 
-    theta_i = irfft( sum_l T[i,l] rfft(I_l) ) * theta_scale, where
-    I_l = |x_l|^2 + |y_l|^2; both polarizations of subband i rotate by
-    exp(-j theta_i). Phase-only, so per-sample 4D magnitude is preserved.
-    theta_scale is the step's power scale over the coefficient set's
-    reference power.
+
+def _rotate(fields: np.ndarray, theta: np.ndarray, rot: np.ndarray):
+    """fields *= exp(-j theta), theta (B, ...) per set; overwrites theta.
+
+    The rotation is written into rot as cos + j sin of -theta, which is
+    how np.exp(-1j * theta) rounds.
     """
-    if fields.shape != (2, mimo.matrix.shape[0], mimo.block_len):
-        raise ValueError("transfer matrix does not match the subband set")
-    intens = np.abs(fields[0]) ** 2 + np.abs(fields[1]) ** 2
+    np.negative(theta, out=theta)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    fields *= rot[:, None]
+
+
+def _subband_rotation(fields: np.ndarray, matrix: np.ndarray,
+                      scales: np.ndarray, work: tuple, counter=None):
+    """Rotate (B, 2, n_sb, N') time-domain fields in place, B tap sets.
+
+    matrix is the (B, n_sb, n_sb, N'/2 + 1) stack of the sets' MIMO
+    transfers and scales their (B,) phase scales. work holds the
+    intensity, a work array and the rotation, each (B, n_sb, N').
+    """
+    intens, tmp, rot = work
+    _intensity(fields, intens, tmp)
     spec_i = np.fft.rfft(intens, axis=-1)
-    theta_hat = np.einsum("ilk,lk->ik", mimo.matrix, spec_i)
-    theta = np.fft.irfft(theta_hat, n=fields.shape[-1], axis=-1) * theta_scale
+    theta_hat = np.einsum("bilk,blk->bik", matrix, spec_i)
+    theta = np.fft.irfft(theta_hat, n=fields.shape[-1], axis=-1)
+    theta *= scales[:, None, None]
+    _rotate(fields, theta, rot)
     if counter is not None:
-        n_sb, n_prime = intens.shape
+        n_sb, n_prime = intens.shape[1:]
         total = n_sb * n_prime
         counter.rmul(4 * total, "intensity")
         counter.radd(3 * total, "intensity")
@@ -216,7 +236,30 @@ def nlpr_step(fields: np.ndarray, mimo: MimoTransfer, theta_scale: float,
         counter.cadd(n_sb * (n_sb - 1) * n_prime / 2, "mimo")
         counter.lut_exp(total)
         counter.pair_shared_cmul(total, "rotation")
-    return fields * np.exp(-1j * theta)[None, :, :]
+
+
+def _rotation_work(batch: int, n_sb: int, n_prime: int) -> tuple:
+    shape = (batch, n_sb, n_prime)
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex)
+
+
+def nlpr_step(fields: np.ndarray, mimo: MimoTransfer,
+              theta_scale: float) -> np.ndarray:
+    """Apply the nonlinear phase rotation to (2, n_sb, N') time-domain fields.
+
+    theta_i = irfft( sum_l T[i,l] rfft(I_l) ) * theta_scale, where
+    I_l = |x_l|^2 + |y_l|^2; both polarizations of subband i rotate by
+    exp(-j theta_i). Phase-only, so per-sample 4D magnitude is preserved.
+    theta_scale is the step's power scale over the coefficient set's
+    reference power.
+    """
+    n_sb = mimo.matrix.shape[0]
+    if fields.shape != (2, n_sb, mimo.block_len):
+        raise ValueError("transfer matrix does not match the subband set")
+    out = np.array(fields, dtype=complex)[None]
+    _subband_rotation(out, mimo.matrix[None], np.array([theta_scale]),
+                      _rotation_work(1, n_sb, mimo.block_len))
+    return out[0]
 
 
 def _tap_memory(cfg: DbpConfig, h: int, sample_rate_hz: float,
@@ -301,14 +344,21 @@ def standard_ssfm_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
 
 
 class _BlockEngine:
-    """Precomputed per-block processing state for one run_dbp call."""
+    """Precomputed per-block state for B tap sets that share one config.
 
-    def __init__(self, cfg: DbpConfig, rate: float, coeffs: CoefficientSet | None):
+    Every set runs the same config on the same input block; only the taps
+    (and their power scales) differ. ``process`` maps one (2, N) block to
+    the (B, 2, N) outputs in a buffer that the next call overwrites. The
+    steps run in place in buffers allocated once per engine, and the
+    subband split and merge are two precomputed gathers.
+    """
+
+    def __init__(self, cfg: DbpConfig, rate: float, coeff_sets: list):
         self.cfg = cfg
-        self.coeffs = coeffs
         n = cfg.block_size
         n_sb = cfg.n_subbands
         self.n_prime = n // n_sb
+        batch = len(coeff_sets)
 
         if cfg.n_steps == 0:
             # zero nonlinear steps (EDC, or any variant at N_st = 0): the
@@ -316,14 +366,18 @@ class _BlockEngine:
             self.gvd_lengths = []
             self.final_gvd = cfg.link.total_length_km
         else:
-            if coeffs is None:
-                raise ValueError(f"{cfg.variant} requires a coefficient set")
-            if coeffs.n_sb != n_sb:
-                raise ValueError("coefficient set built for a different n_subbands")
-            if coeffs.num_steps != cfg.n_steps:
-                raise ValueError(
-                    f"coefficient set built for {coeffs.num_steps} steps, "
-                    f"config runs {cfg.n_steps}")
+            for coeffs in coeff_sets:
+                if coeffs is None:
+                    raise ValueError(f"{cfg.variant} requires a coefficient set")
+                if coeffs.n_sb != n_sb:
+                    raise ValueError(
+                        "coefficient set built for a different n_subbands")
+                if coeffs.num_steps != cfg.n_steps:
+                    raise ValueError(
+                        f"coefficient set built for {coeffs.num_steps} steps, "
+                        f"config runs {cfg.n_steps}")
+            self.scales = np.array([c.step_scales / c.reference_power_w
+                                    for c in coeff_sets])
             step = cfg.step_length_km
             rho = cfg.splitting_ratio
             # dispersion lengths around the rotations: (1-rho) of the first
@@ -331,18 +385,28 @@ class _BlockEngine:
             interior = rho * step + (1 - rho) * step
             self.gvd_lengths = [(1 - rho) * step] + [interior] * (cfg.n_steps - 1)
             self.final_gvd = rho * step
+            self.work = _rotation_work(batch, n_sb, self.n_prime)
 
+        self.out = np.empty((batch, 2, n), dtype=complex)
         if cfg.variant == "CB_ESSFM":
             # per-subband dispersion at the subbands' absolute frequencies
             sub_rate = rate / n_sb
             centers = (np.arange(n_sb) + 0.5) * sub_rate - rate / 2
             freqs = centers[:, None] + np.fft.fftfreq(self.n_prime, 1.0 / sub_rate)[None, :]
+            # block bin of subband s, subband bin k: the fftshifted block
+            # spectrum cut into n_sb pieces, each ifftshifted
+            self.split = np.fft.ifftshift(
+                np.fft.fftshift(np.arange(n)).reshape(n_sb, self.n_prime),
+                axes=-1)
+            self.merge = np.argsort(self.split.ravel())
+            self.sub = np.empty((batch, 2, n_sb, self.n_prime), dtype=complex)
             if cfg.n_steps:
-                self.mimo = build_mimo_transfer(coeffs, self.n_prime)
+                self.mimo = np.stack([build_mimo_transfer(c, self.n_prime).matrix
+                                      for c in coeff_sets])
         else:  # EDC / OSSFM / ESSFM: full-grid dispersion, time-domain FIR phase
             freqs = np.fft.fftfreq(n, 1.0 / rate)
             if cfg.n_steps:
-                self.taps = coeffs.coeffs[0]
+                self.taps = [c.coeffs[0] for c in coeff_sets]
         self._phasors = {dz: gvd_phasor(freqs, dz, cfg.link.beta2_ps2_km)
                          for dz in set(self.gvd_lengths + [self.final_gvd])}
 
@@ -354,23 +418,23 @@ class _BlockEngine:
     def _process_cb(self, blk: np.ndarray, counter=None) -> np.ndarray:
         cfg = self.cfg
         n_sb = cfg.n_subbands
-        if cfg.n_steps:
-            scales = self.coeffs.step_scales / self.coeffs.reference_power_w
-        spec = np.fft.fftshift(np.fft.fft(blk, axis=-1), axes=-1)
-        sub = spec.reshape(2, n_sb, self.n_prime) / n_sb
-        sub = np.fft.ifftshift(sub, axes=-1)
         if counter is not None:
             counter.cfft(cfg.block_size, 4, "outer_fft")
             counter.fixed_cmul(2 * cfg.block_size * (cfg.n_steps + 1), "gvd")
             counter.cfft(self.n_prime, 4 * n_sb * cfg.n_steps, "subband_fft")
+        sub = self.sub
+        np.divide(np.fft.fft(blk, axis=-1)[:, self.split], n_sb, out=sub)
         for st in range(cfg.n_steps):
-            sub = sub * self._phasors[self.gvd_lengths[st]]
-            fields = np.fft.ifft(sub, axis=-1)
-            fields = nlpr_step(fields, self.mimo, scales[st], counter)
-            sub = np.fft.fft(fields, axis=-1)
-        sub = sub * self._phasors[self.final_gvd]
-        spec = np.fft.fftshift(sub, axes=-1).reshape(2, cfg.block_size) * n_sb
-        return np.fft.ifft(np.fft.ifftshift(spec, axes=-1), axis=-1)
+            sub *= self._phasors[self.gvd_lengths[st]]
+            np.fft.ifft(sub, axis=-1, out=sub)
+            _subband_rotation(sub, self.mimo, self.scales[:, st], self.work,
+                              counter)
+            np.fft.fft(sub, axis=-1, out=sub)
+        sub *= self._phasors[self.final_gvd]
+        sub *= n_sb
+        out = self.out
+        np.take(sub.reshape(out.shape), self.merge, axis=-1, out=out)
+        return np.fft.ifft(out, axis=-1, out=out)
 
     def _process_time(self, blk: np.ndarray, counter=None) -> np.ndarray:
         cfg = self.cfg
@@ -378,31 +442,65 @@ class _BlockEngine:
         if counter is not None:
             counter.cfft(n, 4 * (n_st + 1), "fft")
             counter.fixed_cmul(2 * n * (n_st + 1), "gvd")
-        if n_st:
-            scales = self.coeffs.step_scales / self.coeffs.reference_power_w
-            taps = self.taps
-            wing = (taps.size - 1) // 2
-            if counter is not None:
-                counter.rmul(4 * n * n_st, "intensity")
-                counter.radd(3 * n * n_st, "intensity")
-                counter.rmul(n * (wing + 1) * n_st, "fir")
-                counter.radd(n * 2 * wing * n_st, "fir")
-                counter.lut_exp(n * n_st)
-                counter.pair_shared_cmul(n * n_st, "rotation")
-        spec = np.fft.fft(blk, axis=-1)
+        if n_st and counter is not None:
+            wing = (self.taps[0].size - 1) // 2
+            counter.rmul(4 * n * n_st, "intensity")
+            counter.radd(3 * n * n_st, "intensity")
+            counter.rmul(n * (wing + 1) * n_st, "fir")
+            counter.radd(n * 2 * wing * n_st, "fir")
+            counter.lut_exp(n * n_st)
+            counter.pair_shared_cmul(n * n_st, "rotation")
+        field = self.out
+        field[:] = np.fft.fft(blk, axis=-1)
         for st in range(n_st):
-            spec = spec * self._phasors[self.gvd_lengths[st]]
-            field = np.fft.ifft(spec, axis=-1)
-            intens = np.abs(field[0]) ** 2 + np.abs(field[1]) ** 2
+            field *= self._phasors[self.gvd_lengths[st]]
+            np.fft.ifft(field, axis=-1, out=field)
+            self._rotate_time(field, self.scales[:, st])
+            np.fft.fft(field, axis=-1, out=field)
+        field *= self._phasors[self.final_gvd]
+        return np.fft.ifft(field, axis=-1, out=field)
+
+    def _rotate_time(self, field: np.ndarray, scales: np.ndarray):
+        """exp(-j theta) with theta the FIR-filtered intensity, per set."""
+        intens, theta, rot = (a[:, 0] for a in self.work)  # (B, N) views
+        _intensity(field, intens, theta)
+        for row, i_row, taps in zip(theta, intens, self.taps):
+            wing = (taps.size - 1) // 2
             if wing:
-                padded = np.concatenate([intens[-wing:], intens, intens[:wing]])
-                theta = np.convolve(padded, taps[::-1], mode="valid")
+                padded = np.concatenate([i_row[-wing:], i_row, i_row[:wing]])
+                row[:] = np.convolve(padded, taps[::-1], mode="valid")
             else:
-                theta = taps[0] * intens
-            field *= np.exp(-1j * theta * scales[st])[None, :]
-            spec = np.fft.fft(field, axis=-1)
-        spec = spec * self._phasors[self.final_gvd]
-        return np.fft.ifft(spec, axis=-1)
+                np.multiply(i_row, taps[0], out=row)
+        theta *= scales[:, None]
+        _rotate(field, theta, rot)
+
+
+def _run_blocks(w: DualPolWaveform, cfg: DbpConfig, coeff_sets: list,
+                counter=None) -> np.ndarray:
+    """(B, 2, n) outputs of one engine pass of B tap sets over w's blocks."""
+    n = w.num_samples
+    keep = cfg.block_size - cfg.overlap
+    if cfg.block_size > n:
+        raise ValueError("block_size exceeds the sequence length")
+    mem = channel_memory_samples(cfg.link, w.sample_rate, w.sample_rate)
+    if cfg.overlap < mem and cfg.block_size < n:
+        warnings.warn(
+            f"overlap {cfg.overlap} is below the channel memory (~{mem} "
+            "samples); blocks will leak dispersion across the discard zone",
+            RuntimeWarning)
+
+    engine = _BlockEngine(cfg, w.sample_rate, coeff_sets)
+    field = w.field
+    out = np.empty((len(coeff_sets),) + field.shape, dtype=complex)
+    half = cfg.overlap // 2
+    nblocks = int(np.ceil(n / keep))
+    for b in range(nblocks):
+        start = (b * keep - half) % n
+        idx = (start + np.arange(cfg.block_size)) % n
+        proc = engine.process(field[:, idx], counter)
+        span = min(keep, n - b * keep)
+        out[..., b * keep: b * keep + span] = proc[..., half: half + span]
+    return out
 
 
 def run_dbp(w: DualPolWaveform, cfg: DbpConfig,
@@ -418,32 +516,9 @@ def run_dbp(w: DualPolWaveform, cfg: DbpConfig,
     sequence (n_steps fine steps over the link).
     """
     w.require_finite()
-    cfg_link = cfg.link
     if cfg.variant == "IDEAL_SSFM":
-        sim = SimSettings(step_km=cfg_link.total_length_km / cfg.n_steps,
+        sim = SimSettings(step_km=cfg.link.total_length_km / cfg.n_steps,
                           noise_enabled=False)
-        return backward_propagate(w, cfg_link, sim)
-
-    n = w.num_samples
-    keep = cfg.block_size - cfg.overlap
-    if cfg.block_size > n:
-        raise ValueError("block_size exceeds the sequence length")
-    mem = channel_memory_samples(cfg_link, w.sample_rate, w.sample_rate)
-    if cfg.overlap < mem and cfg.block_size < n:
-        warnings.warn(
-            f"overlap {cfg.overlap} is below the channel memory (~{mem} "
-            "samples); blocks will leak dispersion across the discard zone",
-            RuntimeWarning)
-
-    engine = _BlockEngine(cfg, w.sample_rate, coeffs)
-    field = w.field
-    out = np.empty_like(field)
-    half = cfg.overlap // 2
-    nblocks = int(np.ceil(n / keep))
-    for b in range(nblocks):
-        start = (b * keep - half) % n
-        idx = (start + np.arange(cfg.block_size)) % n
-        proc = engine.process(field[:, idx], counter)
-        span = min(keep, n - b * keep)
-        out[:, b * keep: b * keep + span] = proc[:, half: half + span]
+        return backward_propagate(w, cfg.link, sim, w.power)
+    out = _run_blocks(w, cfg, [coeffs], counter)[0]
     return DualPolWaveform(out, w.sample_rate, w.center_freq)

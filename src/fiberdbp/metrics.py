@@ -18,7 +18,8 @@ from .channel import LinkConfig, ase_variance_per_pol
 from .dbp import DbpConfig, run_dbp
 from .kernel import CoefficientSet
 from .signals import (DualPolWaveform, SymbolRecord, WdmConfig,
-                      demux_channel, matched_filter, resample)
+                      _matched_filter_field, _resample_field, demux_channel,
+                      resample)
 
 SNR_CAP_DB = 100.0
 
@@ -113,10 +114,15 @@ def symbols_from_dbp_output(w: DualPolWaveform, wdm: WdmConfig) -> np.ndarray:
     Returns (2, num_symbols) soft symbols on the constellation grid; mean
     phase is left in (snr removes it).
     """
-    w = matched_filter(w, wdm)
-    w = resample(w, wdm.baud_rate, allow_alias=True)
-    amp = np.sqrt(wdm.launch_power_w / 2)
-    return w.field / amp
+    return _symbols_from_field(w.field, w.sample_rate, wdm)
+
+
+def _symbols_from_field(field: np.ndarray, rate: float,
+                        wdm: WdmConfig) -> np.ndarray:
+    """symbols_from_dbp_output on a field with any leading axes."""
+    field = _matched_filter_field(field, rate, wdm)
+    field, _ = _resample_field(field, rate, wdm.baud_rate, allow_alias=True)
+    return field / np.sqrt(wdm.launch_power_w / 2)
 
 
 def recover_symbols(w: DualPolWaveform, wdm: WdmConfig, dbp_cfg: DbpConfig,

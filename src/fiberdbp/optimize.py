@@ -22,14 +22,15 @@ import numpy as np
 import scipy.optimize
 
 from .channel import LinkConfig, SimSettings, propagate_link
-from .dbp import DbpConfig, make_dbp_coefficient_set, run_dbp
+from .dbp import DbpConfig, _run_blocks, make_dbp_coefficient_set, run_dbp
 from .kernel import CoefficientSet
-from .metrics import (evaluate, prepare_dbp_input, remove_mean_phase,
-                      symbols_from_dbp_output)
+from .metrics import (_symbols_from_field, evaluate, prepare_dbp_input,
+                      remove_mean_phase, symbols_from_dbp_output)
 from .signals import DualPolWaveform, SymbolRecord, WdmConfig, generate_wdm
 
 MAX_ITER_PER_BAND = 50
 DIFF_STEP = 1e-6
+_BATCH_BYTES = 64 << 20  # working memory of one batched engine pass
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ def _symbol_mse(rx: np.ndarray, tx: np.ndarray) -> float:
 
 
 class _Objective:
-    """Residual evaluator: one backpropagation run per call."""
+    """Residual evaluator: one backpropagation run per tap set, or one
+    engine pass for a batch of tap sets."""
 
     def __init__(self, train: TrainingSet, cfg: DbpConfig):
         self.cfg = cfg
@@ -97,7 +99,9 @@ class _Objective:
         self.w_val = prepare_dbp_input(train.val_rx, train.wdm, cfg, idx)
         self.tx_train = train.train_record.channel(idx)
         self.tx_val = train.val_record.channel(idx)
-        self.nfev = 0
+        # working memory per set of a batched pass: about eight complex
+        # (2, n + N) arrays
+        self.set_bytes = 8 * 32 * (self.w_train.num_samples + cfg.block_size)
 
     def _receive(self, w: DualPolWaveform, coeffs: CoefficientSet) -> np.ndarray:
         out = run_dbp(w, self.cfg, coeffs)
@@ -109,8 +113,20 @@ class _Objective:
         return _symbol_mse(self._receive(self.w_train, coeffs), self.tx_train)
 
     def residuals(self, coeffs: CoefficientSet) -> np.ndarray:
-        self.nfev += 1
-        rx = self._receive(self.w_train, coeffs)
+        return self._symbol_residuals(self._receive(self.w_train, coeffs))
+
+    def batch_residuals(self, sets: list) -> list:
+        """residuals() of every set, from one engine pass per chunk of sets."""
+        w = self.w_train
+        chunk = max(1, _BATCH_BYTES // self.set_bytes)
+        out = []
+        for i in range(0, len(sets), chunk):
+            fields = _run_blocks(w, self.cfg, sets[i:i + chunk])
+            out += map(self._symbol_residuals,
+                       _symbols_from_field(fields, w.sample_rate, self.wdm))
+        return out
+
+    def _symbol_residuals(self, rx: np.ndarray) -> np.ndarray:
         rx, _ = remove_mean_phase(rx, self.tx_train)
         r = (rx - self.tx_train).ravel() / np.sqrt(2 * rx.shape[-1])
         return np.concatenate([r.real, r.imag])
@@ -133,9 +149,13 @@ def optimize_coefficients(train: TrainingSet, cfg: DbpConfig,
 
     Each band's taps are refined by trust-region least squares with
     finite-difference gradients (relative step 1e-6, at most 50 iterations
-    per band). Cross-band vectors beyond the one being fitted stay zero
-    until their turn, mirroring the iterative scheme the analytic shapes
-    are the starting point for. If the final set fails to beat the
+    per band). scipy forms each Jacobian by its 2-point rule; the perturbed
+    tap sets it asks for are scored together, in one batched engine pass
+    per chunk of sets (chunks sized to a fixed memory budget), and score
+    bit for bit as one backpropagation run per set would, so the fit is
+    the serial one. Cross-band vectors beyond the one being fitted stay
+    zero until their turn, mirroring the iterative scheme the analytic
+    shapes are the starting point for. If the final set fails to beat the
     initialization on the validation split, the initialization is returned
     unchanged with improved=False.
     """
@@ -147,17 +167,20 @@ def optimize_coefficients(train: TrainingSet, cfg: DbpConfig,
     for h in sorted(init.coeffs):
         x0 = _pack(init.coeffs[h], h)
 
-        def residuals(params, h=h):
-            trial = dict(current.coeffs)
-            trial[h] = _unpack(params, h)
-            return obj.residuals(replace(current, coeffs=trial))
+        def trial(params, h=h):
+            return replace(current, coeffs={**current.coeffs,
+                                            h: _unpack(params, h)})
+
+        def batch_map(fun, xs, trial=trial):
+            # fun is scipy's wrapper of the residuals below; the batch
+            # computes the same values for every point
+            return obj.batch_residuals([trial(x) for x in xs])
 
         sol = scipy.optimize.least_squares(
-            residuals, x0, method="trf", diff_step=DIFF_STEP,
-            max_nfev=MAX_ITER_PER_BAND * (x0.size + 1))
-        tuned = dict(current.coeffs)
-        tuned[h] = _unpack(sol.x, h)
-        current = replace(current, coeffs=tuned)
+            lambda params, trial=trial: obj.residuals(trial(params)), x0,
+            method="trf", diff_step=DIFF_STEP,
+            max_nfev=MAX_ITER_PER_BAND * (x0.size + 1), workers=batch_map)
+        current = trial(sol.x)
         path.append(float(np.sum(sol.fun ** 2)))
 
     init_val = obj.mse(init, validation=True)

@@ -267,10 +267,16 @@ def matched_filter(w: DualPolWaveform, cfg: WdmConfig) -> DualPolWaveform:
     with the transmitter shaping the cascade is exactly Nyquist, so symbol
     instants are ISI-free back to back.
     """
-    freqs = _signed_bin_freqs(w.num_samples, w.sample_rate)
+    return DualPolWaveform(_matched_filter_field(w.field, w.sample_rate, cfg),
+                           w.sample_rate, w.center_freq)
+
+
+def _matched_filter_field(field: np.ndarray, rate: float,
+                          cfg: WdmConfig) -> np.ndarray:
+    """matched_filter on a field with any leading axes (samples last)."""
+    freqs = _signed_bin_freqs(field.shape[-1], rate)
     g = np.sqrt(raised_cosine_spectrum(freqs, cfg.baud_rate, cfg.rolloff))
-    field = np.fft.ifft(np.fft.fft(w.field, axis=-1) * g, axis=-1)
-    return DualPolWaveform(field, w.sample_rate, w.center_freq)
+    return np.fft.ifft(np.fft.fft(field, axis=-1) * g, axis=-1)
 
 
 def _regrid(spec: np.ndarray, new_len: int) -> np.ndarray:
@@ -278,15 +284,18 @@ def _regrid(spec: np.ndarray, new_len: int) -> np.ndarray:
 
     Upsampling places bins (zero padding); downsampling folds aliases. Both
     are the exact resampling of the underlying periodic bandlimited signal.
+    Source bins are added in ascending order, in runs that land on
+    contiguous target bins, so every target sums its aliases in bin order.
     """
     n = spec.shape[-1]
-    signed = np.arange(n)
-    signed = np.where(signed < (n + 1) // 2, signed, signed - n)
-    target = np.mod(signed, new_len)
+    pos = (n + 1) // 2  # bins below pos carry the non-negative frequencies
     out = np.zeros(spec.shape[:-1] + (new_len,), dtype=np.complex128)
-    # one 1-D np.add.at per row: a single 2-D np.add.at measured 2-5x slower
-    for row in range(spec.shape[0]):
-        np.add.at(out[row], target, spec[row])
+    j = 0
+    while j < n:
+        t = (j if j < pos else j - n) % new_len
+        run = min(new_len - t, (pos if j < pos else n) - j)
+        out[..., t:t + run] += spec[..., j:j + run]
+        j += run
     return out
 
 
@@ -300,27 +309,34 @@ def resample(w: DualPolWaveform, new_rate: float,
     unless ``allow_alias`` — symbol-rate decimation after a matched filter
     legitimately exploits the fold.
     """
-    n = w.num_samples
-    new_len_f = n * new_rate / w.sample_rate
+    field, rate = _resample_field(w.field, w.sample_rate, new_rate,
+                                  allow_alias)
+    return DualPolWaveform(field, rate, w.center_freq)
+
+
+def _resample_field(field: np.ndarray, rate: float, new_rate: float,
+                    allow_alias: bool = False) -> tuple[np.ndarray, float]:
+    """resample on a field with any leading axes: (field, realized rate).
+
+    The alias check pools the energy of every leading index.
+    """
+    n = field.shape[-1]
+    new_len_f = n * new_rate / rate
     new_len = int(round(new_len_f))
     if abs(new_len_f - new_len) > 1e-6:
         raise ValueError("new_rate not representable on this block grid")
     if new_len == n:
-        return w.copy()
-
-    spec = np.fft.fft(w.field, axis=-1)
-    if new_len < n:
-        freqs = _signed_bin_freqs(n, w.sample_rate)
-        oob = np.abs(freqs) > new_rate / 2
+        return field.copy(), rate
+    spec = np.fft.fft(field, axis=-1)
+    if new_len < n and not allow_alias:
+        oob = np.abs(_signed_bin_freqs(n, rate)) > new_rate / 2
         total = np.sum(np.abs(spec) ** 2)
-        frac = np.sum(np.abs(spec[:, oob]) ** 2) / total if total > 0 else 0.0
-        if frac > OOB_TOL and not allow_alias:
+        frac = np.sum(np.abs(spec[..., oob]) ** 2) / total if total > 0 else 0.0
+        if frac > OOB_TOL:
             raise AliasingError(
                 f"{frac:.2e} of signal energy beyond the new Nyquist band")
     out = _regrid(spec, new_len) * (new_len / n)
-    actual_rate = new_len * w.sample_rate / n
-    return DualPolWaveform(np.fft.ifft(out, axis=-1), actual_rate,
-                           w.center_freq)
+    return np.fft.ifft(out, axis=-1), new_len * rate / n
 
 
 def demux_channel(w: DualPolWaveform, channel_freq: float,

@@ -1,16 +1,25 @@
-"""Validation oracles for the kernel and channel modules, kept with the tests.
+"""Validation oracles for the kernel, channel, dbp and optimize modules.
 
 Each oracle computes what a fiberdbp routine computes by a slower, more
 direct route: quadrature of the step kernel, dense Gauss-Legendre Volterra
 coefficients, the dense n x n kernel transform that the row-chunked one
-replaced, and the allocating split-step loop, with one full-length phasor
-per step length, that the in-place one replaced.
+replaced, the allocating split-step loop, with one full-length phasor per
+step length, that the in-place one replaced, the allocating one-set block
+engine that the batched one replaced, and the coefficient optimizer that
+evaluated its finite-difference Jacobian one backpropagation run at a time.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import scipy.optimize
 
 from fiberdbp.channel import LinkConfig
+from fiberdbp.dbp import DbpConfig, build_mimo_transfer, gvd_phasor
 from fiberdbp.kernel import StepGeometry, _beat, _simpson_weights, step_kernel
+from fiberdbp.metrics import (prepare_dbp_input, remove_mean_phase,
+                              symbols_from_dbp_output)
+from fiberdbp.signals import DualPolWaveform
 
 
 def kernel_quadrature(mu, nu, geom: StepGeometry,
@@ -153,3 +162,124 @@ def split_step_oracle(field: np.ndarray, rate: float, link: LinkConfig,
         spec = np.fft.fft(field, axis=-1)
         spec *= half
     return np.fft.ifft(spec, axis=-1)
+
+
+def _nlpr_oracle(fields, mimo, theta_scale):
+    intens = np.abs(fields[0]) ** 2 + np.abs(fields[1]) ** 2
+    spec_i = np.fft.rfft(intens, axis=-1)
+    theta_hat = np.einsum("ilk,lk->ik", mimo.matrix, spec_i)
+    theta = np.fft.irfft(theta_hat, n=fields.shape[-1], axis=-1) * theta_scale
+    return fields * np.exp(-1j * theta)[None, :, :]
+
+
+def dbp_oracle(w: DualPolWaveform, cfg: DbpConfig, coeffs=None) -> np.ndarray:
+    """Blockwise backpropagation of one waveform with one tap set.
+
+    The engine as it was before it took a batch of tap sets: fresh arrays
+    at every step, exp(-j theta) rotations, and an fftshift / ifftshift
+    round trip around the subband split. Returns the (2, n) output field.
+    """
+    n, n_sb, bs = w.num_samples, cfg.n_subbands, cfg.block_size
+    n_prime = bs // n_sb
+    rate = w.sample_rate
+    if cfg.n_steps == 0:
+        lengths, final = [], cfg.link.total_length_km
+    else:
+        step, rho = cfg.step_length_km, cfg.splitting_ratio
+        lengths = [(1 - rho) * step] + [rho * step + (1 - rho) * step] * (
+            cfg.n_steps - 1)
+        final = rho * step
+        scales = coeffs.step_scales / coeffs.reference_power_w
+    if cfg.variant == "CB_ESSFM":
+        sub_rate = rate / n_sb
+        centers = (np.arange(n_sb) + 0.5) * sub_rate - rate / 2
+        freqs = (centers[:, None]
+                 + np.fft.fftfreq(n_prime, 1.0 / sub_rate)[None, :])
+        if cfg.n_steps:
+            mimo = build_mimo_transfer(coeffs, n_prime)
+    else:
+        freqs = np.fft.fftfreq(bs, 1.0 / rate)
+    phasors = {dz: gvd_phasor(freqs, dz, cfg.link.beta2_ps2_km)
+               for dz in set(lengths + [final])}
+
+    def process(blk):
+        if cfg.variant == "CB_ESSFM":
+            spec = np.fft.fftshift(np.fft.fft(blk, axis=-1), axes=-1)
+            sub = np.fft.ifftshift(spec.reshape(2, n_sb, n_prime) / n_sb,
+                                   axes=-1)
+            for st in range(cfg.n_steps):
+                sub = sub * phasors[lengths[st]]
+                fields = _nlpr_oracle(np.fft.ifft(sub, axis=-1), mimo,
+                                      scales[st])
+                sub = np.fft.fft(fields, axis=-1)
+            sub = sub * phasors[final]
+            spec = np.fft.fftshift(sub, axes=-1).reshape(2, bs) * n_sb
+            return np.fft.ifft(np.fft.ifftshift(spec, axes=-1), axis=-1)
+        spec = np.fft.fft(blk, axis=-1)
+        for st in range(cfg.n_steps):
+            taps = coeffs.coeffs[0]
+            wing = (taps.size - 1) // 2
+            spec = spec * phasors[lengths[st]]
+            field = np.fft.ifft(spec, axis=-1)
+            intens = np.abs(field[0]) ** 2 + np.abs(field[1]) ** 2
+            if wing:
+                padded = np.concatenate([intens[-wing:], intens,
+                                         intens[:wing]])
+                theta = np.convolve(padded, taps[::-1], mode="valid")
+            else:
+                theta = taps[0] * intens
+            field *= np.exp(-1j * theta * scales[st])[None, :]
+            spec = np.fft.fft(field, axis=-1)
+        spec = spec * phasors[final]
+        return np.fft.ifft(spec, axis=-1)
+
+    keep = bs - cfg.overlap
+    half = cfg.overlap // 2
+    out = np.empty_like(w.field)
+    for b in range(int(np.ceil(n / keep))):
+        idx = ((b * keep - half) % n + np.arange(bs)) % n
+        span = min(keep, n - b * keep)
+        out[:, b * keep: b * keep + span] = process(w.field[:, idx])[
+            :, half: half + span]
+    return out
+
+
+def optimize_oracle(train, cfg: DbpConfig, init):
+    """Band-by-band tap fit that runs one backpropagation per residual.
+
+    The coefficient optimizer before its Jacobian columns were batched:
+    least_squares(trf) with scipy's serial 2-point Jacobian over
+    dbp_oracle. Returns (taps by separation, training MSE path).
+    """
+    idx = (train.wdm.num_channels - 1) // 2
+    w = prepare_dbp_input(train.train_rx, train.wdm, cfg, idx)
+    tx = train.train_record.channel(idx)
+
+    def residuals(coeffs):
+        out = DualPolWaveform(dbp_oracle(w, cfg, coeffs), w.sample_rate,
+                              w.center_freq)
+        rx, _ = remove_mean_phase(symbols_from_dbp_output(out, train.wdm), tx)
+        r = (rx - tx).ravel() / np.sqrt(2 * rx.shape[-1])
+        return np.concatenate([r.real, r.imag])
+
+    def unpack(params, h):
+        return params.copy() if h else np.concatenate([params[:0:-1], params])
+
+    current = replace(init, coeffs={h: np.zeros_like(c)
+                                    for h, c in init.coeffs.items()})
+    path = []
+    for h in sorted(init.coeffs):
+        c = init.coeffs[h]
+        x0 = c[(c.size - 1) // 2:] if h == 0 else c.copy()
+
+        def fun(params, h=h):
+            return residuals(replace(current, coeffs={
+                **current.coeffs, h: unpack(params, h)}))
+
+        sol = scipy.optimize.least_squares(fun, x0, method="trf",
+                                           diff_step=1e-6,
+                                           max_nfev=50 * (x0.size + 1))
+        current = replace(current, coeffs={**current.coeffs,
+                                           h: unpack(sol.x, h)})
+        path.append(float(np.sum(sol.fun ** 2)))
+    return current.coeffs, tuple(path)

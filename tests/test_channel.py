@@ -71,7 +71,7 @@ def test_backward_undoes_forward():
     wdm = WdmConfig(baud_rate=32e9, launch_power_dbm_per_channel=3.0)
     w, _ = generate_wdm(wdm, 1024, sim_rate=64e9, seed=2)
     rx = propagate_link(w, link, sim)
-    back = backward_propagate(rx, link, sim)
+    back = backward_propagate(rx, link, sim, w.power)
     assert rel_rms(back.field, w.field) < 1e-9
 
 
@@ -224,10 +224,28 @@ def test_link_matches_oracle_spans_bit_for_bit(desk_link, desk_wdm):
     assert np.array_equal(rx.field, ref.field)
 
     back = rx.field
-    steps = span_step_sizes(desk_link, sim, rx.power)
     for _ in range(desk_link.num_spans):
         back = split_step_oracle(back / g, rate, desk_link, steps, True)
-    assert np.array_equal(backward_propagate(rx, desk_link, sim).field, back)
+    assert np.array_equal(
+        backward_propagate(rx, desk_link, sim, w.power).field, back)
+
+
+def test_backward_plans_from_the_launch_power(desk_link, desk_wdm):
+    # ASE raises the received power across an adaptive step boundary here:
+    # the forward pass plans 119 steps a span, the received power 120
+    sim = SimSettings(max_phase_rad=2e-3, noise_enabled=True, noise_seed=3)
+    w, _ = generate_wdm(desk_wdm.with_power(0.0), 1024, seed=3)
+    rx = propagate_link(w, desk_link, sim)
+    steps = span_step_sizes(desk_link, sim, w.power)
+    assert (steps.size, span_step_sizes(desk_link, sim, rx.power).size) \
+        == (119, 120)
+    g = 10.0 ** (desk_link.span_gain_db / 20.0)
+    back = rx.field
+    for _ in range(desk_link.num_spans):
+        back = split_step_oracle(back / g, rx.sample_rate, desk_link, steps,
+                                 True)
+    assert np.array_equal(
+        backward_propagate(rx, desk_link, sim, w.power).field, back)
 
 
 def test_propagation_leaves_inputs_and_snapshots_intact(desk_link, desk_wdm):
@@ -247,7 +265,7 @@ def test_propagation_leaves_inputs_and_snapshots_intact(desk_link, desk_wdm):
     propagate_link(w, desk_link, sim, first_span=2, snapshot=snaps[2])
     assert snaps[2].field.tobytes() == taken[2]
     received = rx.field.tobytes()
-    backward_propagate(rx, desk_link, sim)
+    backward_propagate(rx, desk_link, sim, w.power)
     assert rx.field.tobytes() == received
 
 

@@ -11,6 +11,7 @@ from fiberdbp import (CoefficientSet, DbpConfig, LinkConfig, SimSettings, WdmCon
                       nlpr_step, propagate_link, run_dbp,
                       standard_ssfm_coefficient_set)
 from conftest import rel_rms
+from oracles import dbp_oracle
 
 RATE = 64e9
 
@@ -91,6 +92,31 @@ def test_single_block_equals_blockwise(link, test_wave):
                                    block_size=4096, overlap=2048))
     err = rel_rms(split.field, whole.field)
     assert err < 1e-3
+
+
+@pytest.fixture(scope="module")
+def long_wave():
+    wdm = WdmConfig(baud_rate=32e9, launch_power_dbm_per_channel=4.0)
+    return generate_wdm(wdm, 12288, sim_rate=RATE, seed=24)[0]
+
+
+@pytest.mark.parametrize("block_size", [4096, 16384])
+@pytest.mark.parametrize("variant, n_sb, n_steps", [
+    ("EDC", 1, 0), ("OSSFM", 1, 3), ("ESSFM", 1, 3), ("CB_ESSFM", 2, 3),
+    ("CB_ESSFM", 3, 2), ("CB_ESSFM", 2, 0)])
+def test_run_dbp_matches_oracle_engine_bit_for_bit(link, long_wave,
+                                                   block_size, variant, n_sb,
+                                                   n_steps):
+    # the one-set engine before batching, fresh arrays and exp rotations;
+    # three subbands give an odd subband length for the split gather
+    cfg = cfg_for(link, variant=variant, n_subbands=n_sb, n_steps=n_steps,
+                  block_size=block_size - block_size % n_sb,
+                  overlap=384 * n_sb, splitting_ratio=0.3)
+    coeffs = None
+    if cfg.uses_coefficients:
+        coeffs = make_dbp_coefficient_set(cfg, RATE, 1e-3)
+    got = run_dbp(long_wave, cfg, coeffs)
+    assert np.array_equal(got.field, dbp_oracle(long_wave, cfg, coeffs))
 
 
 def test_overlap_below_memory_warns(link, test_wave):

@@ -8,9 +8,11 @@ train/validation splits.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fiberdbp.optimize
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, SweepResult,
@@ -18,6 +20,9 @@ from fiberdbp import (DbpConfig, LinkConfig, SimSettings, SweepResult,
                       make_dbp_coefficient_set, optimize_coefficients,
                       propagate_link, standard_ssfm_coefficient_set,
                       sweep_launch_power, sweep_splitting_ratio)
+from fiberdbp.dbp import _run_blocks
+from fiberdbp.optimize import _Objective
+from oracles import optimize_oracle
 
 WDM = WdmConfig(32e9, 1, 0.0, 0.1, "64-qam", 2.0)
 LINK_LIN = LinkConfig(2, 80.0, gamma_w_km=0.0)
@@ -28,6 +33,9 @@ RATE = 1.125 * 32e9
 CFG_LIN = DbpConfig(link=LINK_LIN, variant="ESSFM", n_steps=2, block_size=576,
                     overlap=0, oversampling=1.125)
 CFG_NL = replace(CFG_LIN, link=LINK_NL)
+# three blocks of two subbands per training run
+CFG_CB = replace(CFG_NL, variant="CB_ESSFM", n_subbands=2, block_size=288,
+                 overlap=96)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +111,64 @@ def test_optimizer_is_deterministic(train_nonlinear, analytic_nl):
     for h in r1.coeffs.coeffs:
         assert np.array_equal(r1.coeffs.coeffs[h], r2.coeffs.coeffs[h])
     assert r1.train_mse_path == r2.train_mse_path
+
+
+@pytest.fixture(scope="module")
+def tap_bases():
+    return {cfg.variant: (cfg, make_dbp_coefficient_set(cfg, RATE,
+                                                        WDM.launch_power_w))
+            for cfg in (CFG_NL, CFG_CB)}
+
+
+@settings(max_examples=12, deadline=None)
+@given(variant=st.sampled_from(["ESSFM", "CB_ESSFM"]),
+       batch=st.integers(1, 5), seed=st.integers(0, 2 ** 16),
+       sets_per_pass=st.sampled_from([1, 2, None]))
+@example(variant="CB_ESSFM", batch=5, seed=0, sets_per_pass=2)
+@example(variant="ESSFM", batch=3, seed=1, sets_per_pass=1)
+def test_batched_residuals_equal_single_runs(train_nonlinear, tap_bases,
+                                             variant, batch, seed,
+                                             sets_per_pass):
+    # perturbed tap sets in a random order, scored in engine passes of
+    # one, two or all sets: each must equal its own backpropagation run
+    cfg, base = tap_bases[variant]
+    rng = np.random.default_rng(seed)
+
+    def perturbed(c, h):
+        r = rng.standard_normal(c.size)
+        return c * (1 + 1e-3 * (r + r[::-1] if h == 0 else r))  # even h = 0
+
+    sets = [replace(base, coeffs={h: perturbed(c, h)
+                                  for h, c in base.coeffs.items()})
+            for _ in range(batch)]
+    obj = _Objective(train_nonlinear, cfg)
+    budget = fiberdbp.optimize._BATCH_BYTES
+    if sets_per_pass is not None:
+        budget = sets_per_pass * obj.set_bytes + obj.set_bytes // 2
+    passes = []
+    with mock.patch.object(fiberdbp.optimize, "_BATCH_BYTES", budget), \
+            mock.patch.object(fiberdbp.optimize, "_run_blocks",
+                              lambda w, cfg, sets: passes.append(len(sets))
+                              or _run_blocks(w, cfg, sets)):
+        got = obj.batch_residuals(sets)
+    k = sets_per_pass or batch
+    assert passes == [k] * (batch // k) + [batch % k] * (batch % k > 0)
+    assert len(got) == batch
+    for coeffs, r in zip(sets, got):
+        assert np.array_equal(r, obj.residuals(coeffs))
+
+
+@pytest.mark.parametrize("cfg", [CFG_NL, CFG_CB], ids=["ESSFM", "CB_ESSFM"])
+def test_fit_reproduces_serial_optimizer(train_nonlinear, cfg):
+    # batched Jacobian columns must leave scipy's trajectory untouched
+    init = standard_ssfm_coefficient_set(cfg, RATE, WDM.launch_power_w,
+                                         memory=4)
+    res = optimize_coefficients(train_nonlinear, cfg, init)
+    taps, path = optimize_oracle(train_nonlinear, cfg, init)
+    assert res.improved
+    assert res.train_mse_path == path
+    for h, c in taps.items():
+        assert np.array_equal(res.coeffs.coeffs[h], c)
 
 
 def test_training_set_rejects_shared_seed():

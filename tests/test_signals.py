@@ -5,6 +5,7 @@ import pytest
 
 from fiberdbp import (DualPolWaveform, WdmConfig, demux_channel, generate_wdm,
                       matched_filter, resample)
+from fiberdbp.signals import _matched_filter_field, _regrid, _resample_field
 from conftest import rel_rms
 
 
@@ -84,6 +85,34 @@ def test_resample_guards_against_aliasing():
         resample(w, 32e9)  # 32 GHz < 35.2 GHz occupied band
     out = resample(w, 36e9)  # 1.125 samples/symbol clears 1.1 R
     assert out.num_samples == 1024 * 36 // 32
+
+
+@pytest.mark.parametrize("n, new_len", [(2304, 2048), (1001, 250), (8, 3),
+                                         (7, 16), (1000, 2048), (9, 9)])
+def test_regrid_adds_aliases_in_bin_order(n, new_len):
+    # reference: one np.add.at per row, which adds source bins in order
+    rng = np.random.default_rng(n + new_len)
+    spec = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
+    signed = np.arange(n)
+    signed = np.where(signed < (n + 1) // 2, signed, signed - n)
+    expect = np.zeros((3, 2, new_len), dtype=complex)
+    for row, src in zip(expect.reshape(6, new_len), spec.reshape(6, n)):
+        np.add.at(row, np.mod(signed, new_len), src)
+    assert np.array_equal(_regrid(spec, new_len), expect)
+
+
+def test_spectral_helpers_take_leading_axes():
+    cfg = single_channel()
+    rng = np.random.default_rng(4)
+    fields = rng.standard_normal((3, 2, 576)) + 1j * rng.standard_normal(
+        (3, 2, 576))
+    filtered = _matched_filter_field(fields, 36e9, cfg)
+    down, rate = _resample_field(filtered, 36e9, 32e9, allow_alias=True)
+    for f, mf, d in zip(fields, filtered, down):
+        w = matched_filter(DualPolWaveform(f, 36e9), cfg)
+        assert np.array_equal(w.field, mf)
+        r = resample(w, 32e9, allow_alias=True)
+        assert np.array_equal(r.field, d) and r.sample_rate == rate
 
 
 def test_demux_selects_one_channel(desk_wdm):
