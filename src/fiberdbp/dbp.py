@@ -6,20 +6,22 @@ subbands of N' = N / N_sb bins (the package's only subband split, done on
 the block spectrum and undone after the last step), and run through N_st
 asymmetric steps. A step applies dispersion compensation per subband (at
 the subband's absolute frequencies, so inter-subband walk-off is carried by
-the dispersion phase) followed by a nonlinear phase rotation (nlpr_step, on
-the (2, N_sb, N') time-domain field array) whose phase is a filtered,
-MIMO-coupled function of all subband intensities. The first step
-compensates a fraction (1 - rho) of a step length of dispersion, interior
-steps a full length (adjacent half-blocks merged), and a final dispersion
-stage adds the remaining rho fraction, so the rotation sits at fraction rho
-inside each step. One engine pass can carry a batch of tap sets on the
-same input (a leading axis on every array); run_dbp passes one set, and
-the coefficient optimizer passes the perturbed sets of a Jacobian.
+the dispersion phase) followed by a nonlinear phase rotation of the
+(2, N_sb, N') time-domain field array by a filtered function of the joint
+intensity. The first step compensates a fraction (1 - rho) of a step length
+of dispersion, interior steps a full length (adjacent half-blocks merged),
+and a final dispersion stage adds the remaining rho fraction, so the
+rotation sits at fraction rho inside each step. Every variant runs this one
+step loop; the single-band variants are the case N_sb = 1, and a variant
+differs from another only in the filter that turns intensity into phase.
+One engine pass can carry a batch of tap sets on the same input (a leading
+axis on every array); run_dbp passes one set, and the coefficient optimizer
+passes the perturbed sets of a Jacobian.
 
 Variants
 --------
-CB_ESSFM    frequency-domain MIMO nonlinear phase over N_sb subbands
-ESSFM       single band, time-domain FIR nonlinear phase (separate path)
+CB_ESSFM    MIMO filter over N_sb subbands, applied per rfft bin (nlpr_step)
+ESSFM       N_sb = 1, circular time-domain FIR of the intensity
 OSSFM       ESSFM with a single tap
 EDC         dispersion compensation only (N_st = 0)
 IDEAL_SSFM  fine-step inverse split-step over the whole sequence (oracle)
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,6 +78,9 @@ class DbpConfig:
         if self.variant == "EDC":
             if self.n_steps != 0:
                 raise ValueError("EDC means zero nonlinear steps")
+        elif self.variant == "IDEAL_SSFM":
+            if self.n_steps < 1:
+                raise ValueError("IDEAL_SSFM needs at least one fine step")
         elif self.n_steps < 0:
             raise ValueError("n_steps must be >= 0")
         if self.variant in ("OSSFM", "ESSFM") and self.n_subbands != 1:
@@ -134,45 +140,23 @@ def gvd_phasor(freqs_hz: np.ndarray, delta_z_km: float,
     return np.exp(1j * phase)
 
 
-@dataclass
-class MimoTransfer:
+def build_mimo_transfer(coeffs: CoefficientSet, block_len: int) -> np.ndarray:
     """Per-bin coupling matrices of the nonlinear-phase MIMO filter.
 
-    matrix has shape (n_sb, n_sb, n_bins) over the real-FFT bins of the
-    per-subband block (block_len time samples): entry (i, l) filters the
-    intensity of subband l into the phase of subband i. Off-diagonal
-    (cross-band) entries carry the 3/2 degeneracy prefactor; the diagonal
-    is real because same-band coefficients are even-symmetric.
-    """
-
-    matrix: np.ndarray
-    block_len: int
-
-    def validate(self):
-        n_sb = self.matrix.shape[0]
-        if self.matrix.shape != (n_sb, n_sb, self.block_len // 2 + 1):
-            raise ValueError("matrix shape inconsistent with block_len")
-        diag = self.matrix[np.arange(n_sb), np.arange(n_sb)]
-        peak = np.max(np.abs(diag)) or 1.0
-        if np.max(np.abs(diag.imag)) > 1e-10 * peak:
-            raise ValueError("diagonal transfer entries must be real")
-
-
-def build_mimo_transfer(coeffs: CoefficientSet, block_len: int) -> MimoTransfer:
-    """Transform coefficient vectors into per-bin MIMO matrices.
-
-    Each tap vector c_h is placed as a circular impulse response centered on
-    sample 0 of a block_len grid and real-FFT'd; entry (i, i+h) gets the
-    separation +h response, entry (i, i-h) its index-reversed (conjugate)
-    pair, and cross terms are scaled by 3/2.
+    Returns the (n_sb, n_sb, block_len // 2 + 1) matrix over the real-FFT
+    bins of the per-subband block (block_len time samples): entry (i, l)
+    filters the intensity of subband l into the phase of subband i. Each tap
+    vector c_h is placed as a circular impulse response centered on sample 0
+    of the block and real-FFT'd; entry (i, i+h) gets the separation +h
+    response, entry (i, i-h) its index-reversed (conjugate) pair, and cross
+    terms carry the 3/2 degeneracy prefactor. The diagonal is real because
+    same-band coefficients are even-symmetric.
     """
     n_sb = coeffs.n_sb
-    n_bins = block_len // 2 + 1
-    matrix = np.zeros((n_sb, n_sb, n_bins), dtype=complex)
+    matrix = np.zeros((n_sb, n_sb, block_len // 2 + 1), dtype=complex)
     spectra = {}
     for h, c in coeffs.coeffs.items():
-        if c.size > block_len:
-            raise ValueError(f"separation-{h} taps longer than the block")
+        _check_tap_length(h, c, block_len)
         buf = np.zeros(block_len)
         m = np.arange(c.size) - (c.size - 1) // 2
         buf[m % block_len] = c
@@ -186,56 +170,58 @@ def build_mimo_transfer(coeffs: CoefficientSet, block_len: int) -> MimoTransfer:
             if h < 0:
                 resp = resp.conj()
             matrix[i, ell] = resp if h == 0 else 1.5 * resp
-    out = MimoTransfer(matrix, block_len)
-    out.validate()
-    return out
+    diag = matrix[np.arange(n_sb), np.arange(n_sb)]
+    peak = np.max(np.abs(diag)) or 1.0
+    if np.max(np.abs(diag.imag)) > 1e-10 * peak:
+        raise ValueError("diagonal transfer entries must be real")
+    return matrix
 
 
-def _intensity(fields: np.ndarray, out: np.ndarray, tmp: np.ndarray):
-    """|x|^2 + |y|^2 of (B, 2, ...) fields into out (tmp: work space)."""
-    np.square(np.abs(fields[:, 0], out=out), out=out)
-    np.square(np.abs(fields[:, 1], out=tmp), out=tmp)
-    out += tmp
+def _check_tap_length(h: int, taps: np.ndarray, block_len: int):
+    if taps.size > block_len:
+        raise ValueError(f"separation-{h} taps longer than the block")
 
 
-def _rotate(fields: np.ndarray, theta: np.ndarray, rot: np.ndarray):
-    """fields *= exp(-j theta), theta (B, ...) per set; overwrites theta.
+def _mimo_phase(matrix: np.ndarray, intens: np.ndarray, theta: np.ndarray):
+    """theta_i = irfft(sum_l T[i, l] rfft(I_l)) of (B, n_sb, N') intensities,
+    matrix the (B, n_sb, n_sb, N'/2 + 1) stack of the sets' MIMO transfers."""
+    spec_i = np.fft.rfft(intens, axis=-1)
+    theta_hat = np.einsum("bilk,blk->bik", matrix, spec_i)
+    np.fft.irfft(theta_hat, n=intens.shape[-1], axis=-1, out=theta)
 
-    The rotation is written into rot as cos + j sin of -theta, which is
-    how np.exp(-1j * theta) rounds.
+
+def _fir_phase(taps: list, intens: np.ndarray, theta: np.ndarray):
+    """theta = circular FIR of the (B, 1, N) single-band intensities, one
+    tap vector per set."""
+    for row, i_row, c in zip(theta[:, 0], intens[:, 0], taps):
+        wing = (c.size - 1) // 2
+        if wing:
+            padded = np.concatenate([i_row[-wing:], i_row, i_row[:wing]])
+            row[:] = np.convolve(padded, c[::-1], mode="valid")
+        else:
+            np.multiply(i_row, c[0], out=row)
+
+
+def _nonlinear_step(fields: np.ndarray, phase, scales: np.ndarray,
+                    work: tuple):
+    """Rotate (B, 2, n_sb, N') time-domain fields in place, B tap sets.
+
+    phase(intens, theta) writes the filtered phase of the (B, n_sb, N')
+    joint intensities into theta; scales are the sets' (B,) phase scales.
+    work holds the intensity, theta and the rotation, each (B, n_sb, N').
+    The rotation is cos + j sin of -theta, which is how np.exp(-1j * theta)
+    rounds.
     """
+    intens, theta, rot = work
+    np.square(np.abs(fields[:, 0], out=intens), out=intens)
+    np.square(np.abs(fields[:, 1], out=theta), out=theta)
+    intens += theta
+    phase(intens, theta)
+    theta *= scales[:, None, None]
     np.negative(theta, out=theta)
     np.cos(theta, out=rot.real)
     np.sin(theta, out=rot.imag)
     fields *= rot[:, None]
-
-
-def _subband_rotation(fields: np.ndarray, matrix: np.ndarray,
-                      scales: np.ndarray, work: tuple, counter=None):
-    """Rotate (B, 2, n_sb, N') time-domain fields in place, B tap sets.
-
-    matrix is the (B, n_sb, n_sb, N'/2 + 1) stack of the sets' MIMO
-    transfers and scales their (B,) phase scales. work holds the
-    intensity, a work array and the rotation, each (B, n_sb, N').
-    """
-    intens, tmp, rot = work
-    _intensity(fields, intens, tmp)
-    spec_i = np.fft.rfft(intens, axis=-1)
-    theta_hat = np.einsum("bilk,blk->bik", matrix, spec_i)
-    theta = np.fft.irfft(theta_hat, n=fields.shape[-1], axis=-1)
-    theta *= scales[:, None, None]
-    _rotate(fields, theta, rot)
-    if counter is not None:
-        n_sb, n_prime = intens.shape[1:]
-        total = n_sb * n_prime
-        counter.rmul(4 * total, "intensity")
-        counter.radd(3 * total, "intensity")
-        counter.rfft(n_prime, 2 * n_sb, "mimo")
-        counter.fixed_cmul(n_sb * (n_sb - 1) * n_prime / 2, "mimo")
-        counter.real_scale(n_sb * n_prime / 2, "mimo")
-        counter.cadd(n_sb * (n_sb - 1) * n_prime / 2, "mimo")
-        counter.lut_exp(total)
-        counter.pair_shared_cmul(total, "rotation")
 
 
 def _rotation_work(batch: int, n_sb: int, n_prime: int) -> tuple:
@@ -243,22 +229,24 @@ def _rotation_work(batch: int, n_sb: int, n_prime: int) -> tuple:
     return np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex)
 
 
-def nlpr_step(fields: np.ndarray, mimo: MimoTransfer,
+def nlpr_step(fields: np.ndarray, mimo: np.ndarray,
               theta_scale: float) -> np.ndarray:
     """Apply the nonlinear phase rotation to (2, n_sb, N') time-domain fields.
 
     theta_i = irfft( sum_l T[i,l] rfft(I_l) ) * theta_scale, where
-    I_l = |x_l|^2 + |y_l|^2; both polarizations of subband i rotate by
-    exp(-j theta_i). Phase-only, so per-sample 4D magnitude is preserved.
-    theta_scale is the step's power scale over the coefficient set's
-    reference power.
+    I_l = |x_l|^2 + |y_l|^2 and T = mimo (build_mimo_transfer at N'); both
+    polarizations of subband i rotate by exp(-j theta_i). Phase-only, so
+    per-sample 4D magnitude is preserved. theta_scale is the step's power
+    scale over the coefficient set's reference power.
     """
-    n_sb = mimo.matrix.shape[0]
-    if fields.shape != (2, n_sb, mimo.block_len):
+    n_sb = mimo.shape[0]
+    if (fields.ndim != 3 or fields.shape[:2] != (2, n_sb)
+            or fields.shape[-1] // 2 + 1 != mimo.shape[-1]):
         raise ValueError("transfer matrix does not match the subband set")
     out = np.array(fields, dtype=complex)[None]
-    _subband_rotation(out, mimo.matrix[None], np.array([theta_scale]),
-                      _rotation_work(1, n_sb, mimo.block_len))
+    _nonlinear_step(out, partial(_mimo_phase, mimo[None]),
+                    np.array([theta_scale]),
+                    _rotation_work(1, n_sb, fields.shape[-1]))
     return out[0]
 
 
@@ -343,22 +331,60 @@ def standard_ssfm_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
     return out
 
 
+def _charge_block(counter, cfg: DbpConfig, wing: int):
+    """Price one block of the engine on a CostCounter, stage by stage.
+
+    CB_ESSFM pays one outer FFT pair, a subband FFT pair per step and the
+    MIMO filter; the single-band variants pay a full-grid FFT pair per
+    dispersion stage and a symmetric FIR of one-sided length wing.
+    """
+    n, n_st, n_sb = cfg.block_size, cfg.n_steps, cfg.n_subbands
+    n_prime = n // n_sb
+    coupled = cfg.variant == "CB_ESSFM"
+    counter.cfft(n, 4 if coupled else 4 * (n_st + 1),
+                 "outer_fft" if coupled else "fft")
+    counter.fixed_cmul(2 * n * (n_st + 1), "gvd")
+    if coupled:
+        counter.cfft(n_prime, 4 * n_sb * n_st, "subband_fft")
+    if not n_st:
+        return
+    counter.rmul(4 * n * n_st, "intensity")
+    counter.radd(3 * n * n_st, "intensity")
+    if coupled:
+        cross = n_st * n_sb * (n_sb - 1) * n_prime / 2
+        counter.rfft(n_prime, 2 * n_sb * n_st, "mimo")
+        counter.fixed_cmul(cross, "mimo")
+        counter.real_scale(n_st * n / 2, "mimo")
+        counter.cadd(cross, "mimo")
+    else:
+        counter.rmul(n * (wing + 1) * n_st, "fir")
+        counter.radd(n * 2 * wing * n_st, "fir")
+    counter.lut_exp(n * n_st)
+    counter.pair_shared_cmul(n * n_st, "rotation")
+
+
 class _BlockEngine:
     """Precomputed per-block state for B tap sets that share one config.
 
     Every set runs the same config on the same input block; only the taps
     (and their power scales) differ. ``process`` maps one (2, N) block to
-    the (B, 2, N) outputs in a buffer that the next call overwrites. The
-    steps run in place in buffers allocated once per engine, and the
-    subband split and merge are two precomputed gathers.
+    the (B, 2, N) outputs in a buffer that the next call overwrites. Every
+    variant runs one step loop on a (B, 2, N_sb, N') subband array, with
+    N_sb = 1 for EDC, OSSFM and ESSFM: per-subband dispersion, then the
+    nonlinear phase rotation. The variant chooses only the rotation's phase
+    filter (the MIMO transfer for CB_ESSFM, the per-set FIR for OSSFM and
+    ESSFM) and its counted prices. The steps run in place in buffers
+    allocated once per engine; the subband split and merge are two
+    precomputed gathers, skipped at N_sb = 1 where they are the identity.
     """
 
     def __init__(self, cfg: DbpConfig, rate: float, coeff_sets: list):
         self.cfg = cfg
         n = cfg.block_size
         n_sb = cfg.n_subbands
-        self.n_prime = n // n_sb
+        n_prime = n // n_sb
         batch = len(coeff_sets)
+        self.wing = 0
 
         if cfg.n_steps == 0:
             # zero nonlinear steps (EDC, or any variant at N_st = 0): the
@@ -376,6 +402,8 @@ class _BlockEngine:
                     raise ValueError(
                         f"coefficient set built for {coeffs.num_steps} steps, "
                         f"config runs {cfg.n_steps}")
+                for h, c in coeffs.coeffs.items():
+                    _check_tap_length(h, c, n_prime)
             self.scales = np.array([c.step_scales / c.reference_power_w
                                     for c in coeff_sets])
             step = cfg.step_length_km
@@ -385,94 +413,55 @@ class _BlockEngine:
             interior = rho * step + (1 - rho) * step
             self.gvd_lengths = [(1 - rho) * step] + [interior] * (cfg.n_steps - 1)
             self.final_gvd = rho * step
-            self.work = _rotation_work(batch, n_sb, self.n_prime)
+            self.work = _rotation_work(batch, n_sb, n_prime)
+            # the phase filter holds the taps only, never the engine
+            if cfg.variant == "CB_ESSFM":
+                self.phase = partial(_mimo_phase, np.stack(
+                    [build_mimo_transfer(c, n_prime) for c in coeff_sets]))
+            else:
+                taps = [c.coeffs[0] for c in coeff_sets]
+                self.phase = partial(_fir_phase, taps)
+                self.wing = (taps[0].size - 1) // 2
 
-        self.out = np.empty((batch, 2, n), dtype=complex)
-        if cfg.variant == "CB_ESSFM":
-            # per-subband dispersion at the subbands' absolute frequencies
-            sub_rate = rate / n_sb
-            centers = (np.arange(n_sb) + 0.5) * sub_rate - rate / 2
-            freqs = centers[:, None] + np.fft.fftfreq(self.n_prime, 1.0 / sub_rate)[None, :]
+        # per-subband dispersion at the subbands' absolute frequencies (the
+        # block's own grid at N_sb = 1)
+        sub_rate = rate / n_sb
+        centers = (np.arange(n_sb) + 0.5) * sub_rate - rate / 2
+        freqs = centers[:, None] + np.fft.fftfreq(n_prime, 1.0 / sub_rate)[None, :]
+        self._phasors = {dz: gvd_phasor(freqs, dz, cfg.link.beta2_ps2_km)
+                         for dz in set(self.gvd_lengths + [self.final_gvd])}
+        self.sub = np.empty((batch, 2, n_sb, n_prime), dtype=complex)
+        self.out = self.sub.reshape(batch, 2, n)
+        self.split = self.merge = None
+        if n_sb > 1:
             # block bin of subband s, subband bin k: the fftshifted block
             # spectrum cut into n_sb pieces, each ifftshifted
             self.split = np.fft.ifftshift(
-                np.fft.fftshift(np.arange(n)).reshape(n_sb, self.n_prime),
-                axes=-1)
+                np.fft.fftshift(np.arange(n)).reshape(n_sb, n_prime), axes=-1)
             self.merge = np.argsort(self.split.ravel())
-            self.sub = np.empty((batch, 2, n_sb, self.n_prime), dtype=complex)
-            if cfg.n_steps:
-                self.mimo = np.stack([build_mimo_transfer(c, self.n_prime).matrix
-                                      for c in coeff_sets])
-        else:  # EDC / OSSFM / ESSFM: full-grid dispersion, time-domain FIR phase
-            freqs = np.fft.fftfreq(n, 1.0 / rate)
-            if cfg.n_steps:
-                self.taps = [c.coeffs[0] for c in coeff_sets]
-        self._phasors = {dz: gvd_phasor(freqs, dz, cfg.link.beta2_ps2_km)
-                         for dz in set(self.gvd_lengths + [self.final_gvd])}
+            self.out = np.empty((batch, 2, n), dtype=complex)
 
     def process(self, blk: np.ndarray, counter=None) -> np.ndarray:
-        if self.cfg.variant == "CB_ESSFM":
-            return self._process_cb(blk, counter)
-        return self._process_time(blk, counter)
-
-    def _process_cb(self, blk: np.ndarray, counter=None) -> np.ndarray:
-        cfg = self.cfg
-        n_sb = cfg.n_subbands
         if counter is not None:
-            counter.cfft(cfg.block_size, 4, "outer_fft")
-            counter.fixed_cmul(2 * cfg.block_size * (cfg.n_steps + 1), "gvd")
-            counter.cfft(self.n_prime, 4 * n_sb * cfg.n_steps, "subband_fft")
+            _charge_block(counter, self.cfg, self.wing)
+        n_sb = self.cfg.n_subbands
         sub = self.sub
-        np.divide(np.fft.fft(blk, axis=-1)[:, self.split], n_sb, out=sub)
-        for st in range(cfg.n_steps):
-            sub *= self._phasors[self.gvd_lengths[st]]
+        spec = np.fft.fft(blk, axis=-1)
+        if self.split is None:
+            sub[:] = spec[:, None]
+        else:
+            np.divide(spec[:, self.split], n_sb, out=sub)
+        for st, dz in enumerate(self.gvd_lengths):
+            sub *= self._phasors[dz]
             np.fft.ifft(sub, axis=-1, out=sub)
-            _subband_rotation(sub, self.mimo, self.scales[:, st], self.work,
-                              counter)
+            _nonlinear_step(sub, self.phase, self.scales[:, st], self.work)
             np.fft.fft(sub, axis=-1, out=sub)
         sub *= self._phasors[self.final_gvd]
-        sub *= n_sb
         out = self.out
-        np.take(sub.reshape(out.shape), self.merge, axis=-1, out=out)
+        if self.merge is not None:
+            sub *= n_sb
+            np.take(sub.reshape(out.shape), self.merge, axis=-1, out=out)
         return np.fft.ifft(out, axis=-1, out=out)
-
-    def _process_time(self, blk: np.ndarray, counter=None) -> np.ndarray:
-        cfg = self.cfg
-        n, n_st = cfg.block_size, cfg.n_steps
-        if counter is not None:
-            counter.cfft(n, 4 * (n_st + 1), "fft")
-            counter.fixed_cmul(2 * n * (n_st + 1), "gvd")
-        if n_st and counter is not None:
-            wing = (self.taps[0].size - 1) // 2
-            counter.rmul(4 * n * n_st, "intensity")
-            counter.radd(3 * n * n_st, "intensity")
-            counter.rmul(n * (wing + 1) * n_st, "fir")
-            counter.radd(n * 2 * wing * n_st, "fir")
-            counter.lut_exp(n * n_st)
-            counter.pair_shared_cmul(n * n_st, "rotation")
-        field = self.out
-        field[:] = np.fft.fft(blk, axis=-1)
-        for st in range(n_st):
-            field *= self._phasors[self.gvd_lengths[st]]
-            np.fft.ifft(field, axis=-1, out=field)
-            self._rotate_time(field, self.scales[:, st])
-            np.fft.fft(field, axis=-1, out=field)
-        field *= self._phasors[self.final_gvd]
-        return np.fft.ifft(field, axis=-1, out=field)
-
-    def _rotate_time(self, field: np.ndarray, scales: np.ndarray):
-        """exp(-j theta) with theta the FIR-filtered intensity, per set."""
-        intens, theta, rot = (a[:, 0] for a in self.work)  # (B, N) views
-        _intensity(field, intens, theta)
-        for row, i_row, taps in zip(theta, intens, self.taps):
-            wing = (taps.size - 1) // 2
-            if wing:
-                padded = np.concatenate([i_row[-wing:], i_row, i_row[:wing]])
-                row[:] = np.convolve(padded, taps[::-1], mode="valid")
-            else:
-                np.multiply(i_row, taps[0], out=row)
-        theta *= scales[:, None]
-        _rotate(field, theta, rot)
 
 
 def _run_blocks(w: DualPolWaveform, cfg: DbpConfig, coeff_sets: list,

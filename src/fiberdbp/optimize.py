@@ -22,10 +22,10 @@ import numpy as np
 import scipy.optimize
 
 from .channel import LinkConfig, SimSettings, propagate_link
-from .dbp import DbpConfig, _run_blocks, make_dbp_coefficient_set, run_dbp
+from .dbp import DbpConfig, _run_blocks, make_dbp_coefficient_set
 from .kernel import CoefficientSet
 from .metrics import (_symbols_from_field, evaluate, prepare_dbp_input,
-                      remove_mean_phase, symbols_from_dbp_output)
+                      remove_mean_phase)
 from .signals import DualPolWaveform, SymbolRecord, WdmConfig, generate_wdm
 
 MAX_ITER_PER_BAND = 50
@@ -86,8 +86,8 @@ def _symbol_mse(rx: np.ndarray, tx: np.ndarray) -> float:
 
 
 class _Objective:
-    """Residual evaluator: one backpropagation run per tap set, or one
-    engine pass for a batch of tap sets."""
+    """Residual evaluator: every tap set is scored in a batched engine pass,
+    one pass per chunk of sets (a single set is a batch of one)."""
 
     def __init__(self, train: TrainingSet, cfg: DbpConfig):
         self.cfg = cfg
@@ -103,27 +103,24 @@ class _Objective:
         # (2, n + N) arrays
         self.set_bytes = 8 * 32 * (self.w_train.num_samples + cfg.block_size)
 
-    def _receive(self, w: DualPolWaveform, coeffs: CoefficientSet) -> np.ndarray:
-        out = run_dbp(w, self.cfg, coeffs)
-        return symbols_from_dbp_output(out, self.wdm)
+    def _symbols(self, w: DualPolWaveform, sets: list) -> np.ndarray:
+        fields = _run_blocks(w, self.cfg, sets)
+        return _symbols_from_field(fields, w.sample_rate, self.wdm)
 
-    def mse(self, coeffs: CoefficientSet, validation: bool = False) -> float:
-        if validation:
-            return _symbol_mse(self._receive(self.w_val, coeffs), self.tx_val)
-        return _symbol_mse(self._receive(self.w_train, coeffs), self.tx_train)
+    def val_mse(self, coeffs: CoefficientSet) -> float:
+        """Symbol MSE of one set on the validation split."""
+        return _symbol_mse(self._symbols(self.w_val, [coeffs])[0], self.tx_val)
 
     def residuals(self, coeffs: CoefficientSet) -> np.ndarray:
-        return self._symbol_residuals(self._receive(self.w_train, coeffs))
+        return self.batch_residuals([coeffs])[0]
 
     def batch_residuals(self, sets: list) -> list:
-        """residuals() of every set, from one engine pass per chunk of sets."""
-        w = self.w_train
+        """Symbol residuals of every set on the training split."""
         chunk = max(1, _BATCH_BYTES // self.set_bytes)
         out = []
         for i in range(0, len(sets), chunk):
-            fields = _run_blocks(w, self.cfg, sets[i:i + chunk])
             out += map(self._symbol_residuals,
-                       _symbols_from_field(fields, w.sample_rate, self.wdm))
+                       self._symbols(self.w_train, sets[i:i + chunk]))
         return out
 
     def _symbol_residuals(self, rx: np.ndarray) -> np.ndarray:
@@ -183,8 +180,8 @@ def optimize_coefficients(train: TrainingSet, cfg: DbpConfig,
         current = trial(sol.x)
         path.append(float(np.sum(sol.fun ** 2)))
 
-    init_val = obj.mse(init, validation=True)
-    final_val = obj.mse(current, validation=True)
+    init_val = obj.val_mse(init)
+    final_val = obj.val_mse(current)
     if final_val > init_val:
         return OptimizationResult(init, False, init_val, init_val, tuple(path))
     current.validate()

@@ -167,7 +167,7 @@ def split_step_oracle(field: np.ndarray, rate: float, link: LinkConfig,
 def _nlpr_oracle(fields, mimo, theta_scale):
     intens = np.abs(fields[0]) ** 2 + np.abs(fields[1]) ** 2
     spec_i = np.fft.rfft(intens, axis=-1)
-    theta_hat = np.einsum("ilk,lk->ik", mimo.matrix, spec_i)
+    theta_hat = np.einsum("ilk,lk->ik", mimo, spec_i)
     theta = np.fft.irfft(theta_hat, n=fields.shape[-1], axis=-1) * theta_scale
     return fields * np.exp(-1j * theta)[None, :, :]
 

@@ -104,16 +104,21 @@ def run_counted(link, rx, variant, n_steps, n_sb, block, overlap):
 def test_counter_matches_formula_exact_tiling(counted_setup):
     link, rx = counted_setup
     # 4096 samples, keep 1024 -> exactly 4 blocks: the closed forms assume
-    # this tiling, so counted and analytic totals agree to rounding; the
-    # ESSFM price takes its tap count from the memory rule, the run from
-    # the built taps
-    for variant, n_sb in (("EDC", 1), ("OSSFM", 1), ("ESSFM", 1),
-                          ("CB_ESSFM", 2)):
-        n_steps = 0 if variant == "EDC" else 2
+    # this tiling, so counted and analytic costs agree to rounding, stage
+    # by stage; the ESSFM price takes its tap count from the memory rule,
+    # the run from the built taps
+    for variant, n_steps, n_sb in (("EDC", 0, 1), ("OSSFM", 2, 1),
+                                   ("ESSFM", 2, 1), ("CB_ESSFM", 2, 2),
+                                   ("CB_ESSFM", 2, 4), ("CB_ESSFM", 0, 2)):
         cfg, rep = run_counted(link, rx, variant, n_steps, n_sb, 2048, 1024)
         ref = dbp_cost(cfg, rx.sample_rate)
-        assert rep.rm_per_2d == pytest.approx(ref.rm_per_2d, rel=1e-9), variant
-        assert rep.ra_per_2d == pytest.approx(ref.ra_per_2d, rel=1e-9), variant
+        case = f"{variant} N_st={n_steps} N_sb={n_sb}"
+        assert rep.rm_per_2d == pytest.approx(ref.rm_per_2d, rel=1e-9), case
+        assert rep.ra_per_2d == pytest.approx(ref.ra_per_2d, rel=1e-9), case
+        assert rep.breakdown.keys() == ref.breakdown.keys(), case
+        for stage, (rm, ra) in ref.breakdown.items():
+            got = rep.breakdown[stage]
+            assert got == pytest.approx((rm, ra), rel=1e-9), (case, stage)
 
 
 def test_counter_partial_final_block_within_one_percent(counted_setup):

@@ -56,6 +56,8 @@ def test_config_invariants(link):
         DbpConfig(link=link, n_subbands=2, block_size=1024, overlap=30)
     with pytest.raises(ValueError):
         DbpConfig(link=link, splitting_ratio=1.5)
+    with pytest.raises(ValueError, match="IDEAL_SSFM needs at least one"):
+        DbpConfig(link=link, variant="IDEAL_SSFM", n_steps=0)
 
 
 def test_single_band_cb_equals_essfm(link, test_wave):
@@ -146,6 +148,22 @@ def test_coefficient_set_bound_to_step_count(link, test_wave, variant, n_sb,
         run_dbp(test_wave, cfg, coeffs)
 
 
+@pytest.mark.filterwarnings("ignore:overlap")
+@pytest.mark.parametrize("variant, n_sb", [("OSSFM", 1), ("ESSFM", 1),
+                                           ("CB_ESSFM", 2)])
+@pytest.mark.parametrize("n_taps", [401, 601])
+def test_taps_longer_than_block_rejected(link, test_wave, variant, n_sb,
+                                         n_taps):
+    # 256-sample (sub)band blocks: 401 taps would wrap around the block and
+    # 601 would not fit it; every variant refuses both before it runs
+    cfg = cfg_for(link, variant=variant, n_subbands=n_sb,
+                  block_size=256 * n_sb, overlap=0)
+    coeffs = standard_ssfm_coefficient_set(cfg, RATE, 1e-3,
+                                           memory=(n_taps - 1) // 2)
+    with pytest.raises(ValueError, match="separation-0 taps longer than"):
+        run_dbp(test_wave, cfg, coeffs)
+
+
 def test_edc_inverts_linear_channel(link):
     lin = LinkConfig(num_spans=3, span_length_km=80.0, gamma_w_km=0.0)
     wdm = WdmConfig(baud_rate=32e9, launch_power_dbm_per_channel=0.0)
@@ -169,13 +187,12 @@ def test_mimo_transfer_structure(link):
     cfg = cfg_for(link, variant="CB_ESSFM", n_subbands=2)
     coeffs = make_dbp_coefficient_set(cfg, RATE, 1e-3)
     mimo = build_mimo_transfer(coeffs, 128)
-    assert mimo.matrix.shape == (2, 2, 65)
+    assert mimo.shape == (2, 2, 65)
     # diagonal entries are real (even intra-band taps)
-    assert np.abs(mimo.matrix[0, 0].imag).max() < 1e-12 \
-        * np.abs(mimo.matrix[0, 0]).max()
+    assert np.abs(mimo[0, 0].imag).max() < 1e-12 * np.abs(mimo[0, 0]).max()
     # cross entries are conjugate pairs with the 3/2 XPM weight
-    assert np.allclose(mimo.matrix[0, 1], np.conj(mimo.matrix[1, 0]))
-    ratio = np.abs(mimo.matrix[0, 1][0] / mimo.matrix[0, 0][0])
+    assert np.allclose(mimo[0, 1], np.conj(mimo[1, 0]))
+    ratio = np.abs(mimo[0, 1][0] / mimo[0, 0][0])
     c0 = coeffs.coeffs[0]
     c1 = coeffs.coeffs[1]
     expect = 1.5 * abs(c1.sum()) / abs(c0.sum())

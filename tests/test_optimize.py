@@ -18,9 +18,10 @@ import fiberdbp.optimize
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, SweepResult,
                       TrainingSet, WdmConfig, build_training_set, generate_wdm,
                       make_dbp_coefficient_set, optimize_coefficients,
-                      propagate_link, standard_ssfm_coefficient_set,
+                      propagate_link, run_dbp, standard_ssfm_coefficient_set,
                       sweep_launch_power, sweep_splitting_ratio)
 from fiberdbp.dbp import _run_blocks
+from fiberdbp.metrics import remove_mean_phase, symbols_from_dbp_output
 from fiberdbp.optimize import _Objective
 from oracles import optimize_oracle
 
@@ -130,7 +131,8 @@ def test_batched_residuals_equal_single_runs(train_nonlinear, tap_bases,
                                              variant, batch, seed,
                                              sets_per_pass):
     # perturbed tap sets in a random order, scored in engine passes of
-    # one, two or all sets: each must equal its own backpropagation run
+    # one, two or all sets: each must equal the residual of its own
+    # backpropagation run, computed here from run_dbp
     cfg, base = tap_bases[variant]
     rng = np.random.default_rng(seed)
 
@@ -155,7 +157,13 @@ def test_batched_residuals_equal_single_runs(train_nonlinear, tap_bases,
     assert passes == [k] * (batch // k) + [batch % k] * (batch % k > 0)
     assert len(got) == batch
     for coeffs, r in zip(sets, got):
-        assert np.array_equal(r, obj.residuals(coeffs))
+        out = run_dbp(obj.w_train, cfg, coeffs)
+        rx, _ = remove_mean_phase(symbols_from_dbp_output(out, WDM),
+                                  obj.tx_train)
+        err = (rx - obj.tx_train).ravel() / np.sqrt(2 * rx.shape[-1])
+        single = np.concatenate([err.real, err.imag])
+        assert np.array_equal(r, single)
+        assert np.array_equal(obj.residuals(coeffs), single)
 
 
 @pytest.mark.parametrize("cfg", [CFG_NL, CFG_CB], ids=["ESSFM", "CB_ESSFM"])
