@@ -111,9 +111,7 @@ class ExperimentConfig:
         return self.dbp_config().oversampling * self.wdm.baud_rate
 
     def validate(self):
-        dcfg = self.dbp_config()  # exercises the engine invariants
-        if dcfg.oversampling * self.wdm.baud_rate < self.wdm.baud_rate:
-            raise ValueError("backpropagation rate below the symbol rate")
+        self.dbp_config()  # exercises the engine invariants
         if self.num_symbols < 2:
             raise ValueError("num_symbols must be >= 2")
         if self.threads < 1:

@@ -106,9 +106,10 @@ def _time_block_counts(block_size: int, n_steps: int,
     return out
 
 
-def _per_2d_report(blocks: dict[str, tuple[float, float]], block_size: int,
-                   overlap: int, oversampling: float) -> CostReport:
-    scale = oversampling / (2 * (block_size - overlap))
+def _per_2d_report(blocks: dict[str, tuple[float, float]],
+                   scale: float) -> CostReport:
+    """Scale raw (RM, RA) stage counts to per-2D units; totals are summed in
+    the stages' order."""
     breakdown = {k: (m * scale, a * scale) for k, (m, a) in blocks.items()}
     return CostReport(sum(v[0] for v in breakdown.values()),
                       sum(v[1] for v in breakdown.values()), breakdown)
@@ -136,7 +137,8 @@ def cb_essfm_cost(block_size: int, overlap: int, oversampling: float,
     ra = pref * ((15 * n_st + 12) * math.log2(n / n_sb)
                  + n_st * (5 * n_sb - 1) / 2 + 12 * math.log2(n_sb) - 6
                  + (20 * n_sb * n_st + 16) / n)
-    report = _per_2d_report(_cb_block_counts(n, n_st, n_sb), n, n_ov, n_sps)
+    report = _per_2d_report(_cb_block_counts(n, n_st, n_sb),
+                            n_sps / (2 * (n - n_ov)))
     if not (math.isclose(rm, report.rm_per_2d, rel_tol=1e-9)
             and math.isclose(ra, report.ra_per_2d, rel_tol=1e-9)):
         raise AssertionError("stage breakdown disagrees with the closed form")
@@ -161,7 +163,8 @@ def essfm_time_domain_cost(block_size: int, overlap: int, oversampling: float,
                  + n_st * (11 + n_taps))
     ra = pref * ((n_st + 1) * (12 * math.log2(n) - 6 + 16 / n)
                  + n_st * (11 + 2 * n_taps))
-    report = _per_2d_report(_time_block_counts(n, n_st, n_taps), n, n_ov, n_sps)
+    report = _per_2d_report(_time_block_counts(n, n_st, n_taps),
+                            n_sps / (2 * (n - n_ov)))
     if not (math.isclose(rm, report.rm_per_2d, rel_tol=1e-9)
             and math.isclose(ra, report.ra_per_2d, rel_tol=1e-9)):
         raise AssertionError("stage breakdown disagrees with the closed form")
@@ -176,8 +179,6 @@ def dbp_cost(cfg: DbpConfig, sample_rate_hz: float) -> CostReport:
     make_dbp_coefficient_set builds at sample_rate_hz (the walk-off memory
     rule; no taps are built).
     """
-    if cfg.variant == "IDEAL_SSFM":
-        raise ValueError("the fine-step oracle has no hardware cost model")
     if cfg.variant == "CB_ESSFM":
         return cb_essfm_cost(cfg.block_size, cfg.overlap, cfg.oversampling,
                              cfg.n_steps, cfg.n_subbands)
@@ -196,70 +197,36 @@ def _check_block(block_size, overlap, n_subbands, n_steps):
 
 
 class CostCounter:
-    """Per-run accumulator of convention-priced arithmetic.
-
-    The engine reports every stage it actually executes; prices follow the
-    module conventions above. Counts are raw (whole-run) until normalized
-    by as_report().
-    """
+    """Tally of the blocks one engine run processes (run_dbp's counter)."""
 
     def __init__(self):
-        self.stages: dict[str, list[float]] = {}
+        self.blocks = 0
 
-    def _add(self, stage: str, rm: float, ra: float):
-        bucket = self.stages.setdefault(stage, [0.0, 0.0])
-        bucket[0] += rm
-        bucket[1] += ra
 
-    def cfft(self, size: int, reps: int = 1, stage: str = "fft"):
-        rm, ra = _cfft_cost(size)
-        self._add(stage, reps * rm, reps * ra)
-
-    def rfft(self, size: int, reps: int = 1, stage: str = "mimo"):
-        rm, ra = _cfft_cost(size)
-        self._add(stage, reps * rm / 2, reps * ra / 2)
-
-    def fixed_cmul(self, count: float, stage: str):
-        self._add(stage, 3 * count, 3 * count)
-
-    def pair_shared_cmul(self, pairs: float, stage: str = "rotation"):
-        self._add(stage, 6 * pairs, 8 * pairs)
-
-    def real_scale(self, count: float, stage: str):
-        self._add(stage, 2 * count, 0.0)
-
-    def cadd(self, count: float, stage: str):
-        self._add(stage, 0.0, 2 * count)
-
-    def rmul(self, count: float, stage: str):
-        self._add(stage, count, 0.0)
-
-    def radd(self, count: float, stage: str):
-        self._add(stage, 0.0, count)
-
-    def lut_exp(self, count: float, stage: str = "exp_lut"):
-        self.stages.setdefault(stage, [0.0, 0.0])
-
-    def as_report(self, num_samples: int, oversampling: float) -> CostReport:
-        """Normalize raw counts to per-2D-symbol units."""
-        scale = oversampling / (2 * num_samples)
-        breakdown = {k: (m * scale, a * scale)
-                     for k, (m, a) in self.stages.items()}
-        return CostReport(sum(v[0] for v in breakdown.values()),
-                          sum(v[1] for v in breakdown.values()), breakdown)
+# the order the engine runs its stages in; totals are summed in this order
+_ENGINE_STAGES = ("outer_fft", "fft", "gvd", "subband_fft", "intensity",
+                  "mimo", "fir", "exp_lut", "rotation")
 
 
 def count_runtime_multiplies(w: DualPolWaveform, cfg: DbpConfig,
                              coeffs: CoefficientSet | None = None) -> CostReport:
-    """Run the engine on w with an attached counter and report actual cost.
+    """Run the engine on w, tally its blocks, and report their cost.
 
-    The count reflects the run's true block tiling (a sequence that does
-    not divide into whole block strides pays for the extra boundary
-    block), which is the point of cross-validating the closed forms.
+    Each processed block is priced from the same per-block table as the
+    closed forms (_cb_block_counts, _time_block_counts), the single-band
+    FIR at the tap count of the set that ran. The count reflects the run's
+    true block tiling (a sequence that does not divide into whole block
+    strides pays for the extra boundary block), which is the point of
+    cross-validating the closed forms.
     """
     from .dbp import run_dbp
-    if cfg.variant == "IDEAL_SSFM":
-        raise ValueError("the fine-step oracle has no hardware cost model")
     counter = CostCounter()
     run_dbp(w, cfg, coeffs, counter=counter)
-    return counter.as_report(w.num_samples, cfg.oversampling)
+    if cfg.variant == "CB_ESSFM":
+        table = _cb_block_counts(cfg.block_size, cfg.n_steps, cfg.n_subbands)
+    else:
+        wing = (coeffs.coeffs[0].size - 1) // 2 if cfg.n_steps else 0
+        table = _time_block_counts(cfg.block_size, cfg.n_steps, wing)
+    run = {k: (counter.blocks * table[k][0], counter.blocks * table[k][1])
+           for k in _ENGINE_STAGES if k in table}
+    return _per_2d_report(run, cfg.oversampling / (2 * w.num_samples))

@@ -20,11 +20,13 @@ passes the perturbed sets of a Jacobian.
 
 Variants
 --------
-CB_ESSFM    MIMO filter over N_sb subbands, applied per rfft bin (nlpr_step)
-ESSFM       N_sb = 1, circular time-domain FIR of the intensity
-OSSFM       ESSFM with a single tap
-EDC         dispersion compensation only (N_st = 0)
-IDEAL_SSFM  fine-step inverse split-step over the whole sequence (oracle)
+CB_ESSFM  MIMO filter over N_sb subbands, applied per rfft bin (nlpr_step)
+ESSFM     N_sb = 1, circular time-domain FIR of the intensity
+OSSFM     ESSFM with a single tap
+EDC       dispersion compensation only (N_st = 0)
+
+The ideal-backpropagation reference is not a variant: it is
+channel.backward_propagate on a uniform fine-step plan.
 
 Backpropagation uses the transmission fiber's parameters with opposite
 signs; coefficient sets built here are already negated accordingly.
@@ -32,18 +34,19 @@ signs; coefficient sets built here are already negated accordingly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .channel import LinkConfig, SimSettings, backward_propagate
+from .channel import LinkConfig
 from .kernel import (CoefficientSet, StepGeometry, analytic_coefficients,
                      coefficient_memory, geometry_fingerprint)
 from .signals import DualPolWaveform
 
-VARIANTS = ("EDC", "OSSFM", "ESSFM", "CB_ESSFM", "IDEAL_SSFM")
+VARIANTS = ("EDC", "OSSFM", "ESSFM", "CB_ESSFM")
 COEFFICIENT_SOURCES = ("analytic", "optimized")
 TAP_SAFETY = 1.5  # tap support over the walk-off memory rule
 
@@ -52,10 +55,11 @@ TAP_SAFETY = 1.5  # tap support over the walk-off memory rule
 class DbpConfig:
     """Engine configuration; the physical link is part of the config.
 
-    n_steps is the number of nonlinear steps N_st (0 for EDC; total
-    fine-step count for IDEAL_SSFM). oversampling records the samples per
-    symbol the engine runs at (used by the cost model and block planning,
-    not by the math).
+    n_steps is the number of nonlinear steps N_st (0 for EDC), each of
+    link length / N_st. n_steps, n_subbands, block_size and overlap are
+    integers. oversampling records the samples per symbol the engine runs
+    at, at least 1 (used by the cost model and block planning, not by the
+    math). Every invalid field raises ValueError here, before any run.
     """
 
     link: LinkConfig
@@ -75,12 +79,18 @@ class DbpConfig:
             raise ValueError(
                 f"unknown coefficient_source {self.coefficient_source!r}; "
                 f"expected one of {COEFFICIENT_SOURCES}")
+        for name in ("n_steps", "n_subbands", "block_size", "overlap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (math.isfinite(self.oversampling) and self.oversampling >= 1):
+            raise ValueError("oversampling must be finite and >= 1: the "
+                             "backpropagation rate is at least the symbol "
+                             "rate")
         if self.variant == "EDC":
             if self.n_steps != 0:
                 raise ValueError("EDC means zero nonlinear steps")
-        elif self.variant == "IDEAL_SSFM":
-            if self.n_steps < 1:
-                raise ValueError("IDEAL_SSFM needs at least one fine step")
         elif self.n_steps < 0:
             raise ValueError("n_steps must be >= 0")
         if self.variant in ("OSSFM", "ESSFM") and self.n_subbands != 1:
@@ -98,9 +108,9 @@ class DbpConfig:
 
     @property
     def uses_coefficients(self) -> bool:
-        """Whether the engine reads a coefficient set: not for EDC, the
-        fine-step oracle, or zero nonlinear steps."""
-        return self.variant not in ("EDC", "IDEAL_SSFM") and self.n_steps > 0
+        """Whether the engine reads a coefficient set: not for EDC or zero
+        nonlinear steps."""
+        return self.variant != "EDC" and self.n_steps > 0
 
     @property
     def step_length_km(self) -> float:
@@ -306,13 +316,11 @@ def _assemble_set(cfg: DbpConfig, sample_rate_hz: float,
     starts = np.cumsum(np.concatenate([[0.0], lengths[:-1]]))
     scales = np.exp(-alpha * np.mod(starts, lsp))[::-1]
     return CoefficientSet(
-        n_sb=n_sb, subband_rate=sub_rate, subband_spacing=sub_rate,
-        reference_power_w=reference_power_w,
+        n_sb=n_sb, subband_rate=sub_rate, reference_power_w=reference_power_w,
         phase_norm_rad=-cfg.link.gamma_w_km * reference_power_w
         * geom.effective_length_km,
         step_scales=scales,
-        geometry_hash=geometry_fingerprint(geom, n_sb, sub_rate, sub_rate,
-                                           cfg.n_steps),
+        geometry_hash=geometry_fingerprint(geom, n_sb, sub_rate, cfg.n_steps),
         coeffs=coeffs)
 
 
@@ -331,38 +339,6 @@ def standard_ssfm_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
     return out
 
 
-def _charge_block(counter, cfg: DbpConfig, wing: int):
-    """Price one block of the engine on a CostCounter, stage by stage.
-
-    CB_ESSFM pays one outer FFT pair, a subband FFT pair per step and the
-    MIMO filter; the single-band variants pay a full-grid FFT pair per
-    dispersion stage and a symmetric FIR of one-sided length wing.
-    """
-    n, n_st, n_sb = cfg.block_size, cfg.n_steps, cfg.n_subbands
-    n_prime = n // n_sb
-    coupled = cfg.variant == "CB_ESSFM"
-    counter.cfft(n, 4 if coupled else 4 * (n_st + 1),
-                 "outer_fft" if coupled else "fft")
-    counter.fixed_cmul(2 * n * (n_st + 1), "gvd")
-    if coupled:
-        counter.cfft(n_prime, 4 * n_sb * n_st, "subband_fft")
-    if not n_st:
-        return
-    counter.rmul(4 * n * n_st, "intensity")
-    counter.radd(3 * n * n_st, "intensity")
-    if coupled:
-        cross = n_st * n_sb * (n_sb - 1) * n_prime / 2
-        counter.rfft(n_prime, 2 * n_sb * n_st, "mimo")
-        counter.fixed_cmul(cross, "mimo")
-        counter.real_scale(n_st * n / 2, "mimo")
-        counter.cadd(cross, "mimo")
-    else:
-        counter.rmul(n * (wing + 1) * n_st, "fir")
-        counter.radd(n * 2 * wing * n_st, "fir")
-    counter.lut_exp(n * n_st)
-    counter.pair_shared_cmul(n * n_st, "rotation")
-
-
 class _BlockEngine:
     """Precomputed per-block state for B tap sets that share one config.
 
@@ -373,9 +349,9 @@ class _BlockEngine:
     N_sb = 1 for EDC, OSSFM and ESSFM: per-subband dispersion, then the
     nonlinear phase rotation. The variant chooses only the rotation's phase
     filter (the MIMO transfer for CB_ESSFM, the per-set FIR for OSSFM and
-    ESSFM) and its counted prices. The steps run in place in buffers
-    allocated once per engine; the subband split and merge are two
-    precomputed gathers, skipped at N_sb = 1 where they are the identity.
+    ESSFM). The steps run in place in buffers allocated once per engine;
+    the subband split and merge are two precomputed gathers, skipped at
+    N_sb = 1 where they are the identity.
     """
 
     def __init__(self, cfg: DbpConfig, rate: float, coeff_sets: list):
@@ -384,7 +360,6 @@ class _BlockEngine:
         n_sb = cfg.n_subbands
         n_prime = n // n_sb
         batch = len(coeff_sets)
-        self.wing = 0
 
         if cfg.n_steps == 0:
             # zero nonlinear steps (EDC, or any variant at N_st = 0): the
@@ -402,6 +377,10 @@ class _BlockEngine:
                     raise ValueError(
                         f"coefficient set built for {coeffs.num_steps} steps, "
                         f"config runs {cfg.n_steps}")
+                if cfg.variant != "CB_ESSFM" and 0 not in coeffs.coeffs:
+                    raise ValueError(
+                        f"{cfg.variant} needs separation-0 taps; the set "
+                        f"has separations {sorted(coeffs.coeffs)}")
                 for h, c in coeffs.coeffs.items():
                     _check_tap_length(h, c, n_prime)
             self.scales = np.array([c.step_scales / c.reference_power_w
@@ -419,9 +398,8 @@ class _BlockEngine:
                 self.phase = partial(_mimo_phase, np.stack(
                     [build_mimo_transfer(c, n_prime) for c in coeff_sets]))
             else:
-                taps = [c.coeffs[0] for c in coeff_sets]
-                self.phase = partial(_fir_phase, taps)
-                self.wing = (taps[0].size - 1) // 2
+                self.phase = partial(_fir_phase,
+                                     [c.coeffs[0] for c in coeff_sets])
 
         # per-subband dispersion at the subbands' absolute frequencies (the
         # block's own grid at N_sb = 1)
@@ -441,9 +419,7 @@ class _BlockEngine:
             self.merge = np.argsort(self.split.ravel())
             self.out = np.empty((batch, 2, n), dtype=complex)
 
-    def process(self, blk: np.ndarray, counter=None) -> np.ndarray:
-        if counter is not None:
-            _charge_block(counter, self.cfg, self.wing)
+    def process(self, blk: np.ndarray) -> np.ndarray:
         n_sb = self.cfg.n_subbands
         sub = self.sub
         spec = np.fft.fft(blk, axis=-1)
@@ -466,7 +442,10 @@ class _BlockEngine:
 
 def _run_blocks(w: DualPolWaveform, cfg: DbpConfig, coeff_sets: list,
                 counter=None) -> np.ndarray:
-    """(B, 2, n) outputs of one engine pass of B tap sets over w's blocks."""
+    """(B, 2, n) outputs of one engine pass of B tap sets over w's blocks.
+
+    A counter, if given, tallies the blocks processed in counter.blocks.
+    """
     n = w.num_samples
     keep = cfg.block_size - cfg.overlap
     if cfg.block_size > n:
@@ -486,7 +465,9 @@ def _run_blocks(w: DualPolWaveform, cfg: DbpConfig, coeff_sets: list,
     for b in range(nblocks):
         start = (b * keep - half) % n
         idx = (start + np.arange(cfg.block_size)) % n
-        proc = engine.process(field[:, idx], counter)
+        proc = engine.process(field[:, idx])
+        if counter is not None:
+            counter.blocks += 1
         span = min(keep, n - b * keep)
         out[..., b * keep: b * keep + span] = proc[..., half: half + span]
     return out
@@ -500,14 +481,9 @@ def run_dbp(w: DualPolWaveform, cfg: DbpConfig,
     Blockwise overlap-and-save: blocks of block_size samples advance by
     block_size - overlap, and overlap/2 samples are discarded on each side
     of every processed block. The input is treated as circular, which makes
-    the framing exact for the periodic test signals used throughout.
-    IDEAL_SSFM instead runs a fine-step inverse propagation of the whole
-    sequence (n_steps fine steps over the link).
+    the framing exact for the periodic test signals used throughout. A
+    counter (complexity.CostCounter) tallies the blocks processed.
     """
     w.require_finite()
-    if cfg.variant == "IDEAL_SSFM":
-        sim = SimSettings(step_km=cfg.link.total_length_km / cfg.n_steps,
-                          noise_enabled=False)
-        return backward_propagate(w, cfg.link, sim, w.power)
     out = _run_blocks(w, cfg, [coeffs], counter)[0]
     return DualPolWaveform(out, w.sample_rate, w.center_freq)

@@ -86,7 +86,7 @@ def save_coefficients(path, coeffs: CoefficientSet,
     doc = {
         "n_sb": coeffs.n_sb,
         "subband_rate": coeffs.subband_rate,
-        "subband_spacing": coeffs.subband_spacing,
+        "subband_spacing": coeffs.subband_rate,  # kept: the format holds it
         "reference_power_w": coeffs.reference_power_w,
         "phase_norm_rad": coeffs.phase_norm_rad,
         "step_scales": list(map(float, coeffs.step_scales)),
@@ -102,7 +102,6 @@ def load_coefficients(path) -> CoefficientSet:
     doc = json.loads(Path(path).read_text())
     out = CoefficientSet(
         n_sb=int(doc["n_sb"]), subband_rate=float(doc["subband_rate"]),
-        subband_spacing=float(doc["subband_spacing"]),
         reference_power_w=float(doc["reference_power_w"]),
         phase_norm_rad=float(doc["phase_norm_rad"]),
         step_scales=np.asarray(doc["step_scales"], float),

@@ -60,9 +60,8 @@ class StepGeometry:
         Splitting ratio: the nonlinear phase rotation sits after a fraction
         (1 - rho) of the step's dispersion in backpropagation order, i.e. at
         rho * L from the forward start of the step.
-    start_offset_km : float
-        Forward position of the step start within its span (0 for
-        span-aligned steps).
+
+    The step starts at a span boundary.
     """
 
     length_km: float
@@ -71,15 +70,12 @@ class StepGeometry:
     beta2_ps2_km: float = -21.683
     gamma_w_km: float = 1.27
     rho: float = 0.5
-    start_offset_km: float = 0.0
 
     def __post_init__(self):
         if self.length_km <= 0 or self.span_km <= 0:
             raise ValueError("lengths must be positive")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
-        if not 0.0 <= self.start_offset_km < self.span_km:
-            raise ValueError("start_offset_km must be within one span")
 
     @property
     def alpha_np_km(self) -> float:
@@ -92,9 +88,9 @@ class StepGeometry:
 
     @property
     def num_spans(self) -> int:
-        """Number of identical spans in the step (span-aligned steps only)."""
+        """Number of identical spans in the step (whole-span steps only)."""
         n = self.length_km / self.span_km
-        if self.start_offset_km != 0.0 or abs(n - round(n)) > 1e-9:
+        if abs(n - round(n)) > 1e-9:
             raise ValueError("step is not an integer number of spans")
         return int(round(n))
 
@@ -105,31 +101,25 @@ class StepGeometry:
         if a == 0:
             return self.length_km
         total = 0.0
-        for z0, z1, g0 in self._segments():
-            total += g0 * (1.0 - np.exp(-a * (z1 - z0))) / a
+        for z0, z1 in self._segments():
+            total += (1.0 - np.exp(-a * (z1 - z0))) / a
         return total
 
-    def _segments(self) -> list[tuple[float, float, float]]:
-        """Piecewise-exponential power profile of the step.
+    def _segments(self) -> list[tuple[float, float]]:
+        """Span pieces of the step's piecewise-exponential power profile.
 
-        Returns (z_start, z_end, g_at_start) pieces on the kernel axis,
-        where z = 0 is the nonlinear-rotation position (rho * L from the
-        step's forward start) and g is normalized to 1 at the step input.
+        Returns (z_start, z_end) pieces on the kernel axis, where z = 0 is
+        the nonlinear-rotation position (rho * L from the step's forward
+        start). Every piece starts at the step input or at an amplifier, so
+        the power profile is exp(-alpha (z - z_start)) on each.
         """
-        a = self.alpha_np_km
         z_nl = self.rho * self.length_km
         pieces = []
-        # walk span boundaries from the step start
         pos = 0.0
-        offset = self.start_offset_km
-        g_in = 1.0
         while pos < self.length_km - 1e-12:
-            to_boundary = self.span_km - offset
-            z1 = min(pos + to_boundary, self.length_km)
-            pieces.append((pos - z_nl, z1 - z_nl, g_in * np.exp(-a * offset) /
-                           np.exp(-a * self.start_offset_km)))
+            z1 = min(pos + self.span_km, self.length_km)
+            pieces.append((pos - z_nl, z1 - z_nl))
             pos = z1
-            offset = 0.0
         return pieces
 
 
@@ -181,40 +171,38 @@ def kernel_closed_form(mu, nu, geom: StepGeometry) -> np.ndarray:
 
 
 def _kernel_segments(mu, nu, geom: StepGeometry) -> np.ndarray:
-    """Exact kernel for arbitrary step alignment and splitting ratio.
+    """Exact kernel for any step length and splitting ratio.
 
     Each span piece of the power profile is a pure exponential, so the
     kernel integral has a closed antiderivative per piece; this evaluates
-    the sum exactly for mid-span starts, fractional spans, and asymmetric
-    (rho != 0.5) windows.
+    the sum exactly for fractional spans and asymmetric (rho != 0.5)
+    windows.
     """
     alpha = geom.alpha_np_km
     b = _beat(mu, nu, geom)
     shape = np.shape(b)
     b = np.atleast_1d(b).astype(float)
     total = np.zeros(b.shape, dtype=complex)
-    for z0, z1, g0 in geom._segments():
+    for z0, z1 in geom._segments():
         w = (alpha + 2j * b) * (z1 - z0)
         small = np.abs(w) < 1e-9
         safe = np.where(small, 1.0, w)
         core = np.where(small, 1.0 - w / 2.0, (1.0 - np.exp(-safe)) / safe)
-        total += g0 * np.exp(-2j * b * z0) * (z1 - z0) * core
+        total += np.exp(-2j * b * z0) * (z1 - z0) * core
     total *= geom.gamma_w_km
     return total.reshape(shape) if shape else total[0]
 
 
 def step_kernel(mu, nu, geom: StepGeometry) -> np.ndarray:
-    """Kernel of a step honoring its splitting ratio and span alignment.
+    """Kernel of a step honoring its splitting ratio.
 
-    A span-aligned step of whole spans uses the closed form: moving the
-    rotation point from the step center to rho * L only shifts the
-    integration window, which multiplies the kernel by
-    exp(-2j b (1/2 - rho) L). Other steps use the exact piecewise
-    evaluation.
+    A step of whole spans uses the closed form: moving the rotation point
+    from the step center to rho * L only shifts the integration window,
+    which multiplies the kernel by exp(-2j b (1/2 - rho) L). Fractional-span
+    steps use the exact piecewise evaluation.
     """
     n = geom.length_km / geom.span_km
-    if (geom.start_offset_km == 0.0 and abs(n - round(n)) <= 1e-9
-            and round(n) >= 1):
+    if abs(n - round(n)) <= 1e-9 and round(n) >= 1:
         shift = (0.5 - geom.rho) * geom.length_km
         return (kernel_closed_form(mu, nu, geom)
                 * np.exp(-2j * shift * _beat(mu, nu, geom)))
@@ -334,17 +322,17 @@ def analytic_coefficients(geom: StepGeometry, separation_hz: float,
 class CoefficientSet:
     """Nonlinear-phase filter taps for a coupled-band backpropagation step.
 
-    coeffs maps subband separation h (in units of the subband spacing,
-    0 <= h < n_sb) to a real tap vector c_h[m], m = -N_c(h)..N_c(h). The
-    engine applies exp(-j theta) with theta built from these taps on
-    intensities normalized by reference_power_w, scaled per step by
-    step_scales. phase_norm_rad is the average per-step nonlinear phase used
-    as the normalization when sets are stored or compared.
+    coeffs maps subband separation h (in units of the subband spacing, which
+    equals subband_rate; 0 <= h < n_sb) to a real tap vector c_h[m],
+    m = -N_c(h)..N_c(h). The engine applies exp(-j theta) with theta built
+    from these taps on intensities normalized by reference_power_w (finite,
+    > 0), scaled per step by step_scales (1-D, finite).
+    phase_norm_rad is the average per-step nonlinear phase used as the
+    normalization when sets are stored or compared.
     """
 
     n_sb: int
     subband_rate: float
-    subband_spacing: float
     reference_power_w: float
     phase_norm_rad: float
     step_scales: np.ndarray
@@ -360,6 +348,12 @@ class CoefficientSet:
     def validate(self):
         if self.n_sb < 1:
             raise ValueError("n_sb must be >= 1")
+        if not (np.isfinite(self.reference_power_w)
+                and self.reference_power_w > 0):
+            raise ValueError("reference_power_w must be finite and > 0")
+        if self.step_scales.ndim != 1 or not np.all(
+                np.isfinite(self.step_scales)):
+            raise ValueError("step_scales must be 1-D and finite")
         for h, c in self.coeffs.items():
             if not (0 <= h < self.n_sb):
                 raise ValueError(f"separation {h} outside 0..n_sb-1")
@@ -379,12 +373,15 @@ class CoefficientSet:
 
 
 def geometry_fingerprint(geom: StepGeometry, n_sb: int, subband_rate: float,
-                         subband_spacing: float, num_steps: int) -> str:
-    """Short stable hash identifying the geometry a coefficient set fits."""
+                         num_steps: int) -> str:
+    """Short stable hash identifying the geometry a coefficient set fits.
+
+    The text keeps a 0.0 (a step offset) and a second subband_rate (the
+    subband spacing) in their fixed positions, so stored hashes hold.
+    """
     text = "|".join(
         f"{v:.12e}" for v in (
             geom.length_km, geom.span_km, geom.alpha_db_km,
             geom.beta2_ps2_km, geom.gamma_w_km, geom.rho,
-            geom.start_offset_km, n_sb, subband_rate, subband_spacing,
-            num_steps))
+            0.0, n_sb, subband_rate, subband_rate, num_steps))
     return hashlib.sha256(text.encode()).hexdigest()[:16]

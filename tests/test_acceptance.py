@@ -21,13 +21,14 @@ import pytest
 
 import fiberdbp
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, StepGeometry,
-                      WdmConfig, analytic_coefficients, build_mimo_transfer,
-                      build_training_set, cb_essfm_cost,
+                      WdmConfig, analytic_coefficients, backward_propagate,
+                      build_mimo_transfer, build_training_set, cb_essfm_cost,
                       channel_memory_samples, essfm_time_domain_cost,
                       evaluate, generate_wdm, kernel_closed_form,
                       make_dbp_coefficient_set, nlpr_step,
                       optimize_coefficients, prepare_dbp_input,
                       propagate_link, recover_symbols, run_dbp, snr)
+from fiberdbp.metrics import symbols_from_dbp_output
 
 from conftest import rel_rms
 from oracles import kernel_quadrature, volterra_oracle
@@ -190,14 +191,21 @@ def test_linear_round_trip_recovers_transmit_snr():
 
 def test_ideal_backpropagation_inverts_nonlinear_channel():
     # full-bandwidth processing: the nonlinearly broadened spectrum must
-    # survive both the forward simulation and the receiver resampling
+    # survive both the forward simulation and the receiver resampling. The
+    # ideal receiver is the simulator run backward in 0.8 km steps (1500
+    # over the link) from the launch power, without noise.
     wdm = WdmConfig(baud_rate=32e9, launch_power_dbm_per_channel=0.0)
     link = LinkConfig(num_spans=15, span_length_km=80.0)
     tx, rec = generate_wdm(wdm, 8192, sim_rate=128e9, seed=9)
     rx = propagate_link(tx, link, SIM_OFF)
-    ideal = DbpConfig(link=link, variant="IDEAL_SSFM", n_steps=1500,
-                      block_size=32768, overlap=0, oversampling=4.0)
-    s = central_snr(rx, rec, wdm, ideal, None)
+    full_band = DbpConfig(link=link, variant="EDC", n_steps=0,
+                          oversampling=4.0)  # sets the 128 GS/s input rate
+    w = prepare_dbp_input(rx, wdm, full_band)
+    out = backward_propagate(w, link, SimSettings(step_km=0.8,
+                                                  noise_enabled=False),
+                             w.power)
+    center = (wdm.num_channels - 1) // 2
+    s = snr(symbols_from_dbp_output(out, wdm), rec.channel(center)).snr_db
     assert s > 40.0, f"ideal backpropagation SNR {s:.1f} dB"
 
 

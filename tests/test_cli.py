@@ -99,6 +99,15 @@ def test_unknown_coefficient_source_rejected(ws):
         ExperimentConfig.from_dict(doc)
 
 
+def test_dbp_rate_below_symbol_rate_rejected(ws):
+    # the engine config owns the rule; the experiment config reaches it
+    _, cfg_path = ws
+    doc = ExperimentConfig.from_yaml(cfg_path).to_dict()
+    doc["dbp"]["oversampling"] = 0.5
+    with pytest.raises(ValueError, match="oversampling must be finite and >= 1"):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_absent_keys_take_field_defaults(ws):
     _, cfg_path = ws
     cfg = ExperimentConfig.from_yaml(cfg_path)

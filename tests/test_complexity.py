@@ -10,7 +10,8 @@ import pytest
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, WdmConfig,
                       cb_essfm_cost, count_runtime_multiplies, dbp_cost,
                       essfm_time_domain_cost, generate_wdm,
-                      make_dbp_coefficient_set, propagate_link)
+                      make_dbp_coefficient_set, propagate_link, run_dbp)
+from fiberdbp.complexity import CostCounter
 
 # full-scale block parameters
 N, N_OV, SPS = 16384, 1800, 1.125
@@ -134,11 +135,17 @@ def test_counter_partial_final_block_within_one_percent(counted_setup):
                                           rel=0.01)
 
 
-def test_counter_rejects_ideal_ssfm(counted_setup):
+def test_counter_tallies_processed_blocks(counted_setup):
+    # the engine tallies the blocks it runs, whole and partial; the report
+    # prices exactly that many blocks from the closed forms' block table
     link, rx = counted_setup
-    cfg = DbpConfig(link=link, variant="IDEAL_SSFM", n_steps=100,
-                    block_size=2048, oversampling=2.0)
-    with pytest.raises(ValueError):
-        count_runtime_multiplies(rx, cfg)
-    with pytest.raises(ValueError):
-        dbp_cost(cfg, rx.sample_rate)
+    for block, overlap, blocks in ((2048, 1024, 4), (2048, 512, 3)):
+        cfg = DbpConfig(link=link, variant="EDC", n_steps=0, block_size=block,
+                        overlap=overlap, oversampling=2.0)
+        counter = CostCounter()
+        run_dbp(rx, cfg, counter=counter)
+        assert counter.blocks == blocks
+        per_block = essfm_time_domain_cost(block, overlap, 2.0, 0)
+        used = blocks * (block - overlap) / rx.num_samples
+        assert count_runtime_multiplies(rx, cfg).rm_per_2d == pytest.approx(
+            per_block.rm_per_2d * used, rel=1e-12)

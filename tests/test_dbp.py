@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fiberdbp import (CoefficientSet, DbpConfig, LinkConfig, SimSettings, WdmConfig,
-                      build_mimo_transfer, channel_memory_samples,
-                      generate_wdm, gvd_phasor, make_dbp_coefficient_set,
-                      nlpr_step, propagate_link, run_dbp,
-                      standard_ssfm_coefficient_set)
+                      backward_propagate, build_mimo_transfer,
+                      channel_memory_samples, generate_wdm, gvd_phasor,
+                      make_dbp_coefficient_set, nlpr_step, propagate_link,
+                      run_dbp, standard_ssfm_coefficient_set)
+from fiberdbp.dbp import VARIANTS
 from conftest import rel_rms
 from oracles import dbp_oracle
 
@@ -56,8 +57,92 @@ def test_config_invariants(link):
         DbpConfig(link=link, n_subbands=2, block_size=1024, overlap=30)
     with pytest.raises(ValueError):
         DbpConfig(link=link, splitting_ratio=1.5)
-    with pytest.raises(ValueError, match="IDEAL_SSFM needs at least one"):
-        DbpConfig(link=link, variant="IDEAL_SSFM", n_steps=0)
+    # the ideal reference is backward_propagate, not an engine variant
+    with pytest.raises(ValueError, match="unknown variant"):
+        DbpConfig(link=link, variant="IDEAL_SSFM", n_steps=1500)
+    # inputs that used to construct and then fail deep inside a run
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        DbpConfig(link=link, n_steps=1.5)
+    with pytest.raises(ValueError, match="oversampling"):
+        DbpConfig(link=link, oversampling=0.0)
+
+
+@st.composite
+def valid_configs(draw):
+    """Keyword arguments of a DbpConfig that must construct."""
+    variant = draw(st.sampled_from(VARIANTS))
+    n_sb = draw(st.integers(1, 4)) if variant == "CB_ESSFM" else 1
+    n_steps = 0 if variant == "EDC" else draw(st.integers(0, 30))
+    overlap = 2 * n_sb * draw(st.integers(0, 64))
+    return dict(variant=variant, n_steps=n_steps, n_subbands=n_sb,
+                splitting_ratio=draw(st.floats(0.0, 1.0)),
+                block_size=overlap + n_sb * draw(st.integers(1, 512)),
+                overlap=overlap, oversampling=draw(st.floats(1.0, 16.0)))
+
+
+def _not_integral(value) -> bool:
+    return not float(value).is_integer()
+
+
+@st.composite
+def one_bad_field(draw):
+    """A valid config with exactly one field (or block/overlap pair) made
+    invalid."""
+    cfg = draw(valid_configs())
+    n_sb, block, overlap = cfg["n_subbands"], cfg["block_size"], cfg["overlap"]
+    non_integral = st.floats().filter(_not_integral)
+    bad = draw(st.sampled_from(("variant", "n_steps", "n_subbands",
+                                "splitting_ratio", "block_overlap",
+                                "oversampling")))
+    if bad == "variant":
+        cfg["variant"] = draw(st.text().filter(lambda v: v not in VARIANTS))
+    elif bad == "n_steps":
+        cfg["n_steps"] = draw(
+            non_integral | st.integers(max_value=-1)
+            | (st.integers(min_value=1) if cfg["variant"] == "EDC"
+               else st.nothing()))
+    elif bad == "n_subbands":
+        cfg["n_subbands"] = draw(
+            non_integral | st.integers(max_value=0)
+            | (st.integers(min_value=2)
+               if cfg["variant"] in ("OSSFM", "ESSFM") else st.nothing()))
+    elif bad == "splitting_ratio":
+        cfg["splitting_ratio"] = draw(
+            st.floats(max_value=-1e-9)
+            | st.floats(min_value=1.0, exclude_min=True) | st.just(np.nan))
+    elif bad == "block_overlap":
+        pairs = [
+            # overlap reaching the block
+            st.integers(0, 8).map(lambda j: (block, block + 2 * n_sb * j)),
+            st.integers(1, 8).map(lambda j: (block, -2 * n_sb * j)),
+            # overlap off the 2 * n_sb grid
+            st.integers(1, 2 * n_sb - 1).map(lambda r: (block, overlap + r)),
+            non_integral.map(lambda v: (v, overlap)),
+            non_integral.map(lambda v: (block, v))]
+        if n_sb > 1:  # block off the n_sb grid
+            pairs.append(st.integers(1, n_sb - 1).map(
+                lambda r: (block + r, overlap)))
+        cfg["block_size"], cfg["overlap"] = draw(st.one_of(pairs))
+    else:
+        cfg["oversampling"] = draw(
+            st.floats(max_value=1.0, exclude_max=True)
+            | st.sampled_from([np.nan, np.inf, -np.inf]))
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_valid_configs_construct(kw):
+    cfg = DbpConfig(link=LinkConfig(num_spans=3, span_length_km=80.0), **kw)
+    assert cfg.uses_coefficients == (kw["variant"] != "EDC"
+                                     and kw["n_steps"] > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_bad_field())
+def test_invalid_configs_rejected_at_construction(kw):
+    with pytest.raises(ValueError):
+        DbpConfig(link=LinkConfig(num_spans=3, span_length_km=80.0), **kw)
 
 
 def test_single_band_cb_equals_essfm(link, test_wave):
@@ -164,6 +249,17 @@ def test_taps_longer_than_block_rejected(link, test_wave, variant, n_sb,
         run_dbp(test_wave, cfg, coeffs)
 
 
+@pytest.mark.parametrize("variant", ["OSSFM", "ESSFM"])
+def test_single_band_set_without_center_taps_rejected(link, test_wave,
+                                                      variant):
+    # a valid set may omit separations; the single-band FIR needs h = 0
+    cfg = cfg_for(link, variant=variant)
+    coeffs = CoefficientSet(1, RATE, 1e-3, -0.1, np.ones(cfg.n_steps), "any",
+                            {})
+    with pytest.raises(ValueError, match="needs separation-0 taps"):
+        run_dbp(test_wave, cfg, coeffs)
+
+
 def test_edc_inverts_linear_channel(link):
     lin = LinkConfig(num_spans=3, span_length_km=80.0, gamma_w_km=0.0)
     wdm = WdmConfig(baud_rate=32e9, launch_power_dbm_per_channel=0.0)
@@ -253,7 +349,7 @@ def nlpr_inputs(draw):
         c = draw(arrays(np.float64, 2 * draw(st.integers(0, 3)) + 1,
                         elements=values))
         taps[h] = c + c[::-1] if h == 0 else c  # same-band taps are even
-    coeffs = CoefficientSet(n_sb, 1.0, 1.0, 1.0, 0.0, np.ones(1), "any", taps)
+    coeffs = CoefficientSet(n_sb, 1.0, 1.0, 0.0, np.ones(1), "any", taps)
     return (parts[0] + 1j * parts[1], build_mimo_transfer(coeffs, n_prime),
             draw(st.floats(-100, 100)))
 
@@ -291,8 +387,8 @@ def test_ssfm_coefficient_set_is_single_spike(link):
 
 
 def test_builder_rejects_linear_variants(link):
-    # the engine reads no set for EDC, the fine-step oracle, or N_st = 0
-    for variant, steps in (("EDC", 0), ("IDEAL_SSFM", 300), ("CB_ESSFM", 0)):
+    # the engine reads no set for EDC or N_st = 0
+    for variant, steps in (("EDC", 0), ("CB_ESSFM", 0)):
         cfg = cfg_for(link, variant=variant, n_steps=steps)
         assert not cfg.uses_coefficients
         for build in (make_dbp_coefficient_set, standard_ssfm_coefficient_set):
@@ -310,11 +406,11 @@ def test_channel_memory_scales(link):
 
 
 def test_ideal_ssfm_restores_nonlinear_channel(link):
+    # the ideal reference: the simulator run backward on the forward run's
+    # uniform 0.25 km plan, from the launch power
     wdm = WdmConfig(baud_rate=32e9, launch_power_dbm_per_channel=4.0)
     w, _ = generate_wdm(wdm, 2048, sim_rate=RATE, seed=23)
-    rx = propagate_link(w, link, SimSettings(step_km=0.25,
-                                             noise_enabled=False))
-    out = run_dbp(rx, DbpConfig(link=link, variant="IDEAL_SSFM",
-                                n_steps=960, block_size=4096,
-                                oversampling=2.0))
+    sim = SimSettings(step_km=0.25, noise_enabled=False)
+    rx = propagate_link(w, link, sim)
+    out = backward_propagate(rx, link, sim, rx.power)
     assert rel_rms(out.field, w.field) < 1e-2

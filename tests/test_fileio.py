@@ -161,19 +161,44 @@ def test_coefficients_round_trip_exact(tmp_path):
 
 
 def test_coefficients_validated_on_both_ends(tmp_path):
-    good = CoefficientSet(1, 18e9, 18e9, 1e-3, -0.1, np.ones(2), "abc",
-                          {0: np.array([0.1, 0.2, 0.1])})
+    taps = {0: np.array([0.1, 0.2, 0.1])}
+    good = CoefficientSet(1, 18e9, 1e-3, -0.1, np.ones(2), "abc", taps)
     p = tmp_path / "c.json"
     save_coefficients(p, good)
-    doc = json.loads(p.read_text())
-    doc["coeffs"]["0"] = [0.1, 0.2]  # even length
-    p.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="odd length"):
-        load_coefficients(p)
+    saved = json.loads(p.read_text())
+    for key, value, message in (
+            ("coeffs", {"0": [0.1, 0.2]}, "odd length"),
+            # these ran and returned a non-finite field
+            ("reference_power_w", 0.0, "reference_power_w"),
+            ("step_scales", [float("nan"), 1.0], "step_scales")):
+        p.write_text(json.dumps({**saved, key: value}))
+        with pytest.raises(ValueError, match=message):
+            load_coefficients(p)
 
     with pytest.raises(ValueError, match="even-symmetric"):
-        CoefficientSet(1, 18e9, 18e9, 1e-3, -0.1, np.ones(2), "abc",
+        CoefficientSet(1, 18e9, 1e-3, -0.1, np.ones(2), "abc",
                        {0: np.array([0.1, 0.2, 0.3])})
+    for power in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="reference_power_w"):
+            CoefficientSet(1, 18e9, power, -0.1, np.ones(2), "abc", taps)
+    for scales in ([np.nan, 1.0], [1.0, np.inf], np.ones((2, 1)), 1.0):
+        with pytest.raises(ValueError, match="step_scales"):
+            CoefficientSet(1, 18e9, 1e-3, -0.1, scales, "abc", taps)
+
+
+def test_coefficient_hash_and_file_keys_hold(tmp_path):
+    # the geometry hash text and the file keys outlive the fields they once
+    # carried: a step offset and a subband spacing equal to the rate
+    cfg = DbpConfig(LinkConfig(2, 80.0), "CB_ESSFM", n_steps=2, n_subbands=2,
+                    block_size=1024, overlap=256)
+    coeffs = make_dbp_coefficient_set(cfg, 36e9, 1e-3, oversample=16,
+                                      memory=5)
+    assert coeffs.geometry_hash == "15474300b72e4aa9"
+    p = tmp_path / "c.json"
+    save_coefficients(p, coeffs)
+    doc = json.loads(p.read_text())
+    assert doc["subband_spacing"] == doc["subband_rate"] == 18e9
+    assert load_coefficients(p).geometry_hash == coeffs.geometry_hash
 
 
 def test_csv_round_trip_and_hash_column(tmp_path):

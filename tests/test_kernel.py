@@ -50,7 +50,7 @@ def _brute_kernel(mu, nu, geom, nodes_per_km=200):
     a = geom.alpha_np_km
     # split [0, L] at the amplifier positions
     edges = [0.0]
-    s_amp = geom.span_km - geom.start_offset_km
+    s_amp = geom.span_km
     while s_amp < geom.length_km - 1e-12:
         edges.append(s_amp)
         s_amp += geom.span_km
@@ -60,8 +60,8 @@ def _brute_kernel(mu, nu, geom, nodes_per_km=200):
     for s0, s1 in zip(edges[:-1], edges[1:]):
         num = (int(nodes_per_km * (s1 - s0)) + 3) | 1
         s = np.linspace(s0, s1, num)
-        pos = np.mod(geom.start_offset_km + s0, geom.span_km) + (s - s0)
-        g = np.exp(-a * pos) / np.exp(-a * geom.start_offset_km)
+        pos = np.mod(s0, geom.span_km) + (s - s0)
+        g = np.exp(-a * pos)
         w = np.ones(num)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         w *= (s[1] - s[0]) / 3.0
@@ -72,9 +72,9 @@ def _brute_kernel(mu, nu, geom, nodes_per_km=200):
 
 
 def test_fractional_span_geometry():
-    # step shorter than a span, starting mid-span: exercises the piecewise
-    # evaluation that the span-aligned closed form cannot cover
-    geom = StepGeometry(length_km=26.7, span_km=80.0, start_offset_km=40.0)
+    # step shorter than a span: exercises the piecewise evaluation that the
+    # whole-span closed form cannot cover
+    geom = StepGeometry(length_km=26.7, span_km=80.0)
     rng = np.random.default_rng(13)
     mu = rng.uniform(-SUB_RATE, SUB_RATE, 25)
     nu = rng.uniform(-SUB_RATE, SUB_RATE, 25)
@@ -84,9 +84,8 @@ def test_fractional_span_geometry():
 
 
 def test_multi_span_fractional_geometry():
-    # 2.5 spans starting mid-span, asymmetric splitting
-    geom = StepGeometry(length_km=200.0, span_km=80.0, start_offset_km=20.0,
-                        rho=0.2)
+    # 2.5 spans, asymmetric splitting
+    geom = StepGeometry(length_km=200.0, span_km=80.0, rho=0.2)
     rng = np.random.default_rng(17)
     mu = rng.uniform(-SUB_RATE, SUB_RATE, 16)
     nu = rng.uniform(-SUB_RATE, SUB_RATE, 16)
