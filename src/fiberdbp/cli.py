@@ -26,10 +26,10 @@ from . import fileio
 from .channel import LinkConfig, SimSettings, propagate_link
 from .complexity import dbp_cost
 from .dbp import DbpConfig, make_dbp_coefficient_set, run_dbp
-from .kernel import CoefficientSet
 from .metrics import evaluate, prepare_dbp_input, snr, symbols_from_dbp_output
 from .optimize import (TrainingSet, build_training_set, optimize_coefficients,
-                       sweep_launch_power, sweep_splitting_ratio)
+                       receiver_coefficients, sweep_launch_power,
+                       sweep_splitting_ratio)
 from .signals import WdmConfig, demux_channel, generate_wdm
 
 FIGURE_IDS = ("snr_vs_nsb", "snr_vs_rho", "snr_vs_steps",
@@ -124,40 +124,30 @@ class ExperimentConfig:
                 raise ValueError(f"unknown sweep grid {key!r}")
 
 
-def _simulate_eval(cfg: ExperimentConfig, seed: int | None = None):
-    seed = cfg.seeds["eval"] if seed is None else seed
+def _simulate_eval(cfg: ExperimentConfig):
     tx, record = generate_wdm(cfg.wdm, cfg.num_symbols,
-                              sim_rate=cfg.sim_rate_hz, seed=seed)
-    rx = propagate_link(tx, cfg.link, cfg.sim)
-    return tx, rx, record
+                              sim_rate=cfg.sim_rate_hz, seed=cfg.seeds["eval"])
+    return propagate_link(tx, cfg.link, cfg.sim), record
+
+
+def _build_training_set(cfg: ExperimentConfig) -> TrainingSet:
+    """The train/val pair of cfg's seeds, on its link at its launch power."""
+    return build_training_set(cfg.link, cfg.wdm, cfg.num_symbols, cfg.sim,
+                              cfg.seeds["train"], cfg.seeds["val"],
+                              cfg.sim_rate_hz)
 
 
 def _training_set(cfg: ExperimentConfig,
                   dcfgs: list[DbpConfig]) -> TrainingSet | None:
     """Training set shared by every row of one command that tunes its taps.
 
-    Simulated once, on cfg's link at its launch power; None when no row of
-    dcfgs reads a tuned coefficient set.
+    None when no row of dcfgs reads a tuned coefficient set, so
+    receiver_coefficients(d, cfg.wdm, train) tunes exactly those rows.
     """
     if not any(d.coefficient_source == "optimized" and d.uses_coefficients
                for d in dcfgs):
         return None
-    return build_training_set(cfg.link, cfg.wdm, cfg.num_symbols, cfg.sim,
-                              cfg.seeds["train"], cfg.seeds["val"],
-                              cfg.sim_rate_hz)
-
-
-def _coefficients_for(cfg: ExperimentConfig, dcfg: DbpConfig,
-                      train: TrainingSet | None,
-                      power_w: float | None = None) -> CoefficientSet | None:
-    if not dcfg.uses_coefficients:
-        return None
-    p_ref = cfg.wdm.launch_power_w if power_w is None else power_w
-    coeffs = make_dbp_coefficient_set(dcfg, dcfg.oversampling
-                                      * cfg.wdm.baud_rate, p_ref)
-    if dcfg.coefficient_source == "optimized":
-        coeffs = optimize_coefficients(train, dcfg, coeffs).coeffs
-    return coeffs
+    return _build_training_set(cfg)
 
 
 def _ladder(dcfg: DbpConfig, steps_grid) -> list[DbpConfig]:
@@ -179,11 +169,10 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
-    seed = args.seed if args.seed is not None else cfg.seeds["eval"]
     ckpt = snapshot = None
     start_span = 0
     tx, record = generate_wdm(cfg.wdm, cfg.num_symbols,
-                              sim_rate=cfg.sim_rate_hz, seed=seed)
+                              sim_rate=cfg.sim_rate_hz, seed=cfg.seeds["eval"])
     if cfg.checkpoint_spans:
         def ckpt(span, w):
             fileio.save_waveform(out / f"ckpt_span{span:03d}.fdbp", w)
@@ -204,7 +193,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     for c, f_c in enumerate(cfg.wdm.channel_freqs):
         ch = demux_channel(tx, f_c, cfg.wdm.baud_rate * (1 + cfg.wdm.rolloff))
         audit[f"channel_{c}"] = float(10 * np.log10(ch.power * 1e3))
-    manifest = {"config_hash": cfg.config_hash(), "seed": seed,
+    manifest = {"config_hash": cfg.config_hash(), "seed": cfg.seeds["eval"],
                 "seeds": cfg.seeds, "num_symbols": cfg.num_symbols,
                 "sample_rate_hz": tx.sample_rate,
                 "target_power_dbm": cfg.wdm.launch_power_dbm_per_channel,
@@ -230,9 +219,7 @@ def cmd_coeffs(cfg: ExperimentConfig, args) -> int:
 def cmd_optimize(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     dcfg = cfg.dbp_config()
-    train = build_training_set(cfg.link, cfg.wdm, cfg.num_symbols, cfg.sim,
-                               cfg.seeds["train"], cfg.seeds["val"],
-                               cfg.sim_rate_hz)
+    train = _build_training_set(cfg)
     init = make_dbp_coefficient_set(dcfg, cfg.dbp_rate_hz(),
                                     cfg.wdm.launch_power_w)
     result = optimize_coefficients(train, dcfg, init)
@@ -253,7 +240,7 @@ def cmd_dbp(cfg: ExperimentConfig, args) -> int:
     dcfg = cfg.dbp_config()
     rx = fileio.load_waveform(args.waveform or out / "rx.fdbp")
     coeffs = fileio.load_coefficients(args.coeffs) if args.coeffs \
-        else _coefficients_for(cfg, dcfg, _training_set(cfg, [dcfg]))
+        else receiver_coefficients(dcfg, cfg.wdm, _training_set(cfg, [dcfg]))
     idx = (cfg.wdm.num_channels - 1) // 2
     w = prepare_dbp_input(rx, cfg.wdm, dcfg, idx)
     post = run_dbp(w, dcfg, coeffs)
@@ -284,7 +271,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     train = _training_set(cfg, [dcfg])
     wrote = []
     if "rho" in cfg.sweeps:
-        _, rx, record = _simulate_eval(cfg)
+        rx, record = _simulate_eval(cfg)
         res = sweep_splitting_ratio(cfg.sweeps["rho"], rx, record, cfg.wdm,
                                     dcfg, train)
         fileio.write_csv(out / "sweep_rho.csv", res.csv_rows(),
@@ -294,8 +281,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     if "power_dbm" in cfg.sweeps:
         res = sweep_launch_power(
             cfg.sweeps["power_dbm"], cfg.link, cfg.wdm, dcfg, cfg.num_symbols,
-            cfg.sim, cfg.seeds["eval"],
-            coeff_fn=lambda d, rate, p: _coefficients_for(cfg, d, train, p),
+            cfg.sim, cfg.seeds["eval"], train,
             sim_rate_hz=cfg.sim_rate_hz, threads=cfg.threads)
         fileio.write_csv(out / "sweep_power.csv", res.csv_rows(),
                          cfg.config_hash())
@@ -327,19 +313,20 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
     dcfg = cfg.dbp_config()
     if figure_id == "snr_vs_rho":
         grid = cfg.sweeps.get("rho", [round(0.1 * k, 1) for k in range(11)])
-        _, rx, record = _simulate_eval(cfg)
+        rx, record = _simulate_eval(cfg)
         res = sweep_splitting_ratio(grid, rx, record, cfg.wdm, dcfg,
                                     _training_set(cfg, [dcfg]))
         return res.csv_rows()
 
     if figure_id == "snr_vs_nsb":
         grid = cfg.sweeps.get("n_subbands", [1, 2, 4, 8])
-        _, rx, record = _simulate_eval(cfg)
+        rx, record = _simulate_eval(cfg)
         dcfgs = [replace(dcfg, n_subbands=int(n_sb)) for n_sb in grid]
         train = _training_set(cfg, dcfgs)
         return [{"N_sb": d.n_subbands,
                  "SNR_dB": evaluate(rx, record, cfg.wdm, d,
-                                    _coefficients_for(cfg, d, train)).snr_db}
+                                    receiver_coefficients(d, cfg.wdm,
+                                                          train)).snr_db}
                 for d in dcfgs]
 
     if figure_id == "snr_vs_length":
@@ -348,8 +335,8 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
         for spans in grid:
             sub = replace(cfg, link=replace(cfg.link, num_spans=int(spans)))
             d = sub.dbp_config()
-            _, rx, record = _simulate_eval(sub)
-            coeffs = _coefficients_for(sub, d, _training_set(sub, [d]))
+            rx, record = _simulate_eval(sub)
+            coeffs = receiver_coefficients(d, sub.wdm, _training_set(sub, [d]))
             rows.append({"num_spans": int(spans),
                          "length_km": sub.link.total_length_km,
                          "SNR_dB": evaluate(rx, record, sub.wdm, d,
@@ -358,11 +345,11 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
 
     # remaining figures scan the step grid x variants (EDC once, as N_st=0)
     dcfgs = _ladder(dcfg, cfg.sweeps.get("n_steps", [dcfg.n_steps]))
-    _, rx, record = _simulate_eval(cfg)
+    rx, record = _simulate_eval(cfg)
     train = _training_set(cfg, dcfgs)
     rows = []
     for d in dcfgs:
-        coeffs = _coefficients_for(cfg, d, train)
+        coeffs = receiver_coefficients(d, cfg.wdm, train)
         row = {"variant": d.variant, "N_st": d.n_steps, "N_sb": d.n_subbands,
                "SNR_dB": evaluate(rx, record, cfg.wdm, d, coeffs).snr_db}
         if figure_id == "snr_vs_complexity":
@@ -391,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="YAML experiment file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the evaluation seed")
+                        help="override the evaluation seed (seeds.eval)")
     parser.add_argument("--threads", type=int, default=None,
                         help="parallel sweep evaluations")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -413,6 +400,8 @@ def main(argv=None) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     if args.threads is not None:
         cfg = replace(cfg, threads=args.threads)
+    if args.seed is not None:
+        cfg = replace(cfg, seeds={**cfg.seeds, "eval": args.seed})
     handler = {"simulate": cmd_simulate, "coeffs": cmd_coeffs,
                "optimize": cmd_optimize, "dbp": cmd_dbp, "sweep": cmd_sweep,
                "cost": cmd_cost, "figure": cmd_figure}[args.command]

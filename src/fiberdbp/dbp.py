@@ -271,7 +271,7 @@ def _tap_memory(cfg: DbpConfig, h: int, sample_rate_hz: float,
         return memory
     if cfg.variant == "OSSFM":
         return 0
-    return coefficient_memory(h, cfg.step_geometry(), 1.0, sample_rate_hz,
+    return coefficient_memory(h, cfg.step_geometry(), sample_rate_hz,
                               cfg.n_subbands, safety=TAP_SAFETY)
 
 

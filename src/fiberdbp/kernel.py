@@ -209,15 +209,16 @@ def step_kernel(mu, nu, geom: StepGeometry) -> np.ndarray:
     return _kernel_segments(mu, nu, geom)
 
 
-def coefficient_memory(h: int, geom: StepGeometry, oversampling: float,
-                       baud: float, n_sb: int, safety: float = 1.0) -> int:
+def coefficient_memory(h: int, geom: StepGeometry, sample_rate: float,
+                       n_sb: int, safety: float = 1.0) -> int:
     """One-sided tap count N_c for the separation-h coefficient vector.
 
     The two-sided support 2 N_c + 1 tracks the walk-off spread
-    pi L |beta2| (n R / N_sb)^2 (h + 1); the return value is at least 1.
+    pi L |beta2| (f_s / N_sb)^2 (h + 1) at sample rate f_s; the return
+    value is at least 1.
     """
     width = (np.pi * geom.length_km * abs(geom.beta2_s2_km)
-             * (oversampling * baud / n_sb) ** 2 * (h + 1) * safety)
+             * (sample_rate / n_sb) ** 2 * (h + 1) * safety)
     return max(1, int(np.ceil((width - 1.0) / 2.0)))
 
 

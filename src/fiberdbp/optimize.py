@@ -10,7 +10,8 @@ half is its mirror image), and only the +h orientation of each cross-band
 vector is represented.
 
 Sweeps (splitting ratio, launch power) evaluate the full simulate/receive
-chain on a grid and report the argmax along with the whole curve.
+chain on a grid, receiving with receiver_coefficients (tuned when a sweep
+is handed ``train=``), and report the argmax along with the whole curve.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class TrainingSet:
     train_record: SymbolRecord
     val_rx: DualPolWaveform
     val_record: SymbolRecord
-    channel_index: int | None = None
 
     def __post_init__(self):
         if self.train_record.seed == self.val_record.seed:
@@ -91,9 +91,7 @@ class _Objective:
 
     def __init__(self, train: TrainingSet, cfg: DbpConfig):
         self.cfg = cfg
-        idx = train.channel_index
-        if idx is None:
-            idx = (train.wdm.num_channels - 1) // 2
+        idx = (train.wdm.num_channels - 1) // 2  # the center channel
         self.wdm = train.wdm
         self.w_train = prepare_dbp_input(train.train_rx, train.wdm, cfg, idx)
         self.w_val = prepare_dbp_input(train.val_rx, train.wdm, cfg, idx)
@@ -188,6 +186,24 @@ def optimize_coefficients(train: TrainingSet, cfg: DbpConfig,
     return OptimizationResult(current, True, init_val, final_val, tuple(path))
 
 
+def receiver_coefficients(cfg: DbpConfig, wdm: WdmConfig,
+                          train: TrainingSet | None = None
+                          ) -> CoefficientSet | None:
+    """The tap set a receiver runs with at wdm's launch power.
+
+    None when the engine reads no taps (EDC, or no steps); otherwise the
+    analytic set at the receiver's sample rate, refined by
+    optimize_coefficients when a training set is given.
+    """
+    if not cfg.uses_coefficients:
+        return None
+    coeffs = make_dbp_coefficient_set(cfg, cfg.oversampling * wdm.baud_rate,
+                                      wdm.launch_power_w)
+    if train is not None:
+        coeffs = optimize_coefficients(train, cfg, coeffs).coeffs
+    return coeffs
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Grid, measured SNR curve, and the best grid point."""
@@ -215,17 +231,10 @@ def sweep_splitting_ratio(rhos, eval_rx: DualPolWaveform,
     """
     rhos = np.asarray(rhos, float)
     curve = np.empty(rhos.size)
-    p_ref = wdm.launch_power_w
     for i, rho in enumerate(rhos):
         cfg_rho = replace(cfg, splitting_ratio=float(rho))
-        rate = cfg_rho.oversampling * wdm.baud_rate
-        coeffs = None
-        if cfg_rho.uses_coefficients:
-            coeffs = make_dbp_coefficient_set(cfg_rho, rate, p_ref)
-            if train is not None:
-                coeffs = optimize_coefficients(train, cfg_rho, coeffs).coeffs
         curve[i] = evaluate(eval_rx, eval_record, wdm, cfg_rho,
-                            coeffs).snr_db
+                            receiver_coefficients(cfg_rho, wdm, train)).snr_db
     best = int(np.argmax(curve))
     return SweepResult("rho", rhos, curve, float(rhos[best]), float(curve[best]))
 
@@ -233,15 +242,15 @@ def sweep_splitting_ratio(rhos, eval_rx: DualPolWaveform,
 def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
                        cfg: DbpConfig, num_symbols: int = 4096,
                        sim: SimSettings | None = None, eval_seed: int = 9,
-                       coeff_fn=None, sim_rate_hz: float | None = None,
+                       train: TrainingSet | None = None,
+                       sim_rate_hz: float | None = None,
                        threads: int = 1) -> SweepResult:
     """SNR versus per-channel launch power over a fresh simulation per point.
 
-    coeff_fn(cfg, rate_hz, power_w) supplies the coefficient set at each
-    power (default: analytic sets when DbpConfig.uses_coefficients, else
-    nothing). With threads > 1 the grid
-    points run in a thread pool; every point is seeded on its own, so the
-    curve does not depend on the thread count.
+    Each point receives with receiver_coefficients at its own power: the
+    analytic set, refined on the training set when one is given. With
+    threads > 1 the grid points run in a thread pool; every point is
+    seeded on its own, so the curve does not depend on the thread count.
     """
     powers_dbm = np.asarray(powers_dbm, float)
     sim = sim or SimSettings(max_phase_rad=2e-3, noise_enabled=True)
@@ -251,14 +260,8 @@ def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
         tx, record = generate_wdm(wdm_p, num_symbols, sim_rate=sim_rate_hz,
                                   seed=eval_seed)
         rx = propagate_link(tx, link, sim)
-        rate = cfg.oversampling * wdm_p.baud_rate
-        if coeff_fn is not None:
-            coeffs = coeff_fn(cfg, rate, wdm_p.launch_power_w)
-        elif cfg.uses_coefficients:
-            coeffs = make_dbp_coefficient_set(cfg, rate, wdm_p.launch_power_w)
-        else:
-            coeffs = None
-        return evaluate(rx, record, wdm_p, cfg, coeffs).snr_db
+        return evaluate(rx, record, wdm_p, cfg,
+                        receiver_coefficients(cfg, wdm_p, train)).snr_db
 
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:

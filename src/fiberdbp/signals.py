@@ -202,11 +202,6 @@ def raised_cosine_spectrum(freq: np.ndarray, baud: float, rolloff: float) -> np.
     return rc
 
 
-def _signed_bin_freqs(n: int, rate: float) -> np.ndarray:
-    # unshifted FFT order
-    return np.fft.fftfreq(n, d=1.0 / rate)
-
-
 def generate_wdm(cfg: WdmConfig, num_symbols: int, sim_rate: float | None = None,
                  seed: int = 0) -> tuple[DualPolWaveform, SymbolRecord]:
     """Synthesize a WDM waveform of RRC-shaped QAM channels.
@@ -241,7 +236,7 @@ def generate_wdm(cfg: WdmConfig, num_symbols: int, sim_rate: float | None = None
     points = qam_constellation(cfg.mod_order)
 
     symbols = points[rng.integers(0, points.size, size=(cfg.num_channels, 2, m))]
-    freqs = _signed_bin_freqs(n, rate)
+    freqs = np.fft.fftfreq(n, d=1.0 / rate)
     df = rate / n  # == baud_rate / num_symbols
 
     spec = np.zeros((2, n), dtype=np.complex128)
@@ -274,7 +269,7 @@ def matched_filter(w: DualPolWaveform, cfg: WdmConfig) -> DualPolWaveform:
 def _matched_filter_field(field: np.ndarray, rate: float,
                           cfg: WdmConfig) -> np.ndarray:
     """matched_filter on a field with any leading axes (samples last)."""
-    freqs = _signed_bin_freqs(field.shape[-1], rate)
+    freqs = np.fft.fftfreq(field.shape[-1], d=1.0 / rate)
     g = np.sqrt(raised_cosine_spectrum(freqs, cfg.baud_rate, cfg.rolloff))
     return np.fft.ifft(np.fft.fft(field, axis=-1) * g, axis=-1)
 
@@ -329,7 +324,7 @@ def _resample_field(field: np.ndarray, rate: float, new_rate: float,
         return field.copy(), rate
     spec = np.fft.fft(field, axis=-1)
     if new_len < n and not allow_alias:
-        oob = np.abs(_signed_bin_freqs(n, rate)) > new_rate / 2
+        oob = np.abs(np.fft.fftfreq(n, d=1.0 / rate)) > new_rate / 2
         total = np.sum(np.abs(spec) ** 2)
         frac = np.sum(np.abs(spec[..., oob]) ** 2) / total if total > 0 else 0.0
         if frac > OOB_TOL:

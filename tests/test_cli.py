@@ -14,8 +14,7 @@ import pytest
 import fiberdbp.cli
 import fiberdbp.optimize
 from fiberdbp import (build_training_set, generate_wdm, load_coefficients,
-                      load_waveform, make_dbp_coefficient_set,
-                      optimize_coefficients, propagate_link, read_csv,
+                      load_waveform, propagate_link, read_csv,
                       sweep_launch_power, sweep_splitting_ratio, write_csv)
 from fiberdbp.cli import ExperimentConfig, main
 
@@ -59,16 +58,16 @@ def run(cfg_path, out, *args):
     return main(["--config", str(cfg_path), "--out", str(out), *args])
 
 
-def counting(monkeypatch, name):
-    """Wrap fiberdbp.cli.<name> so its calls are counted."""
-    real = getattr(fiberdbp.cli, name)
+def counting(monkeypatch, name, module=fiberdbp.cli):
+    """Wrap module.<name> (default fiberdbp.cli) so its calls are counted."""
+    real = getattr(module, name)
     calls = []
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fiberdbp.cli, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -207,6 +206,25 @@ def test_sweep_threads_do_not_change_results(ws):
         == (two / "sweep_power.csv").read_bytes()
 
 
+def test_seed_flag_is_the_config_eval_seed(ws):
+    # --seed overrides seeds.eval for every subcommand that simulates an
+    # evaluation transmission, and the artifacts hash the seed in use
+    root, _ = ws
+    text = MINI_YAML.replace("  power_dbm: [0.0, 2.0]\n", "")
+    text = text.replace("  n_steps: [1, 2]\n", "")
+    flag, conf = root / "seed_flag.yaml", root / "seed_conf.yaml"
+    flag.write_text(text)
+    conf.write_text(text.replace("eval: 9", "eval: 5"))
+    assert run(flag, root / "seed_flag", "--seed", "5", "sweep") == 0
+    assert run(conf, root / "seed_conf", "sweep") == 0
+    assert (root / "seed_flag" / "sweep_rho.csv").read_bytes() \
+        == (root / "seed_conf" / "sweep_rho.csv").read_bytes()
+    assert run(flag, root / "seed_flag", "--seed", "5", "simulate") == 0
+    manifest = json.loads((root / "seed_flag" / "manifest.json").read_text())
+    assert manifest["config_hash"] \
+        == ExperimentConfig.from_yaml(conf).config_hash()
+
+
 def test_cost_table_structure(ws):
     root, cfg_path = ws
     out = root / "cost"
@@ -261,7 +279,8 @@ def test_zero_step_rows_build_no_taps(ws, monkeypatch):
     cfg_path = root / "steps01.yaml"
     cfg_path.write_text(MINI_YAML.replace("n_steps: [1, 2]",
                                           "n_steps: [0, 1]"))
-    built = counting(monkeypatch, "make_dbp_coefficient_set")
+    built = counting(monkeypatch, "make_dbp_coefficient_set",
+                     fiberdbp.optimize)
     out = root / "fig01"
     assert run(cfg_path, out, "figure", "snr_vs_steps") == 0
     assert len(built) == 3
@@ -274,8 +293,9 @@ def test_zero_step_rows_build_no_taps(ws, monkeypatch):
 
 def test_optimized_sweep_builds_one_training_set(ws, monkeypatch):
     # the training set is simulated once per command, at the config's
-    # launch power, shared by the rho and power grids, and gives the same
-    # curves as one rebuilt per grid and per point
+    # launch power, tunes the taps of every rho and power point, and gives
+    # the same curves as the library sweeps handed a training set built
+    # from the config's seeds
     root, _ = ws
     text = MINI_YAML.replace("  oversampling: 1.125\n",
                              "  oversampling: 1.125\n"
@@ -287,14 +307,11 @@ def test_optimized_sweep_builds_one_training_set(ws, monkeypatch):
     assert cfg.dbp_config().coefficient_source == "optimized"
 
     trained = counting(monkeypatch, "build_training_set")
-    rho_tuned = []
-    real_tune = fiberdbp.optimize.optimize_coefficients
-    monkeypatch.setattr(fiberdbp.optimize, "optimize_coefficients",
-                        lambda *a: rho_tuned.append(a) or real_tune(*a))
+    tuned = counting(monkeypatch, "optimize_coefficients", fiberdbp.optimize)
     out = root / "sw_opt"
     assert run(cfg_path, out, "sweep") == 0
     assert len(trained) == 1
-    assert len(rho_tuned) == len(cfg.sweeps["rho"])
+    assert len(tuned) == len(cfg.sweeps["rho"]) + len(cfg.sweeps["power_dbm"])
     monkeypatch.undo()
 
     def training_set():
@@ -313,13 +330,9 @@ def test_optimized_sweep_builds_one_training_set(ws, monkeypatch):
     assert (out / "sweep_rho.csv").read_bytes() \
         == (root / "sw_opt_rho_ref.csv").read_bytes()
 
-    def per_point(d, rate, p):
-        init = make_dbp_coefficient_set(d, rate, p)
-        return optimize_coefficients(training_set(), d, init).coeffs
-
     ref = sweep_launch_power(cfg.sweeps["power_dbm"], cfg.link, cfg.wdm,
                              cfg.dbp_config(), cfg.num_symbols, cfg.sim,
-                             cfg.seeds["eval"], coeff_fn=per_point)
+                             cfg.seeds["eval"], train=training_set())
     write_csv(root / "sw_opt_ref.csv", ref.csv_rows(), cfg.config_hash())
     assert (out / "sweep_power.csv").read_bytes() \
         == (root / "sw_opt_ref.csv").read_bytes()

@@ -183,11 +183,11 @@ def test_coefficients_linear_in_gamma_and_power(geom240):
 
 
 def test_memory_rule(geom240):
-    assert 2 * coefficient_memory(0, geom240, 1.0, 1.125 * 93e9, 2) + 1 == 45
-    assert 2 * coefficient_memory(1, geom240, 1.0, 1.125 * 93e9, 2) + 1 == 91
+    assert 2 * coefficient_memory(0, geom240, 1.125 * 93e9, 2) + 1 == 45
+    assert 2 * coefficient_memory(1, geom240, 1.125 * 93e9, 2) + 1 == 91
     # memory grows with band separation and never drops below one tap
     tiny = StepGeometry(length_km=1.0, span_km=80.0)
-    assert coefficient_memory(0, tiny, 1.0, 1e9, 1) >= 1
+    assert coefficient_memory(0, tiny, 1e9, 1) >= 1
 
 
 def test_interband_coefficients_asymmetric_support(geom240):

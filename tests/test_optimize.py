@@ -7,7 +7,7 @@ shape. The never-degrade guard is exercised with deliberately mismatched
 train/validation splits.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -22,7 +22,7 @@ from fiberdbp import (DbpConfig, LinkConfig, SimSettings, SweepResult,
                       sweep_launch_power, sweep_splitting_ratio)
 from fiberdbp.dbp import _run_blocks
 from fiberdbp.metrics import remove_mean_phase, symbols_from_dbp_output
-from fiberdbp.optimize import _Objective
+from fiberdbp.optimize import _Objective, receiver_coefficients
 from oracles import optimize_oracle
 
 WDM = WdmConfig(32e9, 1, 0.0, 0.1, "64-qam", 2.0)
@@ -218,18 +218,46 @@ def test_launch_power_sweep_fresh_simulation_per_point():
     assert sw.best_value == -2.0
 
 
-def test_launch_power_sweep_builds_no_taps_at_zero_steps(monkeypatch):
-    # at N_st = 0 the engine reads no set, so the default path builds none
-    # and the curve is the EDC one
+def test_launch_power_sweep_builds_no_taps_at_zero_steps(monkeypatch,
+                                                        train_nonlinear):
+    # at N_st = 0 the engine reads no set, so the tap rule builds and tunes
+    # none, with or without a training set, and the curve is the EDC one
     built = []
     real = fiberdbp.optimize.make_dbp_coefficient_set
     monkeypatch.setattr(fiberdbp.optimize, "make_dbp_coefficient_set",
                         lambda *a, **kw: built.append(a) or real(*a, **kw))
+    monkeypatch.setattr(fiberdbp.optimize, "optimize_coefficients",
+                        lambda *a: built.append(a))
     edc = DbpConfig(link=LINK_NL, variant="EDC", n_steps=0, block_size=288,
                     overlap=0, oversampling=1.125)
+    zero_step = (edc, replace(edc, variant="CB_ESSFM", n_subbands=2))
     curves = [sweep_launch_power([-2.0, 2.0], LINK_NL, WDM, cfg,
                                  num_symbols=256, sim=SIM_OFF).snr_db
-              for cfg in (edc, replace(edc, variant="CB_ESSFM",
-                                       n_subbands=2))]
+              for cfg in zero_step]
+    for cfg in zero_step:
+        assert receiver_coefficients(cfg, WDM) is None
+        assert receiver_coefficients(cfg, WDM, train_nonlinear) is None
     assert built == []
     np.testing.assert_allclose(curves[1], curves[0], rtol=0, atol=1e-9)
+
+
+def _assert_same_set(got, want):
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "coeffs":
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[h], b[h]) for h in b)
+        else:
+            assert np.array_equal(a, b), f.name
+
+
+def test_receiver_coefficients_are_analytic_then_tuned(train_nonlinear):
+    # a receiver's taps: the analytic set at its sample rate and launch
+    # power, refined on the training set when one is given
+    analytic = make_dbp_coefficient_set(CFG_NL, CFG_NL.oversampling
+                                        * WDM.baud_rate, WDM.launch_power_w)
+    _assert_same_set(receiver_coefficients(CFG_NL, WDM), analytic)
+    tuned = optimize_coefficients(train_nonlinear, CFG_NL, analytic)
+    assert tuned.improved
+    _assert_same_set(receiver_coefficients(CFG_NL, WDM, train_nonlinear),
+                     tuned.coeffs)
