@@ -72,7 +72,7 @@ def main():
         coeffs = None
         if n_steps:
             coeffs = make_dbp_coefficient_set(dcfg, rate, wdm.launch_power_w)
-        s = evaluate(rx, rec, wdm, dcfg, coeffs, channel_index=1).snr_db
+        s = evaluate(rx, rec, wdm, dcfg, coeffs).snr_db
         return s, dbp_cost(dcfg, rate).rm_per_2d
 
     print(f"  {'receiver':22s} {'RM/2D':>7s} {'SNR':>7s} {'gain':>6s}")

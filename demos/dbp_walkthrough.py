@@ -32,7 +32,7 @@ NSYM = 8192
 
 
 def receiver(rx, rec, dcfg, coeffs):
-    return evaluate(rx, rec, WDM, dcfg, coeffs, channel_index=1).snr_db
+    return evaluate(rx, rec, WDM, dcfg, coeffs).snr_db
 
 
 def cfg(**kw):

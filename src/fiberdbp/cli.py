@@ -26,10 +26,10 @@ from . import fileio
 from .channel import LinkConfig, SimSettings, propagate_link
 from .complexity import dbp_cost
 from .dbp import DbpConfig, make_dbp_coefficient_set, run_dbp
-from .metrics import evaluate, prepare_dbp_input, snr, symbols_from_dbp_output
+from .metrics import prepare_dbp_input, snr, symbols_from_dbp_output
 from .optimize import (TrainingSet, build_training_set, optimize_coefficients,
-                       receiver_coefficients, sweep_launch_power,
-                       sweep_splitting_ratio)
+                       receiver_coefficients, score_receivers,
+                       sweep_launch_power, sweep_splitting_ratio)
 from .signals import WdmConfig, demux_channel, generate_wdm
 
 FIGURE_IDS = ("snr_vs_nsb", "snr_vs_rho", "snr_vs_steps",
@@ -150,6 +150,13 @@ def _training_set(cfg: ExperimentConfig,
     return _build_training_set(cfg)
 
 
+def _scan(cfg: ExperimentConfig, dcfgs: list[DbpConfig]) -> np.ndarray:
+    """SNR of each receiver of dcfgs on cfg's evaluation transmission."""
+    rx, record = _simulate_eval(cfg)
+    return score_receivers(dcfgs, rx, record, cfg.wdm,
+                           _training_set(cfg, dcfgs))
+
+
 def _ladder(dcfg: DbpConfig, steps_grid) -> list[DbpConfig]:
     """EDC, then OSSFM, ESSFM and CB-ESSFM at each step count of the grid."""
     out = [replace(dcfg, variant="EDC", n_steps=0, n_subbands=1)]
@@ -241,8 +248,7 @@ def cmd_dbp(cfg: ExperimentConfig, args) -> int:
     rx = fileio.load_waveform(args.waveform or out / "rx.fdbp")
     coeffs = fileio.load_coefficients(args.coeffs) if args.coeffs \
         else receiver_coefficients(dcfg, cfg.wdm, _training_set(cfg, [dcfg]))
-    idx = (cfg.wdm.num_channels - 1) // 2
-    w = prepare_dbp_input(rx, cfg.wdm, dcfg, idx)
+    w = prepare_dbp_input(rx, cfg.wdm, dcfg)
     post = run_dbp(w, dcfg, coeffs)
     fileio.save_waveform(out / "dbp_out.fdbp", post)
     rows = [{"variant": dcfg.variant, "N_st": dcfg.n_steps,
@@ -251,7 +257,7 @@ def cmd_dbp(cfg: ExperimentConfig, args) -> int:
     if Path(symbols_path).exists():
         record = fileio.load_symbols(symbols_path)
         result = snr(symbols_from_dbp_output(post, cfg.wdm),
-                     record.channel(idx))
+                     record.channel(cfg.wdm.center_channel))
         rows[0].update(SNR_dB=result.snr_db, SNR_x_dB=result.snr_x_db,
                        SNR_y_dB=result.snr_y_db,
                        num_symbols=result.num_symbols)
@@ -311,52 +317,35 @@ def cmd_cost(cfg: ExperimentConfig, args) -> int:
 
 def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
     dcfg = cfg.dbp_config()
-    if figure_id == "snr_vs_rho":
-        grid = cfg.sweeps.get("rho", [round(0.1 * k, 1) for k in range(11)])
-        rx, record = _simulate_eval(cfg)
-        res = sweep_splitting_ratio(grid, rx, record, cfg.wdm, dcfg,
-                                    _training_set(cfg, [dcfg]))
-        return res.csv_rows()
-
-    if figure_id == "snr_vs_nsb":
-        grid = cfg.sweeps.get("n_subbands", [1, 2, 4, 8])
-        rx, record = _simulate_eval(cfg)
-        dcfgs = [replace(dcfg, n_subbands=int(n_sb)) for n_sb in grid]
-        train = _training_set(cfg, dcfgs)
-        return [{"N_sb": d.n_subbands,
-                 "SNR_dB": evaluate(rx, record, cfg.wdm, d,
-                                    receiver_coefficients(d, cfg.wdm,
-                                                          train)).snr_db}
-                for d in dcfgs]
-
     if figure_id == "snr_vs_length":
-        grid = cfg.sweeps.get("num_spans", [1, 3, 5])
         rows = []
-        for spans in grid:
+        for spans in cfg.sweeps.get("num_spans", [1, 3, 5]):
             sub = replace(cfg, link=replace(cfg.link, num_spans=int(spans)))
-            d = sub.dbp_config()
-            rx, record = _simulate_eval(sub)
-            coeffs = receiver_coefficients(d, sub.wdm, _training_set(sub, [d]))
             rows.append({"num_spans": int(spans),
                          "length_km": sub.link.total_length_km,
-                         "SNR_dB": evaluate(rx, record, sub.wdm, d,
-                                            coeffs).snr_db})
+                         "SNR_dB": _scan(sub, [sub.dbp_config()])[0]})
         return rows
 
-    # remaining figures scan the step grid x variants (EDC once, as N_st=0)
-    dcfgs = _ladder(dcfg, cfg.sweeps.get("n_steps", [dcfg.n_steps]))
-    rx, record = _simulate_eval(cfg)
-    train = _training_set(cfg, dcfgs)
-    rows = []
-    for d in dcfgs:
-        coeffs = receiver_coefficients(d, cfg.wdm, train)
-        row = {"variant": d.variant, "N_st": d.n_steps, "N_sb": d.n_subbands,
-               "SNR_dB": evaluate(rx, record, cfg.wdm, d, coeffs).snr_db}
-        if figure_id == "snr_vs_complexity":
+    if figure_id == "snr_vs_rho":
+        dcfgs = [replace(dcfg, splitting_ratio=float(r)) for r in
+                 cfg.sweeps.get("rho", [round(0.1 * k, 1) for k in range(11)])]
+        labels = [{"rho": d.splitting_ratio} for d in dcfgs]
+    elif figure_id == "snr_vs_nsb":
+        # CB-ESSFM is the one variant with subbands
+        dcfgs = [replace(dcfg, variant="CB_ESSFM", n_subbands=int(n))
+                 for n in cfg.sweeps.get("n_subbands", [1, 2, 4, 8])]
+        labels = [{"N_sb": d.n_subbands} for d in dcfgs]
+    else:
+        # the step grid x variants (EDC once, as N_st = 0)
+        dcfgs = _ladder(dcfg, cfg.sweeps.get("n_steps", [dcfg.n_steps]))
+        labels = [{"variant": d.variant, "N_st": d.n_steps,
+                   "N_sb": d.n_subbands} for d in dcfgs]
+    rows = [{**label, "SNR_dB": s}
+            for label, s in zip(labels, _scan(cfg, dcfgs))]
+    if figure_id == "snr_vs_complexity":
+        for d, row in zip(dcfgs, rows):
             cost = dbp_cost(d, cfg.dbp_rate_hz())
-            row["RM_per_2D"] = cost.rm_per_2d
-            row["RA_per_2D"] = cost.ra_per_2d
-        rows.append(row)
+            row.update(RM_per_2D=cost.rm_per_2d, RA_per_2D=cost.ra_per_2d)
     return rows
 
 

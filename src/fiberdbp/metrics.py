@@ -93,10 +93,10 @@ def prepare_dbp_input(w: DualPolWaveform, wdm: WdmConfig, dbp_cfg: DbpConfig,
     The channel is cut out with a brick-wall demux one channel-spacing wide
     (capped at the backpropagation rate, dbp_cfg.oversampling times the
     symbol rate). The result can be fed to run_dbp repeatedly, e.g. while
-    iterating on coefficients.
+    iterating on coefficients. The channel defaults to the center one.
     """
     if channel_index is None:
-        channel_index = (wdm.num_channels - 1) // 2
+        channel_index = wdm.center_channel
     rate = dbp_cfg.oversampling * wdm.baud_rate
     if wdm.num_channels > 1:
         bw = min(wdm.spacing, rate)
@@ -126,29 +126,25 @@ def _symbols_from_field(field: np.ndarray, rate: float,
 
 
 def recover_symbols(w: DualPolWaveform, wdm: WdmConfig, dbp_cfg: DbpConfig,
-                    coeffs: CoefficientSet | None = None,
-                    channel_index: int | None = None) -> np.ndarray:
-    """Full receiver for one WDM channel: (2, num_symbols) soft symbols.
+                    coeffs: CoefficientSet | None = None) -> np.ndarray:
+    """Full receiver for the center WDM channel: (2, num_symbols) soft symbols.
 
     Chains prepare_dbp_input, run_dbp, and symbols_from_dbp_output.
     """
-    w = prepare_dbp_input(w, wdm, dbp_cfg, channel_index)
+    w = prepare_dbp_input(w, wdm, dbp_cfg)
     w = run_dbp(w, dbp_cfg, coeffs)
     return symbols_from_dbp_output(w, wdm)
 
 
 def evaluate(rx: DualPolWaveform, record: SymbolRecord, wdm: WdmConfig,
-             dbp_cfg: DbpConfig, coeffs: CoefficientSet | None = None,
-             channel_index: int | None = None) -> SnrResult:
-    """Receive one WDM channel and score it against its transmitted symbols.
+             dbp_cfg: DbpConfig,
+             coeffs: CoefficientSet | None = None) -> SnrResult:
+    """Receive the center WDM channel and score it against its symbols.
 
-    snr(recover_symbols(...), record.channel(channel_index)); the channel
-    defaults to the center one.
+    snr(recover_symbols(...), record.channel(wdm.center_channel)).
     """
-    if channel_index is None:
-        channel_index = (wdm.num_channels - 1) // 2
-    return snr(recover_symbols(rx, wdm, dbp_cfg, coeffs, channel_index),
-               record.channel(channel_index))
+    return snr(recover_symbols(rx, wdm, dbp_cfg, coeffs),
+               record.channel(wdm.center_channel))
 
 
 def ase_limited_snr_db(link: LinkConfig, wdm: WdmConfig) -> float:

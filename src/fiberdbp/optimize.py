@@ -9,9 +9,9 @@ parameterization: only one half of the same-band vector is free (the other
 half is its mirror image), and only the +h orientation of each cross-band
 vector is represented.
 
-Sweeps (splitting ratio, launch power) evaluate the full simulate/receive
-chain on a grid, receiving with receiver_coefficients (tuned when a sweep
-is handed ``train=``), and report the argmax along with the whole curve.
+Every receiver grid (both sweeps, every CLI figure) is scored by
+score_receivers, each config with its receiver_coefficients (tuned when
+handed ``train=``); a SweepResult derives its best point from the curve.
 """
 
 from __future__ import annotations
@@ -55,11 +55,10 @@ class TrainingSet:
 
 
 def build_training_set(link: LinkConfig, wdm: WdmConfig, num_symbols: int,
-                       sim: SimSettings | None = None, train_seed: int = 1,
+                       sim: SimSettings, train_seed: int = 1,
                        val_seed: int = 2,
                        sim_rate_hz: float | None = None) -> TrainingSet:
     """Simulate two independently seeded transmissions over the same link."""
-    sim = sim or SimSettings(max_phase_rad=2e-3, noise_enabled=True)
     sets = []
     for seed in (train_seed, val_seed):
         tx, record = generate_wdm(wdm, num_symbols, sim_rate=sim_rate_hz,
@@ -91,10 +90,10 @@ class _Objective:
 
     def __init__(self, train: TrainingSet, cfg: DbpConfig):
         self.cfg = cfg
-        idx = (train.wdm.num_channels - 1) // 2  # the center channel
+        idx = train.wdm.center_channel
         self.wdm = train.wdm
-        self.w_train = prepare_dbp_input(train.train_rx, train.wdm, cfg, idx)
-        self.w_val = prepare_dbp_input(train.val_rx, train.wdm, cfg, idx)
+        self.w_train = prepare_dbp_input(train.train_rx, train.wdm, cfg)
+        self.w_val = prepare_dbp_input(train.val_rx, train.wdm, cfg)
         self.tx_train = train.train_record.channel(idx)
         self.tx_val = train.val_record.channel(idx)
         # working memory per set of a batched pass: about eight complex
@@ -204,15 +203,31 @@ def receiver_coefficients(cfg: DbpConfig, wdm: WdmConfig,
     return coeffs
 
 
+def score_receivers(dcfgs, eval_rx: DualPolWaveform,
+                    eval_record: SymbolRecord, wdm: WdmConfig,
+                    train: TrainingSet | None = None) -> np.ndarray:
+    """SNR (dB) on one transmission of each config, in order, each with
+    its receiver_coefficients(d, wdm, train)."""
+    return np.array([evaluate(eval_rx, eval_record, wdm, d,
+                              receiver_coefficients(d, wdm, train)).snr_db
+                     for d in dcfgs], float)
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """Grid, measured SNR curve, and the best grid point."""
+    """Grid, measured SNR curve, and its best point (the first maximum)."""
 
     parameter: str
     values: np.ndarray
     snr_db: np.ndarray
-    best_value: float
-    best_snr_db: float
+
+    @property
+    def best_value(self) -> float:
+        return float(self.values[np.argmax(self.snr_db)])
+
+    @property
+    def best_snr_db(self) -> float:
+        return float(self.snr_db[np.argmax(self.snr_db)])
 
     def csv_rows(self) -> list[dict]:
         return [{self.parameter: float(v), "SNR_dB": float(s)}
@@ -230,19 +245,14 @@ def sweep_splitting_ratio(rhos, eval_rx: DualPolWaveform,
     launch power stay fixed.
     """
     rhos = np.asarray(rhos, float)
-    curve = np.empty(rhos.size)
-    for i, rho in enumerate(rhos):
-        cfg_rho = replace(cfg, splitting_ratio=float(rho))
-        curve[i] = evaluate(eval_rx, eval_record, wdm, cfg_rho,
-                            receiver_coefficients(cfg_rho, wdm, train)).snr_db
-    best = int(np.argmax(curve))
-    return SweepResult("rho", rhos, curve, float(rhos[best]), float(curve[best]))
+    dcfgs = [replace(cfg, splitting_ratio=float(rho)) for rho in rhos]
+    return SweepResult("rho", rhos, score_receivers(dcfgs, eval_rx,
+                                                    eval_record, wdm, train))
 
 
 def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
-                       cfg: DbpConfig, num_symbols: int = 4096,
-                       sim: SimSettings | None = None, eval_seed: int = 9,
-                       train: TrainingSet | None = None,
+                       cfg: DbpConfig, num_symbols: int, sim: SimSettings,
+                       eval_seed: int = 9, train: TrainingSet | None = None,
                        sim_rate_hz: float | None = None,
                        threads: int = 1) -> SweepResult:
     """SNR versus per-channel launch power over a fresh simulation per point.
@@ -253,21 +263,17 @@ def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
     seeded on its own, so the curve does not depend on the thread count.
     """
     powers_dbm = np.asarray(powers_dbm, float)
-    sim = sim or SimSettings(max_phase_rad=2e-3, noise_enabled=True)
 
     def point(p_dbm):
         wdm_p = wdm.with_power(float(p_dbm))
         tx, record = generate_wdm(wdm_p, num_symbols, sim_rate=sim_rate_hz,
                                   seed=eval_seed)
         rx = propagate_link(tx, link, sim)
-        return evaluate(rx, record, wdm_p, cfg,
-                        receiver_coefficients(cfg, wdm_p, train)).snr_db
+        return score_receivers([cfg], rx, record, wdm_p, train)[0]
 
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:
             curve = np.array(list(pool.map(point, powers_dbm)))
     else:
         curve = np.array([point(p) for p in powers_dbm])
-    best = int(np.argmax(curve))
-    return SweepResult("power_dbm", powers_dbm, curve,
-                       float(powers_dbm[best]), float(curve[best]))
+    return SweepResult("power_dbm", powers_dbm, curve)

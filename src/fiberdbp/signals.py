@@ -148,6 +148,11 @@ class WdmConfig:
                 + self.baud_rate * (1 + self.rolloff))
 
     @property
+    def center_channel(self) -> int:
+        """Index of the channel every receiver recovers: the comb's center."""
+        return (self.num_channels - 1) // 2
+
+    @property
     def channel_freqs(self) -> np.ndarray:
         """Nominal channel center frequencies (Hz, comb centered at 0)."""
         idx = np.arange(self.num_channels) - (self.num_channels - 1) / 2.0

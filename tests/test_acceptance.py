@@ -61,8 +61,8 @@ def central_snr(rx, rec, wdm, dcfg, coeffs):
 
 
 def central_symbols(rx, rec, wdm, dcfg, coeffs):
-    idx = (wdm.num_channels - 1) // 2
-    return recover_symbols(rx, wdm, dcfg, coeffs, idx), rec.channel(idx)
+    return (recover_symbols(rx, wdm, dcfg, coeffs),
+            rec.channel(wdm.center_channel))
 
 
 # ---------------------------------------------------------------- arithmetic

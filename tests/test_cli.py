@@ -13,10 +13,11 @@ import pytest
 
 import fiberdbp.cli
 import fiberdbp.optimize
-from fiberdbp import (build_training_set, generate_wdm, load_coefficients,
-                      load_waveform, propagate_link, read_csv,
-                      sweep_launch_power, sweep_splitting_ratio, write_csv)
-from fiberdbp.cli import ExperimentConfig, main
+from fiberdbp import (build_training_set, dbp_cost, generate_wdm,
+                      load_coefficients, load_waveform, propagate_link,
+                      read_csv, sweep_launch_power, sweep_splitting_ratio,
+                      write_csv)
+from fiberdbp.cli import FIGURE_IDS, ExperimentConfig, main
 
 MINI_YAML = """\
 wdm:
@@ -270,6 +271,69 @@ def test_figure_steps_scan_includes_zero_step_reference(ws):
     snrs = {r["variant"]: float(r["SNR_dB"]) for r in rows
             if int(r["N_st"]) in (0, 2)}
     assert snrs["ESSFM"] > snrs["EDC"]
+
+
+# each figure's columns before config_hash and its row count on MINI_YAML:
+# rho 0.1 and 0.9; EDC once, then three variants at N_st 1 and 2; the
+# default subband (1, 2, 4, 8) and span (1, 3, 5) grids
+FIGURE_TABLES = {
+    "snr_vs_nsb": (["N_sb", "SNR_dB"], 4),
+    "snr_vs_rho": (["rho", "SNR_dB"], 2),
+    "snr_vs_steps": (["variant", "N_st", "N_sb", "SNR_dB"], 7),
+    "snr_vs_complexity": (["variant", "N_st", "N_sb", "SNR_dB", "RM_per_2D",
+                           "RA_per_2D"], 7),
+    "snr_vs_length": (["num_spans", "length_km", "SNR_dB"], 3),
+}
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_every_figure_writes_its_table(ws, figure_id):
+    root, cfg_path = ws
+    out = root / "figs"
+    assert run(cfg_path, out, "figure", figure_id) == 0
+    rows = read_csv(out / f"{figure_id}.csv")
+    columns, count = FIGURE_TABLES[figure_id]
+    assert list(rows[0]) == columns + ["config_hash"]
+    assert len(rows) == count
+    assert all(np.isfinite(float(r["SNR_dB"])) for r in rows)
+
+
+def test_subband_figure_scans_cb_essfm_whatever_the_variant(ws):
+    # MINI_YAML's receiver is single-band ESSFM; the subband grid runs the
+    # one variant with subbands, so its rows are a CB-ESSFM config's
+    root, cfg_path = ws
+    cb_path = root / "mini_cb.yaml"
+    cb_path.write_text(MINI_YAML.replace("variant: ESSFM",
+                                         "variant: CB_ESSFM"))
+    tables = []
+    for path, out in ((cfg_path, root / "nsb"), (cb_path, root / "nsb_cb")):
+        assert run(path, out, "figure", "snr_vs_nsb") == 0
+        tables.append([(r["N_sb"], r["SNR_dB"])
+                       for r in read_csv(out / "snr_vs_nsb.csv")])
+    assert tables[0] == tables[1]
+    assert [n for n, _ in tables[0]] == ["1", "2", "4", "8"]
+
+
+def test_complexity_figure_prices_every_row(ws):
+    root, cfg_path = ws
+    out = root / "fig_cost"
+    assert run(cfg_path, out, "figure", "snr_vs_complexity") == 0
+    cfg = ExperimentConfig.from_yaml(cfg_path)
+    rate = cfg.dbp_rate_hz()
+    for r in read_csv(out / "snr_vs_complexity.csv"):
+        d = cfg.dbp_config(variant=r["variant"], n_steps=int(r["N_st"]),
+                           n_subbands=int(r["N_sb"]))
+        assert float(r["RM_per_2D"]) == dbp_cost(d, rate).rm_per_2d
+
+
+def test_rho_figure_is_the_rho_sweep(ws):
+    # both score the config's rho grid on one evaluation transmission
+    root, cfg_path = ws
+    out = root / "rho_both"
+    assert run(cfg_path, out, "sweep") == 0
+    assert run(cfg_path, out, "figure", "snr_vs_rho") == 0
+    assert (out / "snr_vs_rho.csv").read_bytes() \
+        == (out / "sweep_rho.csv").read_bytes()
 
 
 def test_zero_step_rows_build_no_taps(ws, monkeypatch):

@@ -115,7 +115,6 @@ def test_recover_symbols_back_to_back(desk_wdm):
     est = recover_symbols(rx, desk_wdm,
                           DbpConfig(link=lin, variant="EDC", n_steps=0,
                                     block_size=1024, overlap=256,
-                                    oversampling=1.125),
-                          channel_index=1)
+                                    oversampling=1.125))
     res = snr(est, rec.channel(1))
     assert res.snr_db > 30.0

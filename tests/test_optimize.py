@@ -16,13 +16,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import fiberdbp.optimize
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, SweepResult,
-                      TrainingSet, WdmConfig, build_training_set, generate_wdm,
-                      make_dbp_coefficient_set, optimize_coefficients,
-                      propagate_link, run_dbp, standard_ssfm_coefficient_set,
+                      TrainingSet, WdmConfig, build_training_set, evaluate,
+                      generate_wdm, make_dbp_coefficient_set,
+                      optimize_coefficients, propagate_link, run_dbp,
+                      standard_ssfm_coefficient_set,
                       sweep_launch_power, sweep_splitting_ratio)
 from fiberdbp.dbp import _run_blocks
 from fiberdbp.metrics import remove_mean_phase, symbols_from_dbp_output
-from fiberdbp.optimize import _Objective, receiver_coefficients
+from fiberdbp.optimize import (_Objective, receiver_coefficients,
+                               score_receivers)
 from oracles import optimize_oracle
 
 WDM = WdmConfig(32e9, 1, 0.0, 0.1, "64-qam", 2.0)
@@ -188,11 +190,16 @@ def test_training_set_rejects_shared_seed():
 
 def test_sweep_result_rows_and_best():
     sw = SweepResult("rho", np.array([0.1, 0.5, 0.9]),
-                     np.array([20.0, 22.5, 21.0]), 0.5, 22.5)
+                     np.array([20.0, 22.5, 21.0]))
     rows = sw.csv_rows()
     assert [list(r) for r in rows] == [["rho", "SNR_dB"]] * 3
     assert rows[1] == {"rho": 0.5, "SNR_dB": 22.5}
-    assert sw.best_value == sw.values[np.argmax(sw.snr_db)]
+    assert sw.best_value == sw.values[np.argmax(sw.snr_db)] == 0.5
+    assert sw.best_snr_db == 22.5
+    # a tie goes to the first maximum on the grid
+    tie = SweepResult("rho", np.array([0.1, 0.5, 0.9]),
+                      np.array([22.5, 20.0, 22.5]))
+    assert (tie.best_value, tie.best_snr_db) == (0.1, 22.5)
 
 
 def test_splitting_ratio_sweep_reports_grid_argmax(train_nonlinear):
@@ -261,3 +268,19 @@ def test_receiver_coefficients_are_analytic_then_tuned(train_nonlinear):
     assert tuned.improved
     _assert_same_set(receiver_coefficients(CFG_NL, WDM, train_nonlinear),
                      tuned.coeffs)
+
+
+def test_score_receivers_is_evaluate_per_config(train_nonlinear):
+    # one transmission, every receiver with its own taps: the scores are
+    # evaluate's, config by config and in order, analytic or tuned
+    tx, rec = generate_wdm(WDM, 512, seed=9)
+    rx = propagate_link(tx, LINK_NL, SIM_OFF)
+    edc = replace(CFG_NL, variant="EDC", n_steps=0)
+    for train in (None, train_nonlinear):
+        got = score_receivers([CFG_NL, edc], rx, rec, WDM, train)
+        want = [evaluate(rx, rec, WDM, d,
+                         receiver_coefficients(d, WDM, train)).snr_db
+                for d in (CFG_NL, edc)]
+        assert got.dtype == float
+        np.testing.assert_array_equal(got, want)
+    assert got[0] > got[1]

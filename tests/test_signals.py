@@ -48,6 +48,14 @@ def test_symbol_record_channel_shape(desk_wdm):
     assert rec.num_symbols == 256
 
 
+@pytest.mark.parametrize("num_channels, center", [(1, 0), (3, 1), (4, 1),
+                                                  (5, 2)])
+def test_center_channel_is_the_comb_middle(num_channels, center):
+    wdm = WdmConfig(32e9, num_channels, 37.5e9)
+    assert wdm.center_channel == center
+    assert wdm.channel_freqs[center] == min(wdm.channel_freqs, key=abs)
+
+
 def test_qam_constellation_is_normalized():
     _, rec = generate_wdm(single_channel(fmt="16-qam"), 4096, seed=7)
     sym = rec.channel(0)
