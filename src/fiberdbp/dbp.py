@@ -401,16 +401,11 @@ class _BlockEngine:
                 self.phase = partial(_fir_phase,
                                      [c.coeffs[0] for c in coeff_sets])
 
-        # per-subband dispersion at the subbands' absolute frequencies (the
-        # block's own grid at N_sb = 1)
-        sub_rate = rate / n_sb
-        centers = (np.arange(n_sb) + 0.5) * sub_rate - rate / 2
-        freqs = centers[:, None] + np.fft.fftfreq(n_prime, 1.0 / sub_rate)[None, :]
-        self._phasors = {dz: gvd_phasor(freqs, dz, cfg.link.beta2_ps2_km)
-                         for dz in set(self.gvd_lengths + [self.final_gvd])}
         self.sub = np.empty((batch, 2, n_sb, n_prime), dtype=complex)
         self.out = self.sub.reshape(batch, 2, n)
         self.split = self.merge = None
+        # per-subband dispersion at the absolute frequency of each block bin
+        freqs = np.fft.fftfreq(n, 1.0 / rate)
         if n_sb > 1:
             # block bin of subband s, subband bin k: the fftshifted block
             # spectrum cut into n_sb pieces, each ifftshifted
@@ -418,6 +413,9 @@ class _BlockEngine:
                 np.fft.fftshift(np.arange(n)).reshape(n_sb, n_prime), axes=-1)
             self.merge = np.argsort(self.split.ravel())
             self.out = np.empty((batch, 2, n), dtype=complex)
+            freqs = freqs[self.split]
+        self._phasors = {dz: gvd_phasor(freqs, dz, cfg.link.beta2_ps2_km)
+                         for dz in set(self.gvd_lengths + [self.final_gvd])}
 
     def process(self, blk: np.ndarray) -> np.ndarray:
         n_sb = self.cfg.n_subbands

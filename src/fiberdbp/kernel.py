@@ -14,15 +14,17 @@ identical spans has the closed form
     K = gamma e^{-a L/N_sp} sinh((a + jb) L/N_sp) sin(bL)
         / ((a + jb) sin(b L/N_sp)),       a = alpha/2,
 
-with removable singularities at b -> 0 and sin(b L/N_sp) -> 0.
+with removable singularities at b -> 0 and sin(b L/N_sp) -> 0. Since a is
+a scalar, sinh((a + jb) L/N_sp) = sinh(aL/N_sp) cos(bL/N_sp)
++ j cosh(aL/N_sp) sin(bL/N_sp) needs only real trigonometry per element.
 
 This module provides the closed form, its exact piecewise counterpart for
 steps that are not whole spans, the memory-length rule for the
 filtered-phase coefficients, and the analytic coefficient integration: the
-kernel on an oversampled uniform grid, reduced row chunk by row chunk to
-its weighted diagonal sums, then one FFT of those sums folded over the
-transform period gives the taps. The quadrature and Volterra oracles that
-validate it live with the tests.
+kernel on an oversampled uniform grid, reduced in tiles of a fixed element
+count to its weighted diagonal sums, then one FFT of those sums folded
+over the transform period gives the taps. The quadrature and Volterra
+oracles that validate it live with the tests.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from .channel import LN10_OVER_10
 
 CONV_TOL = 1e-3  # tap change under grid doubling that warns
 IMAG_TOL = 1e-9  # discarded imaginary residue over the peak that warns
-# kernel rows per block in _coeff_grid_eval: 128 holds the 1-step
-# full-scale build (10 769 nodes) near 270 MB; 256 needed 460 MB, no faster
-_ROW_CHUNK = 128
+# kernel elements per tile in _coeff_grid_eval (1 MB per complex
+# temporary): tiles hold this many at every node count n, so only the
+# length-(2n - 1) diagonal sums grow with n
+_TILE_ELEMENTS = 65536
 
 
 @dataclass(frozen=True)
@@ -132,12 +135,24 @@ def _sin_ratio(x: np.ndarray, n: int) -> np.ndarray:
     return sign * n * np.sinc(n * eps / np.pi) / np.sinc(eps / np.pi)
 
 
-def _sinhc(w: np.ndarray) -> np.ndarray:
-    """sinh(w)/w, stable at w -> 0."""
-    w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 1e-6
-    safe = np.where(small, 1.0, w)
-    return np.where(small, 1.0 + w * w / 6.0, np.sinh(safe) / safe)
+def _sinhc(x: float, y: np.ndarray) -> np.ndarray:
+    """sinh(w)/w at w = x + jy for a real scalar x, stable at w -> 0.
+
+    sinh(x + jy) = sinh(x) cos(y) + j cosh(x) sin(y), so cos(y) and sin(y)
+    are the only transcendentals taken per element; dividing by w is
+    multiplying by conj(w) / |w|^2.
+    """
+    y = np.asarray(y, dtype=float)
+    sh, ch = np.sinh(x), np.cosh(x)
+    cos, sin = np.cos(y), np.sin(y)
+    den = x * x + y * y
+    small = den < 1e-12  # |w| < 1e-6
+    den = np.where(small, 1.0, den)
+    out = np.empty(y.shape, dtype=complex)
+    out.real = (x * sh * cos + ch * y * sin) / den
+    out.imag = (x * ch * sin - sh * y * cos) / den
+    out[small] = 1.0 + (x + 1j * y[small]) ** 2 / 6.0
+    return out
 
 
 def _beat(mu, nu, geom: StepGeometry) -> np.ndarray:
@@ -161,13 +176,25 @@ def kernel_closed_form(mu, nu, geom: StepGeometry) -> np.ndarray:
         Complex kernel values in 1/W (gamma times effective length at
         mu = nu).
     """
-    n_sp = geom.num_spans
+    return _closed_form(_beat(mu, nu, geom), geom, 0.0)
+
+
+def _closed_form(b: np.ndarray, geom: StepGeometry,
+                 shift_km: float) -> np.ndarray:
+    """Closed form at beat b with the window shifted by shift_km.
+
+    The shift multiplies the symmetric-window kernel by
+    exp(-2j b shift_km); a zero shift is the symmetric window itself.
+    """
     lsp = geom.span_km
     a = geom.alpha_np_km / 2.0
-    b = _beat(mu, nu, geom)
-    w = (a + 1j * b) * lsp
-    return (geom.gamma_w_km * np.exp(-a * lsp) * lsp * _sinhc(w)
-            * _sin_ratio(b * lsp, n_sp))
+    y = b * lsp
+    k = _sinhc(a * lsp, y)
+    k *= (geom.gamma_w_km * np.exp(-a * lsp) * lsp
+          * _sin_ratio(y, geom.num_spans))
+    if shift_km:
+        k *= np.exp(-2j * shift_km * b)
+    return k[()]  # a scalar for scalar inputs
 
 
 def _kernel_segments(mu, nu, geom: StepGeometry) -> np.ndarray:
@@ -203,9 +230,8 @@ def step_kernel(mu, nu, geom: StepGeometry) -> np.ndarray:
     """
     n = geom.length_km / geom.span_km
     if abs(n - round(n)) <= 1e-9 and round(n) >= 1:
-        shift = (0.5 - geom.rho) * geom.length_km
-        return (kernel_closed_form(mu, nu, geom)
-                * np.exp(-2j * shift * _beat(mu, nu, geom)))
+        return _closed_form(_beat(mu, nu, geom), geom,
+                            (0.5 - geom.rho) * geom.length_km)
     return _kernel_segments(mu, nu, geom)
 
 
@@ -242,27 +268,25 @@ def _coeff_grid_eval(geom: StepGeometry, separation_hz: float, memory: int,
     phase model drops it (equivalently, keeps the real part of the raw
     transform). The result is real up to quadrature round-off.
 
-    The kernel is evaluated _ROW_CHUNK rows at a time, so memory grows
-    with num_nodes rather than its square.
+    The kernel is evaluated in tiles of whole rows holding at most
+    _TILE_ELEMENTS values (one row when a row is longer), so the working
+    set grows with num_nodes only through the diagonal sums.
     """
     rp = subband_rate
     n = num_nodes
     mu = separation_hz + np.linspace(-rp / 2.0, rp / 2.0, n)
     wgt = _simpson_weights(n, rp)
 
-    # raw diagonal sums R[d] = sum_{q-p=d} w_p w_q K[p,q], stored at d + n-1
-    raw_re = np.zeros(2 * n - 1)
-    raw_im = np.zeros(2 * n - 1)
-    lag = np.arange(n)[None, :] - np.arange(_ROW_CHUNK)[:, None] + (n - 1)
-    for p0 in range(0, n, _ROW_CHUNK):
-        rows = slice(p0, min(p0 + _ROW_CHUNK, n))
-        blk = step_kernel(mu[rows, None], mu[None, :], geom)
-        blk *= wgt[rows, None]
-        blk *= wgt[None, :]
-        idx = (lag[:blk.shape[0]] - p0).ravel()
-        raw_re += np.bincount(idx, blk.real.ravel(), 2 * n - 1)
-        raw_im += np.bincount(idx, blk.imag.ravel(), 2 * n - 1)
-    raw = raw_re + 1j * raw_im
+    # raw diagonal sums R[d] = sum_{q-p=d} w_p w_q K[p,q], stored at d + n-1;
+    # row p of the kernel adds to R[-p], ..., R[n-1-p]
+    raw = np.zeros(2 * n - 1, dtype=complex)
+    rows = max(1, _TILE_ELEMENTS // n)
+    for p0 in range(0, n, rows):
+        tile = step_kernel(mu[p0:p0 + rows, None], mu[None, :], geom)
+        tile *= wgt[p0:p0 + rows, None]
+        tile *= wgt[None, :]
+        for p, row in enumerate(tile, start=p0):
+            raw[n - 1 - p:2 * n - 1 - p] += row
     # Hermitian part: S[d] = (R[d] + conj R[-d]) / 2
     diag_sum = 0.5 * (raw + raw[::-1].conj())
 

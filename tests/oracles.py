@@ -191,10 +191,9 @@ def dbp_oracle(w: DualPolWaveform, cfg: DbpConfig, coeffs=None) -> np.ndarray:
         final = rho * step
         scales = coeffs.step_scales / coeffs.reference_power_w
     if cfg.variant == "CB_ESSFM":
-        sub_rate = rate / n_sb
-        centers = (np.arange(n_sb) + 0.5) * sub_rate - rate / 2
-        freqs = (centers[:, None]
-                 + np.fft.fftfreq(n_prime, 1.0 / sub_rate)[None, :])
+        # the absolute frequency of each bin, split as process() splits
+        freqs = np.fft.ifftshift(np.fft.fftshift(np.fft.fftfreq(
+            bs, 1.0 / rate)).reshape(n_sb, n_prime), axes=-1)
         if cfg.n_steps:
             mimo = build_mimo_transfer(coeffs, n_prime)
     else:

@@ -163,13 +163,15 @@ def test_zero_memory_essfm_equals_ossfm(link, test_wave):
 @pytest.mark.parametrize("cb_n_sb", [2, 4])
 def test_zero_steps_equals_edc(link, test_wave, cb_n_sb):
     # CB-ESSFM at N_st = 0 is the engine's subband split, per-subband
-    # dispersion at the subband centre frequencies, and merge: it must
-    # reproduce full-band EDC
-    edc = run(test_wave, cfg_for(link, variant="EDC", n_steps=0))
-    for variant, n_sb in (("CB_ESSFM", cb_n_sb), ("ESSFM", 1)):
-        out = run(test_wave, cfg_for(link, variant=variant, n_steps=0,
-                                     n_subbands=n_sb))
-        assert rel_rms(out.field, edc.field) < 1e-12
+    # dispersion at each bin's absolute frequency, and merge: it must
+    # reproduce full-band EDC at even and at odd subband lengths
+    for block in (4096, 4096 - cb_n_sb):
+        edc = run(test_wave, cfg_for(link, variant="EDC", n_steps=0,
+                                     block_size=block))
+        for variant, n_sb in (("CB_ESSFM", cb_n_sb), ("ESSFM", 1)):
+            out = run(test_wave, cfg_for(link, variant=variant, n_steps=0,
+                                         n_subbands=n_sb, block_size=block))
+            assert rel_rms(out.field, edc.field) < 1e-12, block
 
 
 def test_single_block_equals_blockwise(link, test_wave):
@@ -179,6 +181,43 @@ def test_single_block_equals_blockwise(link, test_wave):
                                    block_size=4096, overlap=2048))
     err = rel_rms(split.field, whole.field)
     assert err < 1e-3
+
+
+PARTITION_LINK = LinkConfig(num_spans=1, span_length_km=80.0)
+
+
+@pytest.fixture(scope="module")
+def partition_case():
+    """A weakly nonlinear one-span waveform, its CB-ESSFM taps, and the
+    run whose blocks are the whole (circular) waveform: no partition."""
+    wdm = WdmConfig(baud_rate=32e9, launch_power_dbm_per_channel=-10.0)
+    w, _ = generate_wdm(wdm, 2048, sim_rate=RATE, seed=21)
+    w = propagate_link(w, PARTITION_LINK,
+                       SimSettings(max_phase_rad=2e-3, noise_enabled=False))
+    whole = cfg_for(PARTITION_LINK, variant="CB_ESSFM", n_steps=1,
+                    n_subbands=2, block_size=w.num_samples, overlap=8)
+    coeffs = make_dbp_coefficient_set(whole, RATE, wdm.launch_power_w)
+    return w, coeffs, run_dbp(w, whole, coeffs).field
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_block_partition_invariance_over_drawn_partitions(partition_case,
+                                                          data):
+    # overlaps of 24 to 40 channel memories: the overlap-save error decays
+    # slowly with the overlap, from about 1e-3 at 1.5 memories to 1e-4 at
+    # about 20; block sizes even or odd in subband length
+    w, coeffs, whole = partition_case
+    n = w.num_samples
+    mem = channel_memory_samples(PARTITION_LINK, RATE, RATE)
+    overlap = 4 * data.draw(st.integers(-(-24 * mem // 4), 40 * mem // 4),
+                            label="overlap / 4")
+    block = 2 * data.draw(st.integers((overlap + 128) // 2, n // 2),
+                          label="block_size / 2")
+    cfg = cfg_for(PARTITION_LINK, variant="CB_ESSFM", n_steps=1,
+                  n_subbands=2, block_size=block, overlap=overlap)
+    err = rel_rms(run_dbp(w, cfg, coeffs).field, whole)
+    assert err < 1e-4, f"partition deviation {err:.2e}"
 
 
 @pytest.fixture(scope="module")

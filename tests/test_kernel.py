@@ -8,7 +8,7 @@ import pytest
 import fiberdbp.kernel
 from fiberdbp import (StepGeometry, analytic_coefficients, coefficient_memory,
                       kernel_closed_form, step_kernel)
-from fiberdbp.kernel import _ROW_CHUNK, _coeff_grid_eval, _kernel_segments
+from fiberdbp.kernel import _coeff_grid_eval, _kernel_segments
 
 from oracles import dense_coeff_grid_eval, kernel_quadrature, volterra_oracle
 
@@ -208,32 +208,43 @@ def test_coefficient_rejects_bad_memory(geom240, bad):
 @pytest.mark.parametrize("num_spans, rho", [(3, 0.5), (5, 0.15)])
 @pytest.mark.parametrize("h", [0, 1])
 @pytest.mark.parametrize("num_nodes", [65, 601])
-def test_chunked_transform_matches_dense(num_spans, rho, h, num_nodes):
-    # one grid smaller than a row chunk, one not a multiple of it
-    assert num_nodes < _ROW_CHUNK or num_nodes % _ROW_CHUNK
+def test_chunked_transform_matches_dense(num_spans, rho, h, num_nodes,
+                                         monkeypatch):
     geom = StepGeometry(length_km=80.0 * num_spans, span_km=80.0, rho=rho)
     args = (geom, h * SUB_RATE, 20, SUB_RATE, 1e-3, num_nodes)
-    got = _coeff_grid_eval(*args)
     ref = dense_coeff_grid_eval(*args)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # one tile holding the whole grid, tiles of 7 rows with a ragged last
+    # tile, and one row per tile (budget below a row)
+    assert num_nodes % 7
+    for budget in (num_nodes ** 2, 7 * num_nodes, num_nodes - 1):
+        monkeypatch.setattr(fiberdbp.kernel, "_TILE_ELEMENTS", budget)
+        got = _coeff_grid_eval(*args)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), budget
 
 
 @pytest.mark.parametrize("num_spans", [1, 5, 15])
 @pytest.mark.parametrize("rho", [0.0, 0.1, 0.15, 0.5, 1.0])
 def test_span_aligned_steps_use_closed_form_at_every_rho(num_spans, rho,
                                                          monkeypatch):
-    geom = StepGeometry(length_km=80.0 * num_spans, span_km=80.0, rho=rho)
     rng = np.random.default_rng(19)
-    mu = rng.uniform(-SUB_RATE, 2 * SUB_RATE, 200)
-    nu = rng.uniform(-SUB_RATE, 2 * SUB_RATE, 200)
-    ref = _kernel_segments(mu, nu, geom)
+    # the random pairs, then three with b = 0: mu = nu = 0, mu = nu, nu = 0
+    mu = np.append(rng.uniform(-SUB_RATE, 2 * SUB_RATE, 200),
+                   [0.0, 3e10, -2e10])
+    nu = np.append(rng.uniform(-SUB_RATE, 2 * SUB_RATE, 200),
+                   [0.0, 3e10, 0.0])
 
     def unexpected(*args):
         raise AssertionError("span-aligned step took the piecewise path")
 
-    monkeypatch.setattr(fiberdbp.kernel, "_kernel_segments", unexpected)
-    got = step_kernel(mu, nu, geom)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # lossy fiber, and lossless fiber where sinh(w)/w is sin(bL)/(bL)
+    for alpha in (0.2, 0.0):
+        geom = StepGeometry(length_km=80.0 * num_spans, span_km=80.0,
+                            alpha_db_km=alpha, rho=rho)
+        ref = _kernel_segments(mu, nu, geom)
+        with monkeypatch.context() as m:
+            m.setattr(fiberdbp.kernel, "_kernel_segments", unexpected)
+            got = step_kernel(mu, nu, geom)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), alpha
 
 
 def test_transform_memory_grows_linearly_in_nodes():
@@ -247,5 +258,8 @@ def test_transform_memory_grows_linearly_in_nodes():
         finally:
             tracemalloc.stop()
 
+    small, large = peak(1025), peak(2049)
     # a dense n x n evaluation quadruples here
-    assert peak(2049) < 2.5 * peak(1025)
+    assert large < 2.5 * small
+    # fixed-size tiles: only the length-(2n - 1) diagonal sums grow with n
+    assert large < 16 * 2 ** 20
