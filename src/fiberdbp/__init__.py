@@ -17,7 +17,7 @@ from .fileio import (load_coefficients, load_symbols, load_waveform, read_csv,
                      save_coefficients, save_symbols, save_waveform,
                      write_csv)
 from .kernel import (CoefficientSet, StepGeometry, analytic_coefficients,
-                     coefficient_memory, kernel_closed_form, step_kernel)
+                     coefficient_memory, step_kernel)
 from .metrics import (ase_limited_snr_db, evaluate, prepare_dbp_input,
                       recover_symbols, remove_mean_phase, snr)
 from .optimize import (SweepResult, TrainingSet, build_training_set,

@@ -35,6 +35,11 @@ from scipy.constants import c as _C_M_S, h as _H_JS
 from .signals import DualPolWaveform
 
 LN10_OVER_10 = np.log(10.0) / 10.0
+# propagate_link refuses a transmitted spectrum with more than
+# HEADROOM_MAX_ENERGY_FRACTION of its energy in the outer
+# HEADROOM_EDGE_FRACTION of the sampled band
+HEADROOM_EDGE_FRACTION = 0.04
+HEADROOM_MAX_ENERGY_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -151,23 +156,18 @@ def ase_variance_per_pol(link: LinkConfig, bandwidth_hz: float) -> float:
     return psd * bandwidth_hz
 
 
-def edfa(w: DualPolWaveform, gain_db: float, nf_db: float, seed,
-         noise_enabled: bool = True, carrier_hz: float | None = None) -> DualPolWaveform:
-    """Lumped amplifier: scalar field gain plus seeded ASE loading.
+def edfa(w: DualPolWaveform, link: LinkConfig, seed,
+         noise_enabled: bool = True) -> DualPolWaveform:
+    """Lumped amplifier restoring one span's loss, plus seeded ASE loading.
 
-    ASE per polarization is circular complex Gaussian with total power
-    h nu (G F - 1) / 2 per Hz over the simulated band, nu defaulting to the
-    1550 nm carrier.
+    The field gain is link.span_gain_db. ASE per polarization is circular
+    complex Gaussian with total power ase_variance_per_pol(link,
+    w.sample_rate), white over the simulated band.
     """
-    if gain_db < 0:
-        raise ValueError("EDFA gain must be non-negative")
-    g = 10.0 ** (gain_db / 20.0)
+    g = 10.0 ** (link.span_gain_db / 20.0)
     out = DualPolWaveform(w.field * g, w.sample_rate, w.center_freq)
     if noise_enabled:
-        gain = 10.0 ** (gain_db / 10.0)
-        nf = 10.0 ** (nf_db / 10.0)
-        nu = _C_M_S / 1550e-9 if carrier_hz is None else carrier_hz
-        var = _H_JS * nu * (gain * nf - 1.0) / 2.0 * w.sample_rate
+        var = ase_variance_per_pol(link, w.sample_rate)
         # drawn in the order x re, x im, y re, y im
         draws = np.random.default_rng(seed).standard_normal(
             (2, 2, w.num_samples))
@@ -285,9 +285,8 @@ def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
     out = (w if snapshot is None else snapshot).copy()
     for span in range(first_span, link.num_spans):
         _run_spans(out.field, out.sample_rate, operators)
-        out = edfa(out, link.span_gain_db, link.edfa_noise_figure_db,
-                   (sim.noise_seed, span), noise_enabled=sim.noise_enabled,
-                   carrier_hz=link.carrier_freq_hz)
+        out = edfa(out, link, (sim.noise_seed, span),
+                   noise_enabled=sim.noise_enabled)
         if checkpoint is not None:
             checkpoint(span + 1, out.copy())
     return out
@@ -315,14 +314,13 @@ def backward_propagate(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
     return out
 
 
-def _check_headroom(w: DualPolWaveform, edge_fraction: float = 0.04,
-                    max_energy_fraction: float = 0.02):
+def _check_headroom(w: DualPolWaveform):
     """Reject inputs whose spectrum already fills the outer band edge."""
     spec = np.sum(np.abs(np.fft.fft(w.field, axis=-1)) ** 2, axis=0)
     n = spec.size
-    k = max(1, int(edge_fraction * n / 2))
+    k = max(1, int(HEADROOM_EDGE_FRACTION * n / 2))
     edge = np.sum(spec[n // 2 - k:n // 2 + k])
     total = np.sum(spec)
-    if total > 0 and edge / total > max_energy_fraction:
+    if total > 0 and edge / total > HEADROOM_MAX_ENERGY_FRACTION:
         raise ValueError(
             "sample rate leaves no spectral headroom for nonlinear broadening")

@@ -160,25 +160,6 @@ def _beat(mu, nu, geom: StepGeometry) -> np.ndarray:
     return 2 * np.pi ** 2 * geom.beta2_s2_km * np.asarray(nu) * (np.asarray(mu) - np.asarray(nu))
 
 
-def kernel_closed_form(mu, nu, geom: StepGeometry) -> np.ndarray:
-    """Closed-form step kernel for an integer number of identical spans.
-
-    Parameters
-    ----------
-    mu, nu : array_like
-        Frequencies in Hz (broadcast together).
-    geom : StepGeometry
-        Span-aligned step geometry (symmetric kernel window).
-
-    Returns
-    -------
-    np.ndarray
-        Complex kernel values in 1/W (gamma times effective length at
-        mu = nu).
-    """
-    return _closed_form(_beat(mu, nu, geom), geom, 0.0)
-
-
 def _closed_form(b: np.ndarray, geom: StepGeometry,
                  shift_km: float) -> np.ndarray:
     """Closed form at beat b with the window shifted by shift_km.
@@ -226,7 +207,9 @@ def step_kernel(mu, nu, geom: StepGeometry) -> np.ndarray:
     A step of whole spans uses the closed form: moving the rotation point
     from the step center to rho * L only shifts the integration window,
     which multiplies the kernel by exp(-2j b (1/2 - rho) L). Fractional-span
-    steps use the exact piecewise evaluation.
+    steps use the exact piecewise evaluation. mu and nu are frequencies in
+    Hz (broadcast together); the kernel is in 1/W (gamma times the
+    effective length at mu = nu).
     """
     n = geom.length_km / geom.span_km
     if abs(n - round(n)) <= 1e-9 and round(n) >= 1:

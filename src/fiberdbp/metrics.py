@@ -17,9 +17,8 @@ import numpy as np
 from .channel import LinkConfig, ase_variance_per_pol
 from .dbp import DbpConfig, run_dbp
 from .kernel import CoefficientSet
-from .signals import (DualPolWaveform, SymbolRecord, WdmConfig,
-                      _matched_filter_field, _resample_field, demux_channel,
-                      resample)
+from .signals import (DualPolWaveform, SymbolRecord, WdmConfig, demux_channel,
+                      matched_filter, resample)
 
 SNR_CAP_DB = 100.0
 
@@ -114,15 +113,8 @@ def symbols_from_dbp_output(w: DualPolWaveform, wdm: WdmConfig) -> np.ndarray:
     Returns (2, num_symbols) soft symbols on the constellation grid; mean
     phase is left in (snr removes it).
     """
-    return _symbols_from_field(w.field, w.sample_rate, wdm)
-
-
-def _symbols_from_field(field: np.ndarray, rate: float,
-                        wdm: WdmConfig) -> np.ndarray:
-    """symbols_from_dbp_output on a field with any leading axes."""
-    field = _matched_filter_field(field, rate, wdm)
-    field, _ = _resample_field(field, rate, wdm.baud_rate, allow_alias=True)
-    return field / np.sqrt(wdm.launch_power_w / 2)
+    w = resample(matched_filter(w, wdm), wdm.baud_rate, allow_alias=True)
+    return w.field / np.sqrt(wdm.launch_power_w / 2)
 
 
 def recover_symbols(w: DualPolWaveform, wdm: WdmConfig, dbp_cfg: DbpConfig,

@@ -25,8 +25,8 @@ import scipy.optimize
 from .channel import LinkConfig, SimSettings, propagate_link
 from .dbp import DbpConfig, _run_blocks, make_dbp_coefficient_set
 from .kernel import CoefficientSet
-from .metrics import (_symbols_from_field, evaluate, prepare_dbp_input,
-                      remove_mean_phase)
+from .metrics import (evaluate, prepare_dbp_input, remove_mean_phase,
+                      symbols_from_dbp_output)
 from .signals import DualPolWaveform, SymbolRecord, WdmConfig, generate_wdm
 
 MAX_ITER_PER_BAND = 50
@@ -79,14 +79,20 @@ class OptimizationResult:
     train_mse_path: tuple[float, ...]
 
 
+def _symbol_error(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """rx - tx once the joint mean phase is removed, as snr scores it."""
+    return remove_mean_phase(rx, tx)[0] - tx
+
+
 def _symbol_mse(rx: np.ndarray, tx: np.ndarray) -> float:
-    rx, _ = remove_mean_phase(rx, tx)
-    return float(np.mean(np.abs(rx - tx) ** 2))
+    return float(np.mean(np.abs(_symbol_error(rx, tx)) ** 2))
 
 
 class _Objective:
-    """Residual evaluator: every tap set is scored in a batched engine pass,
-    one pass per chunk of sets (a single set is a batch of one)."""
+    """Residual evaluator: every tap set is backpropagated in a batched
+    engine pass, one pass per chunk of sets (a single set is a batch of
+    one); each set's output then goes through the receiver's own
+    symbols_from_dbp_output."""
 
     def __init__(self, train: TrainingSet, cfg: DbpConfig):
         self.cfg = cfg
@@ -100,9 +106,10 @@ class _Objective:
         # (2, n + N) arrays
         self.set_bytes = 8 * 32 * (self.w_train.num_samples + cfg.block_size)
 
-    def _symbols(self, w: DualPolWaveform, sets: list) -> np.ndarray:
-        fields = _run_blocks(w, self.cfg, sets)
-        return _symbols_from_field(fields, w.sample_rate, self.wdm)
+    def _symbols(self, w: DualPolWaveform, sets: list) -> list:
+        return [symbols_from_dbp_output(DualPolWaveform(f, w.sample_rate),
+                                        self.wdm)
+                for f in _run_blocks(w, self.cfg, sets)]
 
     def val_mse(self, coeffs: CoefficientSet) -> float:
         """Symbol MSE of one set on the validation split."""
@@ -121,8 +128,7 @@ class _Objective:
         return out
 
     def _symbol_residuals(self, rx: np.ndarray) -> np.ndarray:
-        rx, _ = remove_mean_phase(rx, self.tx_train)
-        r = (rx - self.tx_train).ravel() / np.sqrt(2 * rx.shape[-1])
+        r = _symbol_error(rx, self.tx_train).ravel() / np.sqrt(2 * rx.shape[-1])
         return np.concatenate([r.real, r.imag])
 
 

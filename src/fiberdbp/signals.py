@@ -5,10 +5,12 @@ complex array in physical units (sqrt(W)), row 0 the x and row 1 the y
 polarization, so ``mean(|x|^2 + |y|^2)`` is the total power in watts. Every
 module computes on that array directly; ``x`` and ``y`` are row views for
 readers that want one polarization. All spectral operations (pulse
-shaping, resampling, demultiplexing) transform the field along its last
-axis on the block FFT grid and treat the sequence as circularly periodic,
-which keeps block-based processing free of edge transients. The engine's
-subband partition lives in dbp.
+shaping, matched filtering, resampling, demultiplexing) take and return
+one waveform, transform its rows on the block FFT grid and treat the
+sequence as circularly periodic, which keeps block-based processing free
+of edge transients. Every receiver, the coefficient tuner included, runs
+the same matched_filter and resample on each waveform it scores; batches
+of tap sets and the engine's subband partition live in dbp.
 
 Main entry points
 -----------------
@@ -267,16 +269,10 @@ def matched_filter(w: DualPolWaveform, cfg: WdmConfig) -> DualPolWaveform:
     with the transmitter shaping the cascade is exactly Nyquist, so symbol
     instants are ISI-free back to back.
     """
-    return DualPolWaveform(_matched_filter_field(w.field, w.sample_rate, cfg),
-                           w.sample_rate, w.center_freq)
-
-
-def _matched_filter_field(field: np.ndarray, rate: float,
-                          cfg: WdmConfig) -> np.ndarray:
-    """matched_filter on a field with any leading axes (samples last)."""
-    freqs = np.fft.fftfreq(field.shape[-1], d=1.0 / rate)
+    freqs = np.fft.fftfreq(w.num_samples, d=1.0 / w.sample_rate)
     g = np.sqrt(raised_cosine_spectrum(freqs, cfg.baud_rate, cfg.rolloff))
-    return np.fft.ifft(np.fft.fft(field, axis=-1) * g, axis=-1)
+    return DualPolWaveform(np.fft.ifft(np.fft.fft(w.field, axis=-1) * g,
+                                       axis=-1), w.sample_rate, w.center_freq)
 
 
 def _regrid(spec: np.ndarray, new_len: int) -> np.ndarray:
@@ -309,25 +305,14 @@ def resample(w: DualPolWaveform, new_rate: float,
     unless ``allow_alias`` — symbol-rate decimation after a matched filter
     legitimately exploits the fold.
     """
-    field, rate = _resample_field(w.field, w.sample_rate, new_rate,
-                                  allow_alias)
-    return DualPolWaveform(field, rate, w.center_freq)
-
-
-def _resample_field(field: np.ndarray, rate: float, new_rate: float,
-                    allow_alias: bool = False) -> tuple[np.ndarray, float]:
-    """resample on a field with any leading axes: (field, realized rate).
-
-    The alias check pools the energy of every leading index.
-    """
-    n = field.shape[-1]
+    n, rate = w.num_samples, w.sample_rate
     new_len_f = n * new_rate / rate
     new_len = int(round(new_len_f))
     if abs(new_len_f - new_len) > 1e-6:
         raise ValueError("new_rate not representable on this block grid")
     if new_len == n:
-        return field.copy(), rate
-    spec = np.fft.fft(field, axis=-1)
+        return w.copy()
+    spec = np.fft.fft(w.field, axis=-1)
     if new_len < n and not allow_alias:
         oob = np.abs(np.fft.fftfreq(n, d=1.0 / rate)) > new_rate / 2
         total = np.sum(np.abs(spec) ** 2)
@@ -336,7 +321,8 @@ def _resample_field(field: np.ndarray, rate: float, new_rate: float,
             raise AliasingError(
                 f"{frac:.2e} of signal energy beyond the new Nyquist band")
     out = _regrid(spec, new_len) * (new_len / n)
-    return np.fft.ifft(out, axis=-1), new_len * rate / n
+    return DualPolWaveform(np.fft.ifft(out, axis=-1), new_len * rate / n,
+                           w.center_freq)
 
 
 def demux_channel(w: DualPolWaveform, channel_freq: float,

@@ -24,10 +24,10 @@ from fiberdbp import (DbpConfig, LinkConfig, SimSettings, StepGeometry,
                       WdmConfig, analytic_coefficients, backward_propagate,
                       build_mimo_transfer, build_training_set, cb_essfm_cost,
                       channel_memory_samples, essfm_time_domain_cost,
-                      evaluate, generate_wdm, kernel_closed_form,
-                      make_dbp_coefficient_set, nlpr_step,
-                      optimize_coefficients, prepare_dbp_input,
-                      propagate_link, recover_symbols, run_dbp, snr)
+                      evaluate, generate_wdm, make_dbp_coefficient_set,
+                      nlpr_step, optimize_coefficients, prepare_dbp_input,
+                      propagate_link, recover_symbols, run_dbp, snr,
+                      step_kernel)
 from fiberdbp.metrics import symbols_from_dbp_output
 
 from conftest import rel_rms
@@ -97,7 +97,7 @@ def test_closed_form_matches_quadrature_over_geometry_grid():
                     b = (k * np.pi + eps) / lsp
                     mu = np.append(mu, nu0 + b / (2 * np.pi ** 2 * beta2 * nu0))
                     nu = np.append(nu, nu0)
-            closed = kernel_closed_form(mu, nu, geom)
+            closed = step_kernel(mu, nu, geom)
             quad = kernel_quadrature(mu, nu, geom, num_points=40001)
             scale = np.abs(quad).max()
             err = np.abs(closed - quad) / np.maximum(np.abs(quad), 1e-3 * scale)
@@ -122,8 +122,8 @@ def test_coefficient_properties(geom240):
     rng = np.random.default_rng(14)
     mu = rng.uniform(-sub_rate, sub_rate, 50)
     nu = rng.uniform(-sub_rate, sub_rate, 50)
-    fwd = kernel_closed_form(mu, nu, geom240)
-    rev = kernel_closed_form(-mu, -nu, geom240)
+    fwd = step_kernel(mu, nu, geom240)
+    rev = step_kernel(-mu, -nu, geom240)
     assert np.abs(fwd - rev).max() < 1e-10 * np.abs(fwd).max()
 
     c30 = analytic_coefficients(geom240, 0.0, 30, sub_rate, 1e-3)
@@ -248,7 +248,8 @@ def test_block_partition_invariance():
     rx = propagate_link(tx, DESK_LINK, SIM_ON)
     mem = channel_memory_samples(DESK_LINK, DESK_RATE, DESK_RATE)
     overlap = 2688
-    assert overlap >= 1.5 * mem
+    # the overlap-save error falls to 1e-4 only at about 20 channel memories
+    assert overlap >= 20 * mem
     outs = []
     for block in (8192, 16384):
         dcfg = desk_cfg(block_size=block, overlap=overlap)

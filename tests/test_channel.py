@@ -107,26 +107,27 @@ def test_edfa_gain_and_ase_variance():
     n = 200_000
     rate = 64e9
     w = DualPolWaveform(np.zeros((2, n), complex), rate, 0.0)
-    gain_db, nf_db = 16.0, 4.5
-    out = edfa(w, gain_db, nf_db, seed=(0, 1), carrier_hz=193.4e12)
-    g = 10 ** (gain_db / 10)
-    f = 10 ** (nf_db / 10)
+    link = LinkConfig(num_spans=1, span_length_km=80.0)
+    out = edfa(w, link, seed=(0, 1))
+    g = 10 ** (link.span_gain_db / 10)
+    f = 10 ** (link.edfa_noise_figure_db / 10)
     h = 6.62607015e-34
-    psd = h * 193.4e12 * (g * f - 1) / 2  # one polarization
+    psd = h * link.carrier_freq_hz * (g * f - 1) / 2  # one polarization
     expect = psd * rate
     got_x = np.mean(np.abs(out.x) ** 2)
     got_y = np.mean(np.abs(out.y) ** 2)
     assert abs(got_x - expect) / expect < 0.02
     assert abs(got_y - expect) / expect < 0.02
     # deterministic per seed
-    again = edfa(w, gain_db, nf_db, seed=(0, 1), carrier_hz=193.4e12)
+    again = edfa(w, link, seed=(0, 1))
     assert np.array_equal(out.x, again.x)
 
 
 def test_noise_off_is_pure_gain():
     w = DualPolWaveform([np.ones(32, complex), np.zeros(32, complex)], 1e9,
                         0.0)
-    out = edfa(w, 20.0, 4.5, seed=0, noise_enabled=False)
+    link = LinkConfig(num_spans=1, span_length_km=100.0)  # 20 dB
+    out = edfa(w, link, seed=0, noise_enabled=False)
     assert np.allclose(out.x, 10.0 * w.x, rtol=1e-12)
 
 
@@ -218,8 +219,7 @@ def test_link_matches_oracle_spans_bit_for_bit(desk_link, desk_wdm):
     for span in range(desk_link.num_spans):
         ref = DualPolWaveform(
             split_step_oracle(ref.field, rate, desk_link, steps, False), rate)
-        ref = edfa(ref, desk_link.span_gain_db, desk_link.edfa_noise_figure_db,
-                   (sim.noise_seed, span), carrier_hz=desk_link.carrier_freq_hz)
+        ref = edfa(ref, desk_link, (sim.noise_seed, span))
     rx = propagate_link(w, desk_link, sim)
     assert np.array_equal(rx.field, ref.field)
 

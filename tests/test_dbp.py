@@ -1,5 +1,7 @@
 """Backpropagation engine: reductions, framing, NLPR, coefficient builder."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +220,51 @@ def test_block_partition_invariance_over_drawn_partitions(partition_case,
                   n_subbands=2, block_size=block, overlap=overlap)
     err = rel_rms(run_dbp(w, cfg, coeffs).field, whole)
     assert err < 1e-4, f"partition deviation {err:.2e}"
+
+
+@pytest.fixture(scope="module")
+def reduction_wave():
+    """A small one-span waveform at 4 dBm, where the phase filter shows."""
+    wdm = WdmConfig(baud_rate=32e9, launch_power_dbm_per_channel=4.0)
+    w, _ = generate_wdm(wdm, 1024, sim_rate=RATE, seed=22)
+    return propagate_link(w, PARTITION_LINK, SimSettings(
+        max_phase_rad=2e-3, noise_enabled=False)), wdm.launch_power_w
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_variant_reductions_over_drawn_configs(reduction_wave, data):
+    # the one step loop's two reductions, at any splitting ratio, step
+    # count, block size and overlap: CB-ESSFM at one subband runs ESSFM's
+    # taps through the MIMO transfer instead of the FIR, and at zero steps
+    # every variant is the subband split, dispersion and merge of EDC
+    w, power = reduction_wave
+    n = w.num_samples
+    mem = channel_memory_samples(PARTITION_LINK, RATE, RATE)
+    rho = data.draw(st.floats(0.0, 1.0), label="rho")
+    n_steps = data.draw(st.integers(1, 3), label="n_steps")
+    n_sb = data.draw(st.integers(1, 4), label="zero-step CB-ESSFM n_sb")
+    overlap = 2 * n_sb * data.draw(
+        st.integers(-(-mem // (2 * n_sb)), n // (8 * n_sb)),
+        label="overlap / (2 n_sb)")
+    block = n_sb * data.draw(st.integers(overlap // n_sb + 1, n // n_sb),
+                             label="block_size / n_sb")
+
+    def out(variant, **kw):
+        cfg = cfg_for(PARTITION_LINK, variant=variant, block_size=block,
+                      overlap=overlap, splitting_ratio=rho, **kw)
+        coeffs = None
+        if cfg.uses_coefficients:
+            coeffs = make_dbp_coefficient_set(
+                replace(cfg, variant="ESSFM"), RATE, power)
+        return run_dbp(w, cfg, coeffs).field
+
+    essfm = out("ESSFM", n_steps=n_steps)
+    assert rel_rms(out("CB_ESSFM", n_steps=n_steps), essfm) < 1e-12
+    edc = out("EDC", n_steps=0)
+    for variant, n_sb_v in (("OSSFM", 1), ("ESSFM", 1), ("CB_ESSFM", n_sb)):
+        got = out(variant, n_steps=0, n_subbands=n_sb_v)
+        assert rel_rms(got, edc) < 1e-12, variant
 
 
 @pytest.fixture(scope="module")

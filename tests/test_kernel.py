@@ -7,7 +7,7 @@ import pytest
 
 import fiberdbp.kernel
 from fiberdbp import (StepGeometry, analytic_coefficients, coefficient_memory,
-                      kernel_closed_form, step_kernel)
+                      step_kernel)
 from fiberdbp.kernel import _coeff_grid_eval, _kernel_segments
 
 from oracles import dense_coeff_grid_eval, kernel_quadrature, volterra_oracle
@@ -22,7 +22,7 @@ def test_closed_form_matches_quadrature(geom240):
     rng = np.random.default_rng(11)
     mu = rng.uniform(-SUB_RATE, SUB_RATE, 40)
     nu = rng.uniform(-SUB_RATE, SUB_RATE, 40)
-    closed = kernel_closed_form(mu, nu, geom240)
+    closed = step_kernel(mu, nu, geom240)
     quad = kernel_quadrature(mu, nu, geom240)
     err = np.abs(closed - quad) / np.max(np.abs(quad))
     assert err.max() < 1e-6
@@ -33,7 +33,7 @@ def test_single_span_geometry():
     rng = np.random.default_rng(12)
     mu = rng.uniform(-SUB_RATE, SUB_RATE, 25)
     nu = rng.uniform(-SUB_RATE, SUB_RATE, 25)
-    err = np.abs(kernel_closed_form(mu, nu, geom)
+    err = np.abs(step_kernel(mu, nu, geom)
                  - kernel_quadrature(mu, nu, geom))
     assert err.max() / np.abs(kernel_quadrature(mu, nu, geom)).max() < 1e-6
 
@@ -104,14 +104,14 @@ def test_near_singular_points(geom240):
     for k in (1, 2):
         target = k * np.pi / (4 * np.pi ** 2 * abs(beta2) * lsp)
         mu = np.sqrt(target) + eps
-        closed = kernel_closed_form(mu, mu, geom240)
+        closed = step_kernel(mu, mu, geom240)
         quad = kernel_quadrature(mu, mu, geom240, num_points=40001)
         assert abs(closed - quad) / abs(quad) < 1e-6
 
 
 def test_kernel_zero_frequency_is_effective_length(geom240):
     # K(0,0) = gamma times the loss-profile integral over the step
-    got = kernel_closed_form(0.0, 0.0, geom240)
+    got = step_kernel(0.0, 0.0, geom240)
     alpha = geom240.alpha_np_km
     lsp = geom240.span_km
     expect = geom240.gamma_w_km * geom240.num_spans \
@@ -127,8 +127,8 @@ def test_kernel_time_reversal(geom240):
     rng = np.random.default_rng(14)
     mu = rng.uniform(-SUB_RATE, SUB_RATE, 30)
     nu = rng.uniform(-SUB_RATE, SUB_RATE, 30)
-    a = kernel_closed_form(mu, nu, geom240)
-    b = kernel_closed_form(-mu, -nu, geom240)
+    a = step_kernel(mu, nu, geom240)
+    b = step_kernel(-mu, -nu, geom240)
     assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
 
 
@@ -136,7 +136,7 @@ def test_step_kernel_splitting_ratio_is_pure_phase(geom240):
     # moving the rotation point inside a span-aligned step multiplies the
     # kernel by exp(-2jb(0.5 - rho)L) and leaves the magnitude alone
     mu, nu = 7.1e9, -3.3e9
-    raw = kernel_closed_form(mu, nu, geom240)
+    raw = step_kernel(mu, nu, geom240)
     geom = StepGeometry(length_km=geom240.length_km, span_km=geom240.span_km,
                         rho=0.2)
     stepped = step_kernel(mu, nu, geom)

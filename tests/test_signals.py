@@ -5,7 +5,7 @@ import pytest
 
 from fiberdbp import (DualPolWaveform, WdmConfig, demux_channel, generate_wdm,
                       matched_filter, resample)
-from fiberdbp.signals import _matched_filter_field, _regrid, _resample_field
+from fiberdbp.signals import _regrid
 from conftest import rel_rms
 
 
@@ -107,20 +107,6 @@ def test_regrid_adds_aliases_in_bin_order(n, new_len):
     for row, src in zip(expect.reshape(6, new_len), spec.reshape(6, n)):
         np.add.at(row, np.mod(signed, new_len), src)
     assert np.array_equal(_regrid(spec, new_len), expect)
-
-
-def test_spectral_helpers_take_leading_axes():
-    cfg = single_channel()
-    rng = np.random.default_rng(4)
-    fields = rng.standard_normal((3, 2, 576)) + 1j * rng.standard_normal(
-        (3, 2, 576))
-    filtered = _matched_filter_field(fields, 36e9, cfg)
-    down, rate = _resample_field(filtered, 36e9, 32e9, allow_alias=True)
-    for f, mf, d in zip(fields, filtered, down):
-        w = matched_filter(DualPolWaveform(f, 36e9), cfg)
-        assert np.array_equal(w.field, mf)
-        r = resample(w, 32e9, allow_alias=True)
-        assert np.array_equal(r.field, d) and r.sample_rate == rate
 
 
 def test_demux_selects_one_channel(desk_wdm):
