@@ -29,6 +29,7 @@ oracles that validate it live with the tests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ from .channel import LN10_OVER_10
 
 CONV_TOL = 1e-3  # tap change under grid doubling that warns
 IMAG_TOL = 1e-9  # discarded imaginary residue over the peak that warns
-# kernel elements per tile in _coeff_grid_eval (1 MB per complex
+# kernel elements per tile in _unscaled_transform (1 MB per complex
 # temporary): tiles hold this many at every node count n, so only the
 # length-(2n - 1) diagonal sums grow with n
 _TILE_ELEMENTS = 65536
@@ -251,6 +252,25 @@ def _coeff_grid_eval(geom: StepGeometry, separation_hz: float, memory: int,
     phase model drops it (equivalently, keeps the real part of the raw
     transform). The result is real up to quadrature round-off.
 
+    The transform does not depend on the reference power, which only
+    scales it; it is cached, so sets built at several launch powers over
+    one geometry evaluate the kernel once.
+    """
+    c = _unscaled_transform(geom, separation_hz, memory, subband_rate,
+                            num_nodes)
+    return c * reference_power_w / subband_rate ** 2
+
+
+# sized for the full-scale reproduction, which builds 4 rho x 2 step counts
+# at each launch power, each set two separations on two grids: 32
+# transforms of at most 673 taps each stay cached from one power to the next
+@functools.lru_cache(maxsize=64)
+def _unscaled_transform(geom: StepGeometry, separation_hz: float,
+                        memory: int, subband_rate: float,
+                        num_nodes: int) -> np.ndarray:
+    """Taps m = -memory..memory of the kernel transform at unit power
+    scale, read-only since the cache shares it.
+
     The kernel is evaluated in tiles of whole rows holding at most
     _TILE_ELEMENTS values (one row when a row is longer), so the working
     set grows with num_nodes only through the diagonal sums.
@@ -280,7 +300,8 @@ def _coeff_grid_eval(geom: StepGeometry, separation_hz: float, memory: int,
     folded[0] += diag_sum[2 * period]
     m = np.arange(-memory, memory + 1)
     c = np.fft.fft(folded)[m % period]
-    return c * reference_power_w / rp ** 2
+    c.flags.writeable = False
+    return c
 
 
 def analytic_coefficients(geom: StepGeometry, separation_hz: float,

@@ -16,6 +16,7 @@ handed ``train=``); a SweepResult derives its best point from the curve.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -54,18 +55,46 @@ class TrainingSet:
             raise ValueError("training and validation must use different seeds")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the affinity mask, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _concurrent_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], in a pool of up to ``threads`` threads.
+
+    items is a sequence. Runs inline when threads <= 1 or there is at most
+    one item; results come back in input order either way.
+    """
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def build_training_set(link: LinkConfig, wdm: WdmConfig, num_symbols: int,
                        sim: SimSettings, train_seed: int = 1,
                        val_seed: int = 2,
                        sim_rate_hz: float | None = None) -> TrainingSet:
-    """Simulate two independently seeded transmissions over the same link."""
-    sets = []
-    for seed in (train_seed, val_seed):
+    """Simulate two independently seeded transmissions over the same link.
+
+    The two run concurrently, one thread per usable CPU (at most two).
+    Each seed draws its own symbols and ASE, so the output does not depend
+    on the thread count. Equal seeds are refused before anything runs.
+    """
+    if train_seed == val_seed:
+        raise ValueError("training and validation must use different seeds")
+
+    def transmission(seed):
         tx, record = generate_wdm(wdm, num_symbols, sim_rate=sim_rate_hz,
                                   seed=seed)
-        rx = propagate_link(tx, link, replace(sim, noise_seed=seed))
-        sets.append((rx, record))
-    return TrainingSet(wdm, sets[0][0], sets[0][1], sets[1][0], sets[1][1])
+        return propagate_link(tx, link, replace(sim, noise_seed=seed)), record
+
+    (train_rx, train_rec), (val_rx, val_rec) = _concurrent_map(
+        transmission, (train_seed, val_seed), _usable_cpus())
+    return TrainingSet(wdm, train_rx, train_rec, val_rx, val_rec)
 
 
 @dataclass(frozen=True)
@@ -277,9 +306,5 @@ def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
         rx = propagate_link(tx, link, sim)
         return score_receivers([cfg], rx, record, wdm_p, train)[0]
 
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            curve = np.array(list(pool.map(point, powers_dbm)))
-    else:
-        curve = np.array([point(p) for p in powers_dbm])
+    curve = np.array(_concurrent_map(point, powers_dbm, threads))
     return SweepResult("power_dbm", powers_dbm, curve)

@@ -29,6 +29,7 @@ from fiberdbp import (DbpConfig, LinkConfig, SimSettings, StepGeometry,
                       propagate_link, recover_symbols, run_dbp, snr,
                       step_kernel)
 from fiberdbp.metrics import symbols_from_dbp_output
+from fiberdbp.optimize import _concurrent_map, _usable_cpus
 
 from conftest import rel_rms
 from oracles import kernel_quadrature, volterra_oracle
@@ -264,13 +265,19 @@ def test_block_partition_invariance():
 
 @pytest.fixture(scope="module")
 def desk_sims():
-    """Forward simulations of the desk system over the launch-power grid."""
-    sims = {}
-    for p in POWER_GRID:
+    """Forward simulations of the desk system over the launch-power grid.
+
+    They run one thread per usable CPU, highest power (most fine steps)
+    first; each is seeded on its own, so the thread count changes nothing.
+    """
+    def simulate(p):
         wdm = replace(DESK_WDM, launch_power_dbm_per_channel=p)
         tx, rec = generate_wdm(wdm, NSYM, seed=9)
-        sims[p] = (wdm, rec, propagate_link(tx, DESK_LINK, SIM_ON))
-    return sims
+        return wdm, rec, propagate_link(tx, DESK_LINK, SIM_ON)
+
+    powers = sorted(POWER_GRID, reverse=True)
+    sims = dict(zip(powers, _concurrent_map(simulate, powers, _usable_cpus())))
+    return {p: sims[p] for p in POWER_GRID}
 
 
 @pytest.fixture(scope="module")

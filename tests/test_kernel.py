@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import fiberdbp.kernel
-from fiberdbp import (StepGeometry, analytic_coefficients, coefficient_memory,
-                      step_kernel)
-from fiberdbp.kernel import _coeff_grid_eval, _kernel_segments
+from fiberdbp import (DbpConfig, LinkConfig, StepGeometry,
+                      analytic_coefficients, coefficient_memory,
+                      make_dbp_coefficient_set, step_kernel)
+from fiberdbp.kernel import (_coeff_grid_eval, _kernel_segments,
+                             _unscaled_transform)
 
 from oracles import dense_coeff_grid_eval, kernel_quadrature, volterra_oracle
 
@@ -218,6 +220,7 @@ def test_chunked_transform_matches_dense(num_spans, rho, h, num_nodes,
     assert num_nodes % 7
     for budget in (num_nodes ** 2, 7 * num_nodes, num_nodes - 1):
         monkeypatch.setattr(fiberdbp.kernel, "_TILE_ELEMENTS", budget)
+        _unscaled_transform.cache_clear()
         got = _coeff_grid_eval(*args)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), budget
 
@@ -251,6 +254,7 @@ def test_transform_memory_grows_linearly_in_nodes():
     geom = StepGeometry(length_km=400.0, span_km=80.0, rho=0.15)
 
     def peak(num_nodes):
+        _unscaled_transform.cache_clear()
         tracemalloc.start()
         try:
             _coeff_grid_eval(geom, 0.0, 20, SUB_RATE, 1e-3, num_nodes)
@@ -263,3 +267,27 @@ def test_transform_memory_grows_linearly_in_nodes():
     assert large < 2.5 * small
     # fixed-size tiles: only the length-(2n - 1) diagonal sums grow with n
     assert large < 16 * 2 ** 20
+
+
+def test_second_power_reuses_the_kernel_transform(monkeypatch):
+    # taps at one geometry differ across launch powers only by their
+    # final scale, so a build at a second power evaluates no kernel tile
+    cfg = DbpConfig(link=LinkConfig(num_spans=5, span_length_km=80.0),
+                    variant="CB_ESSFM", n_steps=5, n_subbands=2,
+                    splitting_ratio=0.15, block_size=4096, overlap=1024,
+                    oversampling=1.125)
+    rate = 1.125 * 32e9
+    _unscaled_transform.cache_clear()
+    make_dbp_coefficient_set(cfg, rate, 1e-3)
+    tiles = []
+    real = fiberdbp.kernel.step_kernel
+    monkeypatch.setattr(fiberdbp.kernel, "step_kernel",
+                        lambda *a: tiles.append(a) or real(*a))
+    cached = make_dbp_coefficient_set(cfg, rate, 2e-3)
+    assert tiles == []
+    _unscaled_transform.cache_clear()
+    fresh = make_dbp_coefficient_set(cfg, rate, 2e-3)
+    assert tiles
+    assert cached.coeffs.keys() == fresh.coeffs.keys() == {0, 1}
+    for h, c in fresh.coeffs.items():
+        assert np.array_equal(cached.coeffs[h], c)

@@ -7,6 +7,8 @@ shape. The never-degrade guard is exercised with deliberately mismatched
 train/validation splits.
 """
 
+import threading
+import time
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -23,8 +25,8 @@ from fiberdbp import (DbpConfig, LinkConfig, SimSettings, SweepResult,
                       sweep_launch_power, sweep_splitting_ratio)
 from fiberdbp.dbp import _run_blocks
 from fiberdbp.metrics import remove_mean_phase, symbols_from_dbp_output
-from fiberdbp.optimize import (_Objective, receiver_coefficients,
-                               score_receivers)
+from fiberdbp.optimize import (_concurrent_map, _Objective,
+                               receiver_coefficients, score_receivers)
 from oracles import optimize_oracle
 
 WDM = WdmConfig(32e9, 1, 0.0, 0.1, "64-qam", 2.0)
@@ -186,6 +188,61 @@ def test_training_set_rejects_shared_seed():
     rx = propagate_link(tx, LINK_LIN, SIM_OFF)
     with pytest.raises(ValueError, match="different seeds"):
         TrainingSet(WDM, rx, rec, rx, rec)
+
+
+def test_training_set_refuses_shared_seed_before_simulating(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("simulated a transmission")
+
+    monkeypatch.setattr(fiberdbp.optimize, "propagate_link", unexpected)
+    with pytest.raises(ValueError, match="different seeds"):
+        build_training_set(LINK_NL, WDM, 64, SIM_OFF, train_seed=3,
+                           val_seed=3)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2])
+def test_training_set_is_the_serial_composition(monkeypatch, cpus):
+    # a small ASE-on link: each transmission draws its own symbols and
+    # noise, so the pair is the same whatever thread runs it
+    sim = SimSettings(max_phase_rad=2e-3, noise_enabled=True)
+    if cpus is not None:
+        monkeypatch.setattr(fiberdbp.optimize, "_usable_cpus", lambda: cpus)
+    got = build_training_set(LINK_NL, WDM, 128, sim, train_seed=4,
+                             val_seed=7)
+    for seed, rx, record in ((4, got.train_rx, got.train_record),
+                             (7, got.val_rx, got.val_record)):
+        tx, want_record = generate_wdm(WDM, 128, seed=seed)
+        want_rx = propagate_link(tx, LINK_NL, replace(sim, noise_seed=seed))
+        assert np.array_equal(rx.field, want_rx.field)
+        assert rx.sample_rate == want_rx.sample_rate
+        assert np.array_equal(record.symbols, want_record.symbols)
+        assert record.seed == seed
+
+
+def test_concurrent_map_keeps_input_order():
+    # the first items finish last, so pool completion order is reversed
+    def slow(i):
+        time.sleep(0.02 * (4 - i))
+        return i * i
+
+    assert _concurrent_map(slow, range(5), 2) == [0, 1, 4, 9, 16]
+    assert _concurrent_map(slow, range(5), 8) == [0, 1, 4, 9, 16]
+
+
+def test_concurrent_map_runs_inline_without_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("built a thread pool")
+
+    monkeypatch.setattr(fiberdbp.optimize, "ThreadPoolExecutor", no_pool)
+    here = threading.get_ident()
+
+    def where(x):
+        return x, threading.get_ident()
+
+    assert _concurrent_map(where, [1, 2, 3], 1) == [(1, here), (2, here),
+                                                     (3, here)]
+    assert _concurrent_map(where, [5], 4) == [(5, here)]
+    assert _concurrent_map(where, [], 4) == []
 
 
 def test_sweep_result_rows_and_best():
