@@ -23,10 +23,20 @@ size, whatever the number of distinct step lengths (see ``_run_spans``),
 and its output is bit-identical to the direct loop that builds one
 full-length phasor per step length and allocates every step
 (``split_step_oracle`` in tests/oracles.py).
+
+While a CPU is idle, a span runs its two polarization rows on two
+threads, the caller and one helper, which meet at one barrier per fine
+step to share |x|^2 + |y|^2. A process-wide count of span threads against
+the usable CPUs (the affinity mask) decides whether a span takes a helper;
+when another span enters and the count exceeds the CPUs, the helper is
+given back at the next step and the caller runs both rows. Either way the
+output is the same bits, and no thread outlives the span.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +181,9 @@ def edfa(w: DualPolWaveform, link: LinkConfig, seed,
         # drawn in the order x re, x im, y re, y im
         draws = np.random.default_rng(seed).standard_normal(
             (2, 2, w.num_samples))
-        out.field += np.sqrt(var / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
+        draws *= np.sqrt(var / 2.0)
+        out.field.real += draws[:, 0]
+        out.field.imag += draws[:, 1]
     return out
 
 
@@ -195,6 +207,48 @@ def _step_operators(link: LinkConfig, steps: np.ndarray, inverse: bool
     return -2.0 * np.pi ** 2 * (sgn * link.beta2_s2_km), ops
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the affinity mask, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _SpanThreads:
+    """Threads running split-step spans in this process, against the CPUs.
+
+    ``enter`` counts a span's calling thread in and, while the count is
+    below the usable CPUs, a helper thread for its second row. ``fold``
+    gives the helper back once the count exceeds the CPUs, which happens
+    when another span enters meanwhile; the caller then runs both rows.
+    The CPU count is read at every call, so a changed affinity mask counts.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.running = 0
+
+    def enter(self) -> bool:
+        with self._lock:
+            self.running += 1
+            helper = self.running < _usable_cpus()
+            self.running += helper
+        return helper
+
+    def fold(self) -> bool:
+        with self._lock:
+            over = self.running > _usable_cpus()
+            self.running -= over
+        return over
+
+    def leave(self, threads: int) -> None:
+        with self._lock:
+            self.running -= threads
+
+
+_SPAN_THREADS = _SpanThreads()
+
+
 def _run_spans(field: np.ndarray, rate: float,
                operators: tuple[float, list[tuple[float, float, float]]]
                ) -> None:
@@ -208,51 +262,113 @@ def _run_spans(field: np.ndarray, rate: float,
     the loss factor is written as cos + j sin into one buffer over bins
     0..n//2; f^2 is even and ``fftfreq`` negates exactly, so the reversed
     view ``half[n-m:0:-1]`` (m = n//2 + 1) serves bins m..n-1, and a step
-    as long as the one before reuses the buffer. The power P, the phase
-    coef P and the rotation exp(j coef P) go to work buffers too, so no
-    fine step allocates.
+    as long as the one before reuses the buffer. |row|^2, the phase and the
+    rotation exp(j coef P) go to work buffers too, so no fine step
+    allocates.
+
+    While ``_SPAN_THREADS`` counts fewer threads than usable CPUs, a helper
+    thread runs row 1 and the caller row 0. Each disperses and transforms
+    its own row and writes its |row|^2; the two meet at one barrier per
+    fine step, then each forms P = |x|^2 + |y|^2 and the whole rotation
+    itself, so the output is bit-identical to one thread running both rows.
+    |row|^2 is double-buffered by step parity: a thread writes the next
+    step's while the other may still read this one's. The barrier's action
+    decides, once for both threads, whether to fold: then both finish the
+    step, the caller joins the helper and runs both rows from there on.
+    All work buffers are allocated here, in the calling thread. An error in
+    either thread aborts the barrier, the helper is joined and the error
+    is raised in the caller.
     """
     gvd, steps = operators
     n = field.shape[-1]
     m = n // 2 + 1
     # same rounding as exp(-2j pi^2 beta2 f^2 dz): (gvd f^2) dz
     gvd_f2 = gvd * np.fft.rfftfreq(n, d=1.0 / rate) ** 2
-    half = np.empty(m, dtype=np.complex128)
-    power = np.empty(n)
-    phase = np.empty(n)
-    rot = np.empty(n, dtype=np.complex128)
-    pos, neg = field[:, :m], field[:, m:]
-    half_neg = half[n - m:0:-1]
+    split = _SPAN_THREADS.enter()
+    folded = False
+    try:
+        # per thread: half-spectrum phasor, phase and rotation
+        work = [(np.empty(m, dtype=np.complex128), np.empty(n),
+                 np.empty(n, dtype=np.complex128)) for _ in range(1 + split)]
+        square = np.empty((1 + split, 2, n))
 
-    def fft_rows(transform):
-        for row in field:
-            transform(row, out=row)
+        def run(rows, start, barrier, buffers):
+            """Fine steps start.. on ``rows``; returns the next step to run."""
+            half, phase, rot = buffers
+            half_neg = half[n - m:0:-1]
 
-    def disperse():
-        np.multiply(pos, half, out=pos)
-        np.multiply(neg, half_neg, out=neg)
+            def disperse(row):
+                np.multiply(row[:m], half, out=row[:m])
+                np.multiply(row[m:], half_neg, out=row[m:])
 
-    fft_rows(np.fft.fft)
-    built = None
-    for dz, coef, loss in steps:
-        if dz != built:  # equal steps are mostly neighbours in a plan
-            arg = np.multiply(gvd_f2, dz / 2.0, out=phase[:m])
-            np.cos(arg, out=half.real)
-            np.sin(arg, out=half.imag)
-            half *= loss
-            built = dz
-        disperse()
-        fft_rows(np.fft.ifft)
-        np.square(np.abs(field[0], out=power), out=power)
-        np.square(np.abs(field[1], out=phase), out=phase)
-        power += phase
-        np.multiply(power, coef, out=phase)
-        np.cos(phase, out=rot.real)
-        np.sin(phase, out=rot.imag)
-        field *= rot
-        fft_rows(np.fft.fft)
-        disperse()
-    fft_rows(np.fft.ifft)
+            if start == 0:
+                for r in rows:
+                    np.fft.fft(field[r], out=field[r])
+            built = None
+            for k in range(start, len(steps)):
+                dz, coef, loss = steps[k]
+                if dz != built:  # equal steps are mostly neighbours in a plan
+                    arg = np.multiply(gvd_f2, dz / 2.0, out=phase[:m])
+                    np.cos(arg, out=half.real)
+                    np.sin(arg, out=half.imag)
+                    half *= loss
+                    built = dz
+                sq = square[k % len(square)]
+                for r in rows:
+                    disperse(field[r])
+                    np.fft.ifft(field[r], out=field[r])
+                    np.square(np.abs(field[r], out=sq[r]), out=sq[r])
+                if barrier is not None:
+                    barrier.wait()
+                np.add(sq[0], sq[1], out=phase)
+                phase *= coef
+                np.cos(phase, out=rot.real)
+                np.sin(phase, out=rot.imag)
+                for r in rows:
+                    field[r] *= rot
+                    np.fft.fft(field[r], out=field[r])
+                    disperse(field[r])
+                if barrier is not None and folded:
+                    return k + 1
+            for r in rows:
+                np.fft.ifft(field[r], out=field[r])
+            return len(steps)
+
+        if not split:
+            run((0, 1), 0, None, work[0])
+            return
+
+        def decide():
+            nonlocal folded
+            folded = _SPAN_THREADS.fold()
+
+        barrier = threading.Barrier(2, action=decide)
+        errors = []
+
+        def helper():
+            try:
+                run((1,), 0, barrier, work[1])
+            except BaseException as exc:  # raised again in the caller
+                errors.append(exc)
+                barrier.abort()
+
+        thread = threading.Thread(target=helper, name="span-row-1")
+        thread.start()
+        try:
+            resume = run((0,), 0, barrier, work[0])
+        except threading.BrokenBarrierError:  # the helper's error follows
+            pass
+        except BaseException:
+            barrier.abort()
+            raise
+        finally:
+            thread.join()
+        if errors:
+            raise errors[0]
+        if folded:
+            run((0, 1), resume, None, work[0])
+    finally:
+        _SPAN_THREADS.leave(1 + (split and not folded))
 
 
 def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,

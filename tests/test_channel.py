@@ -1,14 +1,19 @@
 """Forward fiber propagation: dispersion, SPM, loss/gain, ASE, inverse."""
 
+import itertools
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fiberdbp import (DualPolWaveform, LinkConfig, SimSettings, WdmConfig,
-                      backward_propagate, edfa, generate_wdm, propagate_link,
-                      span_step_sizes)
-from fiberdbp.channel import _run_spans, _step_operators
+                      backward_propagate, channel, edfa, generate_wdm,
+                      propagate_link, span_step_sizes)
+from fiberdbp.channel import (_SPAN_THREADS, _SpanThreads, _run_spans,
+                              _step_operators, ase_variance_per_pol)
 from conftest import rel_rms
 from oracles import split_step_oracle
 
@@ -123,6 +128,22 @@ def test_edfa_gain_and_ase_variance():
     assert np.array_equal(out.x, again.x)
 
 
+def test_edfa_adds_the_scaled_draws_bit_for_bit():
+    # the ASE is added to the real and imaginary parts in place; it must
+    # equal adding the complex noise sqrt(var/2) (x re + j x im, ...)
+    n = 114_688
+    rng = np.random.default_rng(9)
+    w = DualPolWaveform(rng.standard_normal((2, n))
+                        + 1j * rng.standard_normal((2, n)), 64e9, 0.0)
+    link = LinkConfig(num_spans=1, span_length_km=80.0)
+    draws = np.random.default_rng((3, 1)).standard_normal((2, 2, n))
+    var = ase_variance_per_pol(link, w.sample_rate)
+    expect = (w.field * 10.0 ** (link.span_gain_db / 20.0)
+              + np.sqrt(var / 2.0) * (draws[:, 0] + 1j * draws[:, 1]))
+    got = edfa(w, link, seed=(3, 1)).field
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
 def test_noise_off_is_pure_gain():
     w = DualPolWaveform([np.ones(32, complex), np.zeros(32, complex)], 1e9,
                         0.0)
@@ -172,20 +193,22 @@ def test_propagation_memory_does_not_grow_with_distinct_steps(desk_wdm):
     assert n >= 2 ** 15
     assert np.unique(span_step_sizes(link, sim, w.power)).size > 100
     field_bytes = 32 * n  # one (2, n) complex128 field
-    # Live at once, counted in fields: the running copy (1); in the span,
-    # power and phase (1/4 each), rotation (1/2), half-spectrum phasor
-    # (1/4) and its gvd f^2 table (1/8); at the EDFA, the amplified copy,
-    # the (2, 2, n) normal draws and two complex noise temporaries (4).
-    # The EDFA sets the peak at 5 fields; one more covers the step plan,
-    # RNG state and small temporaries. One full-length phasor per distinct
-    # step length would add half a field each.
+    # Live at once, counted in fields: the running copy (1); in a span split
+    # over two threads, |x|^2 and |y|^2 for two step parities (1), two
+    # buffer sets of phase (1/4), rotation (1/2) and half-spectrum phasor
+    # (1/4), and the gvd f^2 table (1/8); at the EDFA, the amplified copy
+    # and the (2, 2, n) normal draws (2). The split span sets the peak at
+    # about 4.1 fields (3 with one thread, where the EDFA sets it); the
+    # rest up to 5 covers the step plan, RNG state and small temporaries.
+    # One full-length phasor per distinct step length would add half a
+    # field each, and two complex noise temporaries at the EDFA two fields.
     tracemalloc.start()
     try:
         propagate_link(w, link, sim)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * field_bytes, peak / field_bytes
+    assert peak < 5 * field_bytes, peak / field_bytes
 
 
 # 1024 samples stay small; 10240 complex samples (160 KiB a row) exceed
@@ -196,18 +219,179 @@ def test_propagation_memory_does_not_grow_with_distinct_steps(desk_wdm):
 @pytest.mark.parametrize("plan", [dict(step_km=2.0),
                                   dict(max_phase_rad=4e-3, max_step_km=8.0)],
                          ids=["uniform", "adaptive"])
-def test_run_spans_matches_oracle_bit_for_bit(plan, n, inverse):
+def test_run_spans_matches_oracle_bit_for_bit(plan, n, inverse, monkeypatch):
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     p0, rate = 6e-3, 64e9
     steps = span_step_sizes(link, SimSettings(**plan), p0)
     assert len(np.unique(steps)) == (1 if "step_km" in plan else steps.size)
-    rng = np.random.default_rng(n)
-    field = np.sqrt(p0 / 4) * (rng.standard_normal((2, n))
-                               + 1j * rng.standard_normal((2, n)))
+    field = random_field(n, n, p0)
+    expect = split_step_oracle(field, rate, link, steps, inverse)
+    entered = spy_span_threads(monkeypatch, "enter")
+    # one CPU runs both rows in the calling thread, two split them
+    for cpus in (1, 2):
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: cpus)
+        got = field.copy()
+        _run_spans(got, rate, _step_operators(link, steps, inverse))
+        assert np.array_equal(got, expect)
+    assert entered == [False, True]
+
+
+def spy_span_threads(monkeypatch, method):
+    """Wrap a ``_SpanThreads`` method; returns the list of its results."""
+    seen = []
+    wrapped = getattr(_SpanThreads, method)
+
+    def record(self):
+        result = wrapped(self)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(_SpanThreads, method, record)
+    return seen
+
+
+def random_field(n, seed, p0=6e-3):
+    rng = np.random.default_rng(seed)
+    return np.sqrt(p0 / 4) * (rng.standard_normal((2, n))
+                              + 1j * rng.standard_normal((2, n)))
+
+
+@pytest.mark.parametrize("fold_at", ["first", "middle", "last"])
+def test_span_folds_when_the_cpus_shrink(fold_at, monkeypatch):
+    # the CPU count is read at every step: two when the span enters, one
+    # from the barrier of step k on, so the helper is given back at step k
+    link = LinkConfig(num_spans=1, span_length_km=80.0)
+    steps = span_step_sizes(link, SimSettings(max_phase_rad=4e-3,
+                                              max_step_km=8.0), 6e-3)
+    k = {"first": 0, "middle": steps.size // 2, "last": steps.size - 1}
+    reads = itertools.count()
+    # read 0 is the span's entry, read j + 1 the barrier of step j
+    monkeypatch.setattr(channel, "_usable_cpus",
+                        lambda: 2 if next(reads) <= k[fold_at] else 1)
+    folds = spy_span_threads(monkeypatch, "fold")
+    # the helper lags after the fold: the caller must not touch row 1 first
+    fft, caller = np.fft.fft, threading.current_thread()
+
+    def lagging_fft(*args, **kwargs):
+        if threading.current_thread() is not caller and any(folds):
+            time.sleep(0.05)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", lagging_fft)
+    field = random_field(10241, 1)
     got = field.copy()
-    _run_spans(got, rate, _step_operators(link, steps, inverse))
-    assert np.array_equal(got, split_step_oracle(field, rate, link, steps,
-                                                 inverse))
+    _run_spans(got, 64e9, _step_operators(link, steps, False))
+    assert folds == [False] * k[fold_at] + [True]
+    assert np.array_equal(got, split_step_oracle(field, 64e9, link, steps,
+                                                 False))
+    assert _SPAN_THREADS.running == 0
+
+
+def test_concurrent_spans_fold_and_match_serial(monkeypatch):
+    # four spans at once on two CPUs: the first to enter takes a helper and
+    # folds it when the next enters; every span still equals its serial run
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+    folds = spy_span_threads(monkeypatch, "fold")
+    link = LinkConfig(num_spans=1, span_length_km=80.0)
+    steps = span_step_sizes(link, SimSettings(step_km=1.0), 6e-3)
+    operators = _step_operators(link, steps, False)
+    fields = [random_field(4096, seed) for seed in range(4)]
+    expect = [split_step_oracle(f, 64e9, link, steps, False) for f in fields]
+    results = [[] for _ in fields]
+    start = threading.Barrier(len(fields))
+
+    def simulate(i):
+        start.wait(timeout=60)
+        for _ in range(3):
+            got = fields[i].copy()
+            _run_spans(got, 64e9, operators)
+            results[i].append(got)
+
+    threads = [threading.Thread(target=simulate, args=(i,))
+               for i in range(len(fields))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(r) for r in results] == [3] * len(fields)
+    assert all(np.array_equal(got, ref)
+               for runs, ref in zip(results, expect) for got in runs)
+    assert sum(folds) > 0
+    assert _SPAN_THREADS.running == 0
+
+
+class Failure(Exception):
+    pass
+
+
+def fail_ifft_in(monkeypatch, fails, error):
+    """Make np.fft.ifft raise ``error`` in threads where ``fails()`` holds."""
+    ifft = np.fft.ifft
+
+    def failing(*args, **kwargs):
+        if fails():
+            raise error
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", failing)
+
+
+@pytest.mark.parametrize("raising", ["helper", "caller"])
+def test_span_error_reaches_the_caller(raising, monkeypatch):
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+    error = Failure if raising == "helper" else KeyboardInterrupt
+    link = LinkConfig(num_spans=1, span_length_km=80.0)
+    operators = _step_operators(link, np.full(40, 2.0), False)
+    field = random_field(4096, 2)
+    caught = []
+
+    def caller():
+        try:
+            _run_spans(field, 64e9, operators)
+        except BaseException as exc:
+            caught.append(exc)
+
+    before = threading.active_count()
+    worker = threading.Thread(target=caller)
+    fail_ifft_in(monkeypatch, lambda: (threading.current_thread() is worker)
+                 == (raising == "caller"), error)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert [type(e) for e in caught] == [error]
+    assert threading.active_count() == before
+    assert _SPAN_THREADS.running == 0
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_no_thread_outlives_a_simulation(fails, desk_link, desk_wdm,
+                                         monkeypatch):
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+    entered = spy_span_threads(monkeypatch, "enter")
+    sim = SimSettings(max_phase_rad=2e-3, noise_seed=1)
+    w, _ = generate_wdm(desk_wdm, 128, seed=1)
+    rx = propagate_link(w, desk_link, sim)
+    if fails:  # the helper thread of the first span raises
+        main = threading.main_thread()
+        fail_ifft_in(monkeypatch, lambda: threading.current_thread()
+                     is not main, Failure)
+    before = threading.active_count()
+    for run in (lambda: propagate_link(w, desk_link, sim),
+                lambda: backward_propagate(rx, desk_link, sim, w.power)):
+        if fails:
+            with pytest.raises(Failure):
+                run()
+        else:
+            run()
+        assert threading.active_count() == before
+        assert _SPAN_THREADS.running == 0
+    assert all(entered)
 
 
 def test_link_matches_oracle_spans_bit_for_bit(desk_link, desk_wdm):
