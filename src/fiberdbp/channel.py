@@ -40,10 +40,12 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as _C_M_S, h as _H_JS
 
 from .signals import DualPolWaveform
 
+# SI defining constants, exact since 2019 (equal to scipy.constants.c and .h)
+_C_M_S = 299_792_458.0
+_H_JS = 6.626_070_15e-34
 LN10_OVER_10 = np.log(10.0) / 10.0
 # propagate_link refuses a transmitted spectrum with more than
 # HEADROOM_MAX_ENERGY_FRACTION of its energy in the outer
@@ -207,8 +209,12 @@ def _step_operators(link: LinkConfig, steps: np.ndarray, inverse: bool
     return -2.0 * np.pi ** 2 * (sgn * link.beta2_s2_km), ops
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (the affinity mask, where there is one)."""
+def usable_cpus() -> int:
+    """CPUs this process may run on (the affinity mask, where there is one).
+
+    The one CPU budget: the span threads here and optimize's pool of
+    independent transmissions both read it through this module.
+    """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -231,13 +237,13 @@ class _SpanThreads:
     def enter(self) -> bool:
         with self._lock:
             self.running += 1
-            helper = self.running < _usable_cpus()
+            helper = self.running < usable_cpus()
             self.running += helper
         return helper
 
     def fold(self) -> bool:
         with self._lock:
-            over = self.running > _usable_cpus()
+            over = self.running > usable_cpus()
             self.running -= over
         return over
 

@@ -16,13 +16,12 @@ handed ``train=``); a SweepResult derives its best point from the curve.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
+from . import channel
 from .channel import LinkConfig, SimSettings, propagate_link
 from .dbp import DbpConfig, _run_blocks, make_dbp_coefficient_set
 from .kernel import CoefficientSet
@@ -53,13 +52,6 @@ class TrainingSet:
     def __post_init__(self):
         if self.train_record.seed == self.val_record.seed:
             raise ValueError("training and validation must use different seeds")
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (the affinity mask, where there is one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _concurrent_map(fn, items, threads: int) -> list:
@@ -93,7 +85,7 @@ def build_training_set(link: LinkConfig, wdm: WdmConfig, num_symbols: int,
         return propagate_link(tx, link, replace(sim, noise_seed=seed)), record
 
     (train_rx, train_rec), (val_rx, val_rec) = _concurrent_map(
-        transmission, (train_seed, val_seed), _usable_cpus())
+        transmission, (train_seed, val_seed), channel.usable_cpus())
     return TrainingSet(wdm, train_rx, train_rec, val_rx, val_rec)
 
 
@@ -188,6 +180,9 @@ def optimize_coefficients(train: TrainingSet, cfg: DbpConfig,
     initialization on the validation split, the initialization is returned
     unchanged with improved=False.
     """
+    # imported here, its one caller, so `import fiberdbp` loads no scipy
+    import scipy.optimize
+
     obj = _Objective(train, cfg)
     init.validate()
     work = {h: np.zeros_like(c) for h, c in init.coeffs.items()}

@@ -6,8 +6,9 @@ agreement, coefficient properties, variant reduction identities, linear and
 ideal-backpropagation round trips, nonlinear-rotation equivalence, block
 partition invariance, and the desk-scale SNR ordering and splitting-ratio
 shape. The desk-scale tests share their forward simulations through module
-fixtures. The final 15-span reproduction runs for hours and is therefore
-gated behind RUN_FULL_SCALE=1.
+fixtures. The final 15-span reproduction is gated behind RUN_FULL_SCALE=1:
+its pieces, timed one by one on a 2-vCPU VM, add up to about 45-50
+minutes, an estimate that no end-to-end run has measured yet.
 """
 
 import os
@@ -28,8 +29,9 @@ from fiberdbp import (DbpConfig, LinkConfig, SimSettings, StepGeometry,
                       nlpr_step, optimize_coefficients, prepare_dbp_input,
                       propagate_link, recover_symbols, run_dbp, snr,
                       step_kernel)
+from fiberdbp.channel import usable_cpus
 from fiberdbp.metrics import symbols_from_dbp_output
-from fiberdbp.optimize import _concurrent_map, _usable_cpus
+from fiberdbp.optimize import _concurrent_map
 
 from conftest import rel_rms
 from oracles import kernel_quadrature, volterra_oracle
@@ -276,7 +278,7 @@ def desk_sims():
         return wdm, rec, propagate_link(tx, DESK_LINK, SIM_ON)
 
     powers = sorted(POWER_GRID, reverse=True)
-    sims = dict(zip(powers, _concurrent_map(simulate, powers, _usable_cpus())))
+    sims = dict(zip(powers, _concurrent_map(simulate, powers, usable_cpus())))
     return {p: sims[p] for p in POWER_GRID}
 
 
@@ -410,7 +412,8 @@ def test_endpoint_splitting_symmetry(desk_sims, best_power, rho_profile):
 
 
 @pytest.mark.skipif(os.environ.get("RUN_FULL_SCALE") != "1",
-                    reason="hours-long 15-span run; set RUN_FULL_SCALE=1")
+                    reason="15-span run, about 45-50 min estimated "
+                           "(unmeasured); set RUN_FULL_SCALE=1")
 def test_full_scale_gain_over_linear_equalization():
     wdm_base = WdmConfig(baud_rate=93e9, num_channels=5, spacing=100e9,
                          rolloff=0.05, format="64-qam",
@@ -460,9 +463,11 @@ def test_full_scale_gain_over_linear_equalization():
 
 
 # the 1-step full-scale taps (n = 10 769 kernel grid nodes) at a splitting
-# ratio off the step center; prints wall seconds and peak RSS in KiB
+# ratio off the step center; prints wall seconds and peak RSS in KiB. The
+# peak is VmHWM, this process's own: Linux carries ru_maxrss across exec,
+# so ru_maxrss would read at least the peak of the pytest process
 ONE_STEP_TAPS = """
-import resource, time
+import time
 from fiberdbp import DbpConfig, LinkConfig, make_dbp_coefficient_set
 cfg = DbpConfig(link=LinkConfig(num_spans=15, span_length_km=80.0),
                 variant="CB_ESSFM", n_steps=1, n_subbands=2,
@@ -470,8 +475,10 @@ cfg = DbpConfig(link=LinkConfig(num_spans=15, span_length_km=80.0),
                 oversampling=1.125)
 t0 = time.perf_counter()
 make_dbp_coefficient_set(cfg, 1.125 * 93e9, 10 ** 0.3 * 1e-3)
-print(time.perf_counter() - t0,
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+seconds = time.perf_counter() - t0
+with open("/proc/self/status") as status:
+    print(seconds, next(line.split()[1] for line in status
+                        if line.startswith("VmHWM:")))
 """
 
 

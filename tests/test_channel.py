@@ -229,7 +229,7 @@ def test_run_spans_matches_oracle_bit_for_bit(plan, n, inverse, monkeypatch):
     entered = spy_span_threads(monkeypatch, "enter")
     # one CPU runs both rows in the calling thread, two split them
     for cpus in (1, 2):
-        monkeypatch.setattr(channel, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(channel, "usable_cpus", lambda: cpus)
         got = field.copy()
         _run_spans(got, rate, _step_operators(link, steps, inverse))
         assert np.array_equal(got, expect)
@@ -266,7 +266,7 @@ def test_span_folds_when_the_cpus_shrink(fold_at, monkeypatch):
     k = {"first": 0, "middle": steps.size // 2, "last": steps.size - 1}
     reads = itertools.count()
     # read 0 is the span's entry, read j + 1 the barrier of step j
-    monkeypatch.setattr(channel, "_usable_cpus",
+    monkeypatch.setattr(channel, "usable_cpus",
                         lambda: 2 if next(reads) <= k[fold_at] else 1)
     folds = spy_span_threads(monkeypatch, "fold")
     # the helper lags after the fold: the caller must not touch row 1 first
@@ -290,7 +290,7 @@ def test_span_folds_when_the_cpus_shrink(fold_at, monkeypatch):
 def test_concurrent_spans_fold_and_match_serial(monkeypatch):
     # four spans at once on two CPUs: the first to enter takes a helper and
     # folds it when the next enters; every span still equals its serial run
-    monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
     folds = spy_span_threads(monkeypatch, "fold")
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     steps = span_step_sizes(link, SimSettings(step_km=1.0), 6e-3)
@@ -344,7 +344,7 @@ def fail_ifft_in(monkeypatch, fails, error):
 
 @pytest.mark.parametrize("raising", ["helper", "caller"])
 def test_span_error_reaches_the_caller(raising, monkeypatch):
-    monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
     error = Failure if raising == "helper" else KeyboardInterrupt
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     operators = _step_operators(link, np.full(40, 2.0), False)
@@ -372,7 +372,7 @@ def test_span_error_reaches_the_caller(raising, monkeypatch):
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
 def test_no_thread_outlives_a_simulation(fails, desk_link, desk_wdm,
                                          monkeypatch):
-    monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
     entered = spy_span_threads(monkeypatch, "enter")
     sim = SimSettings(max_phase_rad=2e-3, noise_seed=1)
     w, _ = generate_wdm(desk_wdm, 128, seed=1)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fiberdbp.channel
 import fiberdbp.optimize
 from fiberdbp import (DbpConfig, LinkConfig, SimSettings, SweepResult,
                       TrainingSet, WdmConfig, build_training_set, evaluate,
@@ -206,9 +207,19 @@ def test_training_set_is_the_serial_composition(monkeypatch, cpus):
     # noise, so the pair is the same whatever thread runs it
     sim = SimSettings(max_phase_rad=2e-3, noise_enabled=True)
     if cpus is not None:
-        monkeypatch.setattr(fiberdbp.optimize, "_usable_cpus", lambda: cpus)
+        # the one CPU budget: this patch sizes the pool and the span threads
+        monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: cpus)
+    pools = []
+    pool_map = fiberdbp.optimize._concurrent_map
+
+    def spy(fn, items, threads):
+        pools.append(threads)
+        return pool_map(fn, items, threads)
+
+    monkeypatch.setattr(fiberdbp.optimize, "_concurrent_map", spy)
     got = build_training_set(LINK_NL, WDM, 128, sim, train_seed=4,
                              val_seed=7)
+    assert pools == [fiberdbp.channel.usable_cpus()]
     for seed, rx, record in ((4, got.train_rx, got.train_record),
                              (7, got.val_rx, got.val_record)):
         tx, want_record = generate_wdm(WDM, 128, seed=seed)
