@@ -11,7 +11,7 @@ from .channel import (LinkConfig, SimSettings, backward_propagate, edfa,
 from .complexity import (cb_essfm_cost, count_runtime_multiplies, dbp_cost,
                          essfm_time_domain_cost)
 from .dbp import (DbpConfig, build_mimo_transfer, channel_memory_samples,
-                  gvd_phasor, make_dbp_coefficient_set, nlpr_step, run_dbp,
+                  make_dbp_coefficient_set, nlpr_step, run_dbp,
                   standard_ssfm_coefficient_set)
 from .fileio import (load_coefficients, load_symbols, load_waveform, read_csv,
                      save_coefficients, save_symbols, save_waveform,

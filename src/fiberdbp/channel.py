@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import DualPolWaveform
+from .signals import DualPolWaveform, check_numbers
 
 # SI defining constants, exact since 2019 (equal to scipy.constants.c and .h)
 _C_M_S = 299_792_458.0
@@ -67,8 +67,10 @@ class LinkConfig:
     reference_wavelength_nm: float = 1550.0
 
     def __post_init__(self):
-        if self.num_spans < 1 or self.span_length_km <= 0:
-            raise ValueError("link must have at least one positive span")
+        check_numbers(self, positive=("span_length_km",
+                                      "reference_wavelength_nm"))
+        if self.num_spans < 1:
+            raise ValueError("link must have at least one span")
         if self.alpha_db_per_km < 0 or self.gamma_w_km < 0:
             raise ValueError("alpha and gamma must be non-negative")
 
@@ -128,9 +130,8 @@ class SimSettings:
             object.__setattr__(self, "step_km", 0.1)
         if (self.step_km is None) == (self.max_phase_rad is None):
             raise ValueError("set exactly one of step_km / max_phase_rad")
-        bound = self.step_km if self.step_km is not None else self.max_phase_rad
-        if bound <= 0 or self.max_step_km <= 0:
-            raise ValueError("step controller bounds must be positive")
+        check_numbers(self, positive=("step_km", "max_phase_rad",
+                                      "max_step_km"))
 
 
 def span_step_sizes(link: LinkConfig, sim: SimSettings,
@@ -189,11 +190,17 @@ def edfa(w: DualPolWaveform, link: LinkConfig, seed,
     return out
 
 
+def dispersion_phase(beta2_s2_km: float, freqs_hz: np.ndarray) -> np.ndarray:
+    """k = -2 pi^2 beta2 f^2 per km (beta2 in s^2/km, f in Hz): the fiber's
+    dispersion over z is exp(1j z k), and its compensation exp(-1j z k)."""
+    return -2.0 * np.pi ** 2 * beta2_s2_km * freqs_hz ** 2
+
+
 def _step_operators(link: LinkConfig, steps: np.ndarray, inverse: bool
                     ) -> tuple[float, list[tuple[float, float, float]]]:
-    """Dispersion coefficient and per-step scalars of a span's fine steps.
+    """Signed beta2 and per-step scalars of a span's fine steps.
 
-    Returns -2 pi^2 beta2 (negated with ``inverse``) and, in the order
+    Returns beta2 in s^2/km (negated with ``inverse``) and, in the order
     ``_run_spans`` applies them, (dz, rotation coefficient, half-step loss
     factor) for every fine step; with ``inverse`` the steps run in reverse
     with negated rotation and loss turned into growth. Nothing here depends
@@ -206,7 +213,7 @@ def _step_operators(link: LinkConfig, steps: np.ndarray, inverse: bool
         leff = dz if alpha == 0.0 else 2.0 / alpha * np.sinh(alpha * dz / 2.0)
         ops.append((dz, -sgn * link.gamma_w_km * leff,
                     np.exp(-sgn * alpha * dz / 4.0)))
-    return -2.0 * np.pi ** 2 * (sgn * link.beta2_s2_km), ops
+    return sgn * link.beta2_s2_km, ops
 
 
 def usable_cpus() -> int:
@@ -285,11 +292,11 @@ def _run_spans(field: np.ndarray, rate: float,
     either thread aborts the barrier, the helper is joined and the error
     is raised in the caller.
     """
-    gvd, steps = operators
+    beta2, steps = operators
     n = field.shape[-1]
     m = n // 2 + 1
-    # same rounding as exp(-2j pi^2 beta2 f^2 dz): (gvd f^2) dz
-    gvd_f2 = gvd * np.fft.rfftfreq(n, d=1.0 / rate) ** 2
+    # phase per km of each bin; a half step's phase is gvd_f2 * (dz / 2)
+    gvd_f2 = dispersion_phase(beta2, np.fft.rfftfreq(n, d=1.0 / rate))
     split = _SPAN_THREADS.enter()
     folded = False
     try:

@@ -6,7 +6,9 @@ grids. Every artifact written (waveforms, symbol records, coefficient
 sets, CSV tables) carries the configuration hash so results can always be
 traced back; re-running an unchanged config reproduces identical files.
 
-Subcommands: simulate, coeffs, optimize, dbp, sweep, cost, figure.
+Subcommands: simulate, coeffs, optimize, dbp, sweep, cost, figure. They
+run on the CPUs of the affinity mask (channel.usable_cpus), which
+``taskset`` limits; no option sets a thread count, and outputs ignore it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import numbers
 import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -51,6 +55,9 @@ _ConfigLoader.add_implicit_resolver(
 
 
 _DEFAULT_SEEDS = {"train": 1, "val": 2, "eval": 9}
+_SWEEP_GRIDS = {"rho": numbers.Real, "power_dbm": numbers.Real,
+                "n_steps": numbers.Integral, "n_subbands": numbers.Integral,
+                "num_spans": numbers.Integral}
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,6 @@ class ExperimentConfig:
     seeds: dict = field(default_factory=lambda: dict(_DEFAULT_SEEDS))
     sweeps: dict = field(default_factory=dict)
     output_dir: str = "out"
-    threads: int = 1
     checkpoint_spans: bool = False
 
     @classmethod
@@ -86,7 +92,7 @@ class ExperimentConfig:
                  "sim": lambda d: SimSettings(**d),
                  "dbp": dict, "sweeps": dict,
                  "seeds": lambda d: {**_DEFAULT_SEEDS, **d},
-                 "num_symbols": int, "output_dir": str, "threads": int,
+                 "num_symbols": int, "output_dir": str,
                  "checkpoint_spans": bool}
         cfg = cls(**{key: parse.get(key, lambda v: v)(value)
                      for key, value in doc.items()})
@@ -97,10 +103,10 @@ class ExperimentConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
-        # threads and output_dir are execution details: two runs of the same
-        # experiment must hash alike no matter where or how parallel they ran
+        # output_dir is an execution detail: two runs of the same experiment
+        # must hash alike no matter where they ran
         doc = self.to_dict()
-        del doc["threads"], doc["output_dir"]
+        del doc["output_dir"]
         canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -114,14 +120,18 @@ class ExperimentConfig:
         self.dbp_config()  # exercises the engine invariants
         if self.num_symbols < 2:
             raise ValueError("num_symbols must be >= 2")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if {"train", "val", "eval"} - set(self.seeds):
             raise ValueError("seeds must define train, val and eval")
-        for key in self.sweeps:
-            if key not in ("rho", "power_dbm", "n_steps", "n_subbands",
-                           "num_spans"):
+        for key, grid in self.sweeps.items():
+            if key not in _SWEEP_GRIDS:
                 raise ValueError(f"unknown sweep grid {key!r}")
+            kind = _SWEEP_GRIDS[key]
+            if not (isinstance(grid, (list, tuple)) and grid and all(
+                    isinstance(v, kind) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in grid)):
+                what = "integers" if kind is numbers.Integral else "numbers"
+                raise ValueError(f"sweep grid {key!r} must be a non-empty "
+                                 f"list of finite {what}, got {grid!r}")
 
 
 def _simulate_eval(cfg: ExperimentConfig):
@@ -288,7 +298,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         res = sweep_launch_power(
             cfg.sweeps["power_dbm"], cfg.link, cfg.wdm, dcfg, cfg.num_symbols,
             cfg.sim, cfg.seeds["eval"], train,
-            sim_rate_hz=cfg.sim_rate_hz, threads=cfg.threads)
+            sim_rate_hz=cfg.sim_rate_hz)
         fileio.write_csv(out / "sweep_power.csv", res.csv_rows(),
                          cfg.config_hash())
         wrote.append(f"sweep_power.csv (best {res.best_value:g} dBm, "
@@ -368,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the evaluation seed (seeds.eval)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="parallel sweep evaluations")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate").add_argument("--resume", action="store_true")
     sub.add_parser("coeffs")
@@ -387,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = ExperimentConfig.from_yaml(args.config)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     if args.seed is not None:
         cfg = replace(cfg, seeds={**cfg.seeds, "eval": args.seed})
     handler = {"simulate": cmd_simulate, "coeffs": cmd_coeffs,

@@ -41,10 +41,10 @@ from functools import partial
 
 import numpy as np
 
-from .channel import LinkConfig
+from .channel import LinkConfig, dispersion_phase
 from .kernel import (CoefficientSet, StepGeometry, analytic_coefficients,
                      coefficient_memory, geometry_fingerprint)
-from .signals import DualPolWaveform
+from .signals import DualPolWaveform, check_numbers
 
 VARIANTS = ("EDC", "OSSFM", "ESSFM", "CB_ESSFM")
 COEFFICIENT_SOURCES = ("analytic", "optimized")
@@ -79,12 +79,8 @@ class DbpConfig:
             raise ValueError(
                 f"unknown coefficient_source {self.coefficient_source!r}; "
                 f"expected one of {COEFFICIENT_SOURCES}")
-        for name in ("n_steps", "n_subbands", "block_size", "overlap"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not (math.isfinite(self.oversampling) and self.oversampling >= 1):
+        check_numbers(self)
+        if not self.oversampling >= 1:
             raise ValueError("oversampling must be finite and >= 1: the "
                              "backpropagation rate is at least the symbol "
                              "rate")
@@ -137,17 +133,6 @@ def channel_memory_samples(link: LinkConfig, bandwidth_hz: float,
     spread = (2 * np.pi * abs(link.beta2_s2_km) * link.total_length_km
               * bandwidth_hz)
     return int(np.ceil(spread * sample_rate_hz))
-
-
-def gvd_phasor(freqs_hz: np.ndarray, delta_z_km: float,
-               beta2_ps2_km: float) -> np.ndarray:
-    """Dispersion-compensation transfer exp(j 2 pi^2 beta2 dz f^2) per bin.
-
-    The inverse of the fiber's dispersion transfer over delta_z at the given
-    bin frequencies; every entry has unit magnitude.
-    """
-    phase = 2 * np.pi ** 2 * beta2_ps2_km * 1e-24 * delta_z_km * freqs_hz ** 2
-    return np.exp(1j * phase)
 
 
 def build_mimo_transfer(coeffs: CoefficientSet, block_len: int) -> np.ndarray:
@@ -373,6 +358,11 @@ class _BlockEngine:
                 if coeffs.n_sb != n_sb:
                     raise ValueError(
                         "coefficient set built for a different n_subbands")
+                built = coeffs.subband_rate * n_sb
+                if not math.isclose(built, rate, rel_tol=1e-12):
+                    raise ValueError(
+                        f"coefficient set built for a {built:.10g} Hz "
+                        f"sample rate, waveform sampled at {rate:.10g} Hz")
                 if coeffs.num_steps != cfg.n_steps:
                     raise ValueError(
                         f"coefficient set built for {coeffs.num_steps} steps, "
@@ -414,7 +404,8 @@ class _BlockEngine:
             self.merge = np.argsort(self.split.ravel())
             self.out = np.empty((batch, 2, n), dtype=complex)
             freqs = freqs[self.split]
-        self._phasors = {dz: gvd_phasor(freqs, dz, cfg.link.beta2_ps2_km)
+        k = dispersion_phase(cfg.link.beta2_s2_km, freqs)
+        self._phasors = {dz: np.exp(-1j * dz * k)
                          for dz in set(self.gvd_lengths + [self.final_gvd])}
 
     def process(self, blk: np.ndarray) -> np.ndarray:

@@ -54,12 +54,13 @@ class TrainingSet:
             raise ValueError("training and validation must use different seeds")
 
 
-def _concurrent_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], in a pool of up to ``threads`` threads.
+def _concurrent_map(fn, items) -> list:
+    """[fn(x) for x in items], in a pool of one thread per usable CPU.
 
-    items is a sequence. Runs inline when threads <= 1 or there is at most
-    one item; results come back in input order either way.
+    items is a sequence. Runs inline on one usable CPU or at most one item;
+    results come back in input order either way.
     """
+    threads = channel.usable_cpus()
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(min(threads, len(items))) as pool:
@@ -85,7 +86,7 @@ def build_training_set(link: LinkConfig, wdm: WdmConfig, num_symbols: int,
         return propagate_link(tx, link, replace(sim, noise_seed=seed)), record
 
     (train_rx, train_rec), (val_rx, val_rec) = _concurrent_map(
-        transmission, (train_seed, val_seed), channel.usable_cpus())
+        transmission, (train_seed, val_seed))
     return TrainingSet(wdm, train_rx, train_rec, val_rx, val_rec)
 
 
@@ -283,14 +284,14 @@ def sweep_splitting_ratio(rhos, eval_rx: DualPolWaveform,
 def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
                        cfg: DbpConfig, num_symbols: int, sim: SimSettings,
                        eval_seed: int = 9, train: TrainingSet | None = None,
-                       sim_rate_hz: float | None = None,
-                       threads: int = 1) -> SweepResult:
+                       sim_rate_hz: float | None = None) -> SweepResult:
     """SNR versus per-channel launch power over a fresh simulation per point.
 
     Each point receives with receiver_coefficients at its own power: the
-    analytic set, refined on the training set when one is given. With
-    threads > 1 the grid points run in a thread pool; every point is
-    seeded on its own, so the curve does not depend on the thread count.
+    analytic set, refined on the training set when one is given. The grid
+    points run one thread per usable CPU (channel.usable_cpus); every
+    point is seeded on its own, so the curve does not depend on the CPU
+    count. The training set arrives built, so no pool runs inside another.
     """
     powers_dbm = np.asarray(powers_dbm, float)
 
@@ -301,5 +302,5 @@ def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
         rx = propagate_link(tx, link, sim)
         return score_receivers([cfg], rx, record, wdm_p, train)[0]
 
-    curve = np.array(_concurrent_map(point, powers_dbm, threads))
+    curve = np.array(_concurrent_map(point, powers_dbm))
     return SweepResult("power_dbm", powers_dbm, curve)

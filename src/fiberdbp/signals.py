@@ -22,8 +22,10 @@ demux_channel     : brick-wall extraction of one channel to baseband
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +34,26 @@ OOB_TOL = 1e-3  # largest energy fraction resample folds without allow_alias
 
 class AliasingError(ValueError):
     """Raised when a rate conversion would fold signal energy onto itself."""
+
+
+def check_numbers(config, positive=()) -> None:
+    """Raise ValueError unless every ``int`` field of a dataclass holds an
+    integer, every ``float`` one a finite number (or None where annotated
+    ``float | None``) and every field named in ``positive`` a number > 0."""
+    for f in fields(config):  # the annotations are strings (PEP 563)
+        value = getattr(config, f.name)
+        if f.type == "int":
+            ok = isinstance(value, (int, np.integer))
+            kind = "an integer"
+        elif f.type in ("float", "float | None"):
+            ok = ((value is None and f.type != "float")
+                  or (isinstance(value, numbers.Real) and math.isfinite(value)
+                      and (f.name not in positive or value > 0)))
+            kind = "finite and positive" if f.name in positive else "finite"
+        else:
+            continue
+        if not ok or isinstance(value, bool):
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -126,6 +148,7 @@ class WdmConfig:
     launch_power_dbm_per_channel: float = 0.0
 
     def __post_init__(self):
+        check_numbers(self, positive=("baud_rate",))
         if self.num_channels < 1:
             raise ValueError("num_channels must be >= 1")
         if not 0 <= self.rolloff < 1:

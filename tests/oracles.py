@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import scipy.optimize
 
-from fiberdbp.channel import LinkConfig
-from fiberdbp.dbp import DbpConfig, build_mimo_transfer, gvd_phasor
+from fiberdbp.channel import LinkConfig, dispersion_phase
+from fiberdbp.dbp import DbpConfig, build_mimo_transfer
 from fiberdbp.kernel import StepGeometry, _beat, _simpson_weights, step_kernel
 from fiberdbp.metrics import (prepare_dbp_input, remove_mean_phase,
                               symbols_from_dbp_output)
@@ -198,8 +198,8 @@ def dbp_oracle(w: DualPolWaveform, cfg: DbpConfig, coeffs=None) -> np.ndarray:
             mimo = build_mimo_transfer(coeffs, n_prime)
     else:
         freqs = np.fft.fftfreq(bs, 1.0 / rate)
-    phasors = {dz: gvd_phasor(freqs, dz, cfg.link.beta2_ps2_km)
-               for dz in set(lengths + [final])}
+    k = dispersion_phase(cfg.link.beta2_s2_km, freqs)
+    phasors = {dz: np.exp(-1j * dz * k) for dz in set(lengths + [final])}
 
     def process(blk):
         if cfg.variant == "CB_ESSFM":

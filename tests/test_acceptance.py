@@ -29,7 +29,6 @@ from fiberdbp import (DbpConfig, LinkConfig, SimSettings, StepGeometry,
                       nlpr_step, optimize_coefficients, prepare_dbp_input,
                       propagate_link, recover_symbols, run_dbp, snr,
                       step_kernel)
-from fiberdbp.channel import usable_cpus
 from fiberdbp.metrics import symbols_from_dbp_output
 from fiberdbp.optimize import _concurrent_map
 
@@ -278,7 +277,7 @@ def desk_sims():
         return wdm, rec, propagate_link(tx, DESK_LINK, SIM_ON)
 
     powers = sorted(POWER_GRID, reverse=True)
-    sims = dict(zip(powers, _concurrent_map(simulate, powers, usable_cpus())))
+    sims = dict(zip(powers, _concurrent_map(simulate, powers)))
     return {p: sims[p] for p in POWER_GRID}
 
 

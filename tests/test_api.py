@@ -25,7 +25,7 @@ PUBLIC = {
     "coefficient_memory", "step_kernel",
     # dbp
     "DbpConfig", "build_mimo_transfer", "channel_memory_samples",
-    "gvd_phasor", "make_dbp_coefficient_set", "nlpr_step", "run_dbp",
+    "make_dbp_coefficient_set", "nlpr_step", "run_dbp",
     "standard_ssfm_coefficient_set",
     # complexity
     "cb_essfm_cost", "count_runtime_multiplies", "dbp_cost",

@@ -458,3 +458,30 @@ def test_sim_settings_xor():
         SimSettings(step_km=0.1, max_phase_rad=1e-3)
     s = SimSettings()
     assert s.step_km == 0.1 and s.max_phase_rad is None
+
+
+@pytest.mark.parametrize("bad, field", [
+    ({"num_spans": 2.0}, "num_spans"), ({"num_spans": True}, "num_spans"),
+    ({"span_length_km": float("nan")}, "span_length_km"),
+    ({"alpha_db_per_km": float("nan")}, "alpha_db_per_km"),
+    ({"dispersion_d_ps_nm_km": float("inf")}, "dispersion_d_ps_nm_km"),
+    ({"gamma_w_km": float("nan")}, "gamma_w_km"),
+    ({"edfa_noise_figure_db": float("nan")}, "edfa_noise_figure_db"),
+    ({"reference_wavelength_nm": 0.0}, "reference_wavelength_nm")])
+def test_link_config_rejects_malformed_numbers(bad, field):
+    # the link must fail here, not with a TypeError inside propagate_link
+    with pytest.raises(ValueError, match=field):
+        LinkConfig(**{"num_spans": 2, "span_length_km": 80.0, **bad})
+    # a lossless, linear, dispersion-free link stays legal
+    LinkConfig(num_spans=np.int64(2), span_length_km=80.0,
+               alpha_db_per_km=0.0, gamma_w_km=0.0, dispersion_d_ps_nm_km=0.0)
+
+
+@pytest.mark.parametrize("bad, field", [
+    ({"step_km": float("nan")}, "step_km"),
+    ({"max_phase_rad": float("inf")}, "max_phase_rad"),
+    ({"max_phase_rad": 1e-3, "max_step_km": float("nan")}, "max_step_km"),
+    ({"noise_seed": 1.5}, "noise_seed")])
+def test_sim_settings_reject_malformed_numbers(bad, field):
+    with pytest.raises(ValueError, match=field):
+        SimSettings(**bad)

@@ -5,19 +5,25 @@ system (1 channel, 2 spans, 256 symbols) so the full artifact chain stays
 fast enough for a unit suite.
 """
 
+import argparse
 import json
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fiberdbp.channel
 import fiberdbp.cli
 import fiberdbp.optimize
 from fiberdbp import (build_training_set, dbp_cost, generate_wdm,
                       load_coefficients, load_waveform, propagate_link,
                       read_csv, sweep_launch_power, sweep_splitting_ratio,
                       write_csv)
-from fiberdbp.cli import FIGURE_IDS, ExperimentConfig, main
+from fiberdbp.cli import FIGURE_IDS, ExperimentConfig, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINI_YAML = """\
 wdm:
@@ -123,11 +129,38 @@ def test_config_hash_ignores_execution_only_keys(ws):
     _, cfg_path = ws
     cfg = ExperimentConfig.from_yaml(cfg_path)
     doc = cfg.to_dict()
-    doc["threads"] = 8
     doc["output_dir"] = "elsewhere"
     assert ExperimentConfig.from_dict(doc).config_hash() == cfg.config_hash()
     doc["num_symbols"] = 512
     assert ExperimentConfig.from_dict(doc).config_hash() != cfg.config_hash()
+
+
+def test_config_hash_of_a_stored_config_holds():
+    # artifacts written by earlier runs of configs/desk.yaml carry this hash
+    cfg = ExperimentConfig.from_yaml(ROOT / "configs" / "desk.yaml")
+    assert cfg.config_hash() == "2c638bb364b4cd16"
+
+
+def test_thread_count_key_rejected(ws):
+    # the CPU budget is the affinity mask; a stale threads key is a typo
+    root, _ = ws
+    stale = root / "stale_threads.yaml"
+    stale.write_text(MINI_YAML + "threads: 2\n")
+    with pytest.raises(ValueError, match=r"unknown config keys: \['threads'\]"):
+        ExperimentConfig.from_yaml(stale)
+
+
+@pytest.mark.parametrize("grid", [
+    {"rho": 0.5}, {"rho": []}, {"rho": [0.1, float("nan")]},
+    {"power_dbm": [[0.0, 2.0]]}, {"power_dbm": ["2"]},
+    {"n_steps": [1, 2.5]}, {"n_subbands": [2.0]}, {"num_spans": [True]}])
+def test_malformed_sweep_grids_rejected_at_load(ws, grid):
+    # sweep would otherwise simulate its transmissions before the grid fails
+    _, cfg_path = ws
+    doc = ExperimentConfig.from_yaml(cfg_path).to_dict()
+    doc["sweeps"] = grid
+    with pytest.raises(ValueError, match=f"sweep grid '{next(iter(grid))}'"):
+        ExperimentConfig.from_dict(doc)
 
 
 def test_simulate_writes_artifacts_and_manifest(ws):
@@ -198,13 +231,23 @@ def test_sweep_rho_csv(ws):
     assert [float(r["power_dbm"]) for r in power_rows] == [0.0, 2.0]
 
 
-def test_sweep_threads_do_not_change_results(ws):
-    root, cfg_path = ws
-    one, two = root / "sw_t1", root / "sw_t2"
-    assert run(cfg_path, one, "sweep") == 0
-    assert run(cfg_path, two, "--threads", "2", "sweep") == 0
-    assert (one / "sweep_power.csv").read_bytes() \
-        == (two / "sweep_power.csv").read_bytes()
+def test_tuned_power_sweep_does_not_depend_on_the_cpu_count(
+        ws, monkeypatch, pool_widths):
+    # tuned points run one per usable CPU, each seeded on its own
+    _, cfg_path = ws
+    cfg = ExperimentConfig.from_yaml(cfg_path)
+    train = build_training_set(cfg.link, cfg.wdm, cfg.num_symbols, cfg.sim,
+                               cfg.seeds["train"], cfg.seeds["val"])
+    del pool_widths[:]  # the training pair's
+    curves = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: cpus)
+        res = sweep_launch_power([0.0, 2.0, 4.0], cfg.link, cfg.wdm,
+                                 cfg.dbp_config(), cfg.num_symbols, cfg.sim,
+                                 cfg.seeds["eval"], train=train)
+        curves.append(res.snr_db.tobytes())
+    assert pool_widths == [2]
+    assert curves[0] == curves[1]
 
 
 def test_seed_flag_is_the_config_eval_seed(ws):
@@ -425,3 +468,21 @@ def test_unknown_subcommand_rejected(ws):
     _, cfg_path = ws
     with pytest.raises(SystemExit):
         main(["--config", str(cfg_path), "frobnicate"])
+
+
+def test_readme_names_every_command_line_option():
+    # the README's Command line section and build_parser() list the same
+    # options, subcommand options included
+    defined = set()
+    parsers = [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            else:
+                defined.update(action.option_strings)
+    defined -= {"-h", "--help"}
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) == defined

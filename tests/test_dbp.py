@@ -1,5 +1,6 @@
 """Backpropagation engine: reductions, framing, NLPR, coefficient builder."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from fiberdbp import (CoefficientSet, DbpConfig, LinkConfig, SimSettings, WdmConfig,
                       backward_propagate, build_mimo_transfer,
-                      channel_memory_samples, generate_wdm, gvd_phasor,
+                      channel_memory_samples, generate_wdm,
                       make_dbp_coefficient_set, nlpr_step, propagate_link,
                       run_dbp, standard_ssfm_coefficient_set)
+from fiberdbp.channel import dispersion_phase
 from fiberdbp.dbp import VARIANTS
 from conftest import rel_rms
 from oracles import dbp_oracle
@@ -319,6 +321,18 @@ def test_coefficient_set_bound_to_step_count(link, test_wave, variant, n_sb,
         run_dbp(test_wave, cfg, coeffs)
 
 
+@pytest.mark.parametrize("variant, n_sb", [("CB_ESSFM", 2), ("ESSFM", 1)])
+def test_coefficient_set_bound_to_sample_rate(link, test_wave, variant, n_sb):
+    # taps sample the kernel on the subband grid: a set built at another
+    # rate must not run on this waveform
+    cfg = cfg_for(link, variant=variant, n_subbands=n_sb)
+    coeffs = make_dbp_coefficient_set(cfg, 1.5 * RATE, 1e-3)
+    with pytest.raises(ValueError, match=re.escape(
+            f"built for a {1.5 * RATE:.10g} Hz sample rate, waveform "
+            f"sampled at {RATE:.10g} Hz")):
+        run_dbp(test_wave, cfg, coeffs)
+
+
 @pytest.mark.filterwarnings("ignore:overlap")
 @pytest.mark.parametrize("variant, n_sb", [("OSSFM", 1), ("ESSFM", 1),
                                            ("CB_ESSFM", 2)])
@@ -357,11 +371,15 @@ def test_edc_inverts_linear_channel(link):
 
 
 def test_gvd_step_sign_opposes_forward():
+    # the fiber applies exp(1j dz k) over dz, and the engine compensates a
+    # step with exp(-1j dz k), k = dispersion_phase
     f = np.fft.fftfreq(256, 1.0 / RATE)
     spec = np.fft.fft(np.random.default_rng(0).normal(size=256)
                       + 0j)
+    k = dispersion_phase(-21.683e-24, f)
     fwd = spec * np.exp(-2j * np.pi ** 2 * (-21.683) * 1e-24 * 50.0 * f ** 2)
-    back = fwd * gvd_phasor(f, 50.0, -21.683)
+    assert rel_rms(spec * np.exp(1j * 50.0 * k), fwd) < 1e-12
+    back = fwd * np.exp(-1j * 50.0 * k)
     assert rel_rms(back, spec) < 1e-12
 
 

@@ -202,24 +202,18 @@ def test_training_set_refuses_shared_seed_before_simulating(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [None, 1, 2])
-def test_training_set_is_the_serial_composition(monkeypatch, cpus):
+def test_training_set_is_the_serial_composition(monkeypatch, pool_widths,
+                                                cpus):
     # a small ASE-on link: each transmission draws its own symbols and
     # noise, so the pair is the same whatever thread runs it
     sim = SimSettings(max_phase_rad=2e-3, noise_enabled=True)
     if cpus is not None:
         # the one CPU budget: this patch sizes the pool and the span threads
         monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: cpus)
-    pools = []
-    pool_map = fiberdbp.optimize._concurrent_map
-
-    def spy(fn, items, threads):
-        pools.append(threads)
-        return pool_map(fn, items, threads)
-
-    monkeypatch.setattr(fiberdbp.optimize, "_concurrent_map", spy)
     got = build_training_set(LINK_NL, WDM, 128, sim, train_seed=4,
                              val_seed=7)
-    assert pools == [fiberdbp.channel.usable_cpus()]
+    width = min(fiberdbp.channel.usable_cpus(), 2)
+    assert pool_widths == ([width] if width > 1 else [])
     for seed, rx, record in ((4, got.train_rx, got.train_record),
                              (7, got.val_rx, got.val_record)):
         tx, want_record = generate_wdm(WDM, 128, seed=seed)
@@ -230,14 +224,17 @@ def test_training_set_is_the_serial_composition(monkeypatch, cpus):
         assert record.seed == seed
 
 
-def test_concurrent_map_keeps_input_order():
+def test_concurrent_map_keeps_input_order(monkeypatch, pool_widths):
     # the first items finish last, so pool completion order is reversed
     def slow(i):
         time.sleep(0.02 * (4 - i))
         return i * i
 
-    assert _concurrent_map(slow, range(5), 2) == [0, 1, 4, 9, 16]
-    assert _concurrent_map(slow, range(5), 8) == [0, 1, 4, 9, 16]
+    for cpus in (2, 8):
+        monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: cpus)
+        assert _concurrent_map(slow, range(5)) == [0, 1, 4, 9, 16]
+    # one thread per usable CPU, no more threads than items
+    assert pool_widths == [2, 5]
 
 
 def test_concurrent_map_runs_inline_without_a_pool(monkeypatch):
@@ -250,10 +247,12 @@ def test_concurrent_map_runs_inline_without_a_pool(monkeypatch):
     def where(x):
         return x, threading.get_ident()
 
-    assert _concurrent_map(where, [1, 2, 3], 1) == [(1, here), (2, here),
-                                                     (3, here)]
-    assert _concurrent_map(where, [5], 4) == [(5, here)]
-    assert _concurrent_map(where, [], 4) == []
+    monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: 1)
+    assert _concurrent_map(where, [1, 2, 3]) == [(1, here), (2, here),
+                                                  (3, here)]
+    monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: 4)
+    assert _concurrent_map(where, [5]) == [(5, here)]
+    assert _concurrent_map(where, []) == []
 
 
 def test_sweep_result_rows_and_best():

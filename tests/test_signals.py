@@ -56,6 +56,19 @@ def test_center_channel_is_the_comb_middle(num_channels, center):
     assert wdm.channel_freqs[center] == min(wdm.channel_freqs, key=abs)
 
 
+@pytest.mark.parametrize("bad, field", [
+    ({"baud_rate": 0}, "baud_rate"), ({"baud_rate": -1}, "baud_rate"),
+    ({"baud_rate": float("nan")}, "baud_rate"),
+    ({"num_channels": 3.0}, "num_channels"),
+    ({"spacing": float("inf")}, "spacing"),
+    ({"launch_power_dbm_per_channel": float("nan")},
+     "launch_power_dbm_per_channel")])
+def test_wdm_config_rejects_malformed_numbers(bad, field):
+    # the comb must fail here, not inside generate_wdm
+    with pytest.raises(ValueError, match=field):
+        WdmConfig(**{"baud_rate": 32e9, **bad})
+
+
 def test_qam_constellation_is_normalized():
     _, rec = generate_wdm(single_channel(fmt="16-qam"), 4096, seed=7)
     sym = rec.channel(0)
