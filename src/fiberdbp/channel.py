@@ -25,12 +25,16 @@ full-length phasor per step length and allocates every step
 (``split_step_oracle`` in tests/oracles.py).
 
 While a CPU is idle, a span runs its two polarization rows on two
-threads, the caller and one helper, which meet at one barrier per fine
-step to share |x|^2 + |y|^2. A process-wide count of span threads against
-the usable CPUs (the affinity mask) decides whether a span takes a helper;
-when another span enters and the count exceeds the CPUs, the helper is
-given back at the next step and the caller runs both rows. Either way the
-output is the same bits, and no thread outlives the span.
+threads, the caller and one helper, which share one set of work buffers
+and meet at two barriers per fine step. After the first, |x|^2 + |y|^2 is
+complete and each thread computes the rotation over half of the samples
+and the next step's phasor over half of the bins, so that trig is done
+once; after the second, each thread rotates and disperses its own row. A
+process-wide count of span threads against the usable CPUs (the affinity
+mask) decides whether a span takes a helper; when another span enters and
+the count exceeds the CPUs, the helper is given back at the next step and
+the caller runs both rows. Either way the output is the same bits, and no
+thread outlives the span.
 """
 
 from __future__ import annotations
@@ -180,13 +184,15 @@ def edfa(w: DualPolWaveform, link: LinkConfig, seed,
     g = 10.0 ** (link.span_gain_db / 20.0)
     out = DualPolWaveform(w.field * g, w.sample_rate, w.center_freq)
     if noise_enabled:
-        var = ase_variance_per_pol(link, w.sample_rate)
-        # drawn in the order x re, x im, y re, y im
-        draws = np.random.default_rng(seed).standard_normal(
-            (2, 2, w.num_samples))
-        draws *= np.sqrt(var / 2.0)
-        out.field.real += draws[:, 0]
-        out.field.imag += draws[:, 1]
+        scale = np.sqrt(ase_variance_per_pol(link, w.sample_rate) / 2.0)
+        rng = np.random.default_rng(seed)
+        # drawn in the order x re, x im, y re, y im, one row at a time
+        draws = np.empty((2, w.num_samples))
+        for row in out.field:
+            rng.standard_normal(out=draws)
+            draws *= scale
+            row.real += draws[0]
+            row.imag += draws[1]
     return out
 
 
@@ -272,24 +278,31 @@ def _run_spans(field: np.ndarray, rate: float,
     ``_step_operators``. Each polarization row is transformed as a 1-D
     array in place (a batch transform of the (2, n) field allocates scratch
     on every call). The half-step phasor exp(-2j pi^2 beta2 f^2 dz/2) times
-    the loss factor is written as cos + j sin into one buffer over bins
-    0..n//2; f^2 is even and ``fftfreq`` negates exactly, so the reversed
-    view ``half[n-m:0:-1]`` (m = n//2 + 1) serves bins m..n-1, and a step
-    as long as the one before reuses the buffer. |row|^2, the phase and the
-    rotation exp(j coef P) go to work buffers too, so no fine step
-    allocates.
+    the loss factor is written as cos + j sin over bins 0..n//2; f^2 is
+    even and ``fftfreq`` negates exactly, so the reversed view
+    ``half[n-m:0:-1]`` (m = n//2 + 1) serves bins m..n-1. Every work buffer
+    is allocated here, once, and shared by the threads: the phasors
+    ``half`` (2, m), one slot for this step and one for the next (a step as
+    long as the one before keeps its slot, so it is not rebuilt), their
+    argument ``arg`` (m), |x|^2 and |y|^2 ``square`` (2, n), ``phase`` (n)
+    and the rotation ``rot`` = exp(j coef P) (n). No fine step allocates.
+
+    Each fine step runs in three phases. (1) Each thread disperses,
+    inverse-transforms and squares its own rows. (2) After barrier A, each
+    thread forms P = |x|^2 + |y|^2 times coef and its cos and sin over its
+    share of the samples, and builds its share of the next step's phasor
+    bins. (3) After barrier B, each thread rotates its rows, transforms
+    them forward and disperses them again. The trig is computed once, not
+    once per thread, and elementwise ufuncs on a share round as they do on
+    the whole array, so the output is bit-identical to one thread running
+    both rows with one share covering everything; that is also the code
+    the serial path runs.
 
     While ``_SPAN_THREADS`` counts fewer threads than usable CPUs, a helper
-    thread runs row 1 and the caller row 0. Each disperses and transforms
-    its own row and writes its |row|^2; the two meet at one barrier per
-    fine step, then each forms P = |x|^2 + |y|^2 and the whole rotation
-    itself, so the output is bit-identical to one thread running both rows.
-    |row|^2 is double-buffered by step parity: a thread writes the next
-    step's while the other may still read this one's. The barrier's action
-    decides, once for both threads, whether to fold: then both finish the
-    step, the caller joins the helper and runs both rows from there on.
-    All work buffers are allocated here, in the calling thread. An error in
-    either thread aborts the barrier, the helper is joined and the error
+    thread runs row 1 and the caller row 0. Barrier B's action decides,
+    once for both threads, whether to fold: then both finish the step, the
+    caller joins the helper and runs both rows from there on. An error in
+    either thread aborts both barriers, the helper is joined and the error
     is raised in the caller.
     """
     beta2, steps = operators
@@ -297,89 +310,110 @@ def _run_spans(field: np.ndarray, rate: float,
     m = n // 2 + 1
     # phase per km of each bin; a half step's phase is gvd_f2 * (dz / 2)
     gvd_f2 = dispersion_phase(beta2, np.fft.rfftfreq(n, d=1.0 / rate))
+    slots = [0]  # phasor slot of each step: a new length takes the other
+    for k in range(1, len(steps)):
+        slots.append(slots[-1] ^ (steps[k][0] != steps[k - 1][0]))
+    half = np.empty((2, m), dtype=np.complex128)
+    arg = np.empty(m)
+    square = np.empty((2, n))
+    phase = np.empty(n)
+    rot = np.empty(n, dtype=np.complex128)
+    everything = (slice(None), slice(None))
+
+    def build(k, bins):
+        """Step k's phasor over ``bins``."""
+        dz, _, loss = steps[k]
+        out, a = half[slots[k], bins], arg[bins]
+        np.multiply(gvd_f2[bins], dz / 2.0, out=a)
+        np.cos(a, out=out.real)
+        np.sin(a, out=out.imag)
+        out *= loss
+
+    def disperse(row, k):
+        np.multiply(row[:m], half[slots[k]], out=row[:m])
+        np.multiply(row[m:], half[slots[k], n - m:0:-1], out=row[m:])
+
+    def run(rows, start, share, barriers):
+        """Fine steps start.. on ``rows``, with this thread's ``share``
+        (samples, bins) of the rotation and the phasors; returns the next
+        step to run."""
+        samples, bins = share
+        ph, sq0, sq1 = phase[samples], square[0, samples], square[1, samples]
+        cos, sin = rot.real[samples], rot.imag[samples]
+        if start == 0:
+            for r in rows:
+                np.fft.fft(field[r], out=field[r])
+        for k in range(start, len(steps)):
+            for r in rows:
+                disperse(field[r], k)
+                np.fft.ifft(field[r], out=field[r])
+                np.square(np.abs(field[r], out=square[r]), out=square[r])
+            if barriers:
+                barriers[0].wait()
+            np.add(sq0, sq1, out=ph)
+            ph *= steps[k][1]
+            np.cos(ph, out=cos)
+            np.sin(ph, out=sin)
+            if k + 1 < len(steps) and slots[k + 1] != slots[k]:
+                build(k + 1, bins)
+            if barriers:
+                barriers[1].wait()
+            for r in rows:
+                field[r] *= rot
+                np.fft.fft(field[r], out=field[r])
+                disperse(field[r], k)
+            if barriers and folded:
+                return k + 1
+        for r in rows:
+            np.fft.ifft(field[r], out=field[r])
+        return len(steps)
+
+    build(0, slice(None))
     split = _SPAN_THREADS.enter()
     folded = False
     try:
-        # per thread: half-spectrum phasor, phase and rotation
-        work = [(np.empty(m, dtype=np.complex128), np.empty(n),
-                 np.empty(n, dtype=np.complex128)) for _ in range(1 + split)]
-        square = np.empty((1 + split, 2, n))
-
-        def run(rows, start, barrier, buffers):
-            """Fine steps start.. on ``rows``; returns the next step to run."""
-            half, phase, rot = buffers
-            half_neg = half[n - m:0:-1]
-
-            def disperse(row):
-                np.multiply(row[:m], half, out=row[:m])
-                np.multiply(row[m:], half_neg, out=row[m:])
-
-            if start == 0:
-                for r in rows:
-                    np.fft.fft(field[r], out=field[r])
-            built = None
-            for k in range(start, len(steps)):
-                dz, coef, loss = steps[k]
-                if dz != built:  # equal steps are mostly neighbours in a plan
-                    arg = np.multiply(gvd_f2, dz / 2.0, out=phase[:m])
-                    np.cos(arg, out=half.real)
-                    np.sin(arg, out=half.imag)
-                    half *= loss
-                    built = dz
-                sq = square[k % len(square)]
-                for r in rows:
-                    disperse(field[r])
-                    np.fft.ifft(field[r], out=field[r])
-                    np.square(np.abs(field[r], out=sq[r]), out=sq[r])
-                if barrier is not None:
-                    barrier.wait()
-                np.add(sq[0], sq[1], out=phase)
-                phase *= coef
-                np.cos(phase, out=rot.real)
-                np.sin(phase, out=rot.imag)
-                for r in rows:
-                    field[r] *= rot
-                    np.fft.fft(field[r], out=field[r])
-                    disperse(field[r])
-                if barrier is not None and folded:
-                    return k + 1
-            for r in rows:
-                np.fft.ifft(field[r], out=field[r])
-            return len(steps)
-
         if not split:
-            run((0, 1), 0, None, work[0])
+            run((0, 1), 0, everything, None)
             return
 
         def decide():
             nonlocal folded
             folded = _SPAN_THREADS.fold()
 
-        barrier = threading.Barrier(2, action=decide)
+        # barriers A and B of the docstring
+        barriers = (threading.Barrier(2), threading.Barrier(2, action=decide))
         errors = []
+
+        def abort():
+            for barrier in barriers:
+                barrier.abort()
+
+        # cut at a multiple of 64 so that each share's vector loops cover
+        # the elements one pass over the whole array would
+        cuts = [size // 2 // 64 * 64 for size in (n, m)]
 
         def helper():
             try:
-                run((1,), 0, barrier, work[1])
+                run((1,), 0, [slice(c, None) for c in cuts], barriers)
             except BaseException as exc:  # raised again in the caller
                 errors.append(exc)
-                barrier.abort()
+                abort()
 
         thread = threading.Thread(target=helper, name="span-row-1")
         thread.start()
         try:
-            resume = run((0,), 0, barrier, work[0])
+            resume = run((0,), 0, [slice(c) for c in cuts], barriers)
         except threading.BrokenBarrierError:  # the helper's error follows
             pass
         except BaseException:
-            barrier.abort()
+            abort()
             raise
         finally:
             thread.join()
         if errors:
             raise errors[0]
         if folded:
-            run((0, 1), resume, None, work[0])
+            run((0, 1), resume, everything, None)
     finally:
         _SPAN_THREADS.leave(1 + (split and not folded))
 

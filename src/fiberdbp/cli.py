@@ -34,7 +34,7 @@ from .metrics import prepare_dbp_input, snr, symbols_from_dbp_output
 from .optimize import (TrainingSet, build_training_set, optimize_coefficients,
                        receiver_coefficients, score_receivers,
                        sweep_launch_power, sweep_splitting_ratio)
-from .signals import WdmConfig, demux_channel, generate_wdm
+from .signals import WdmConfig, check_numbers, demux_channel, generate_wdm
 
 FIGURE_IDS = ("snr_vs_nsb", "snr_vs_rho", "snr_vs_steps",
               "snr_vs_complexity", "snr_vs_length")
@@ -92,8 +92,7 @@ class ExperimentConfig:
                  "sim": lambda d: SimSettings(**d),
                  "dbp": dict, "sweeps": dict,
                  "seeds": lambda d: {**_DEFAULT_SEEDS, **d},
-                 "num_symbols": int, "output_dir": str,
-                 "checkpoint_spans": bool}
+                 "output_dir": str, "checkpoint_spans": bool}
         cfg = cls(**{key: parse.get(key, lambda v: v)(value)
                      for key, value in doc.items()})
         cfg.validate()
@@ -117,6 +116,7 @@ class ExperimentConfig:
         return self.dbp_config().oversampling * self.wdm.baud_rate
 
     def validate(self):
+        check_numbers(self, positive=("sim_rate_hz",))
         self.dbp_config()  # exercises the engine invariants
         if self.num_symbols < 2:
             raise ValueError("num_symbols must be >= 2")

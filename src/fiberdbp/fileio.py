@@ -24,15 +24,19 @@ from .signals import DualPolWaveform, SymbolRecord
 _MAGIC = b"FDBP"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHddQ")
+# samples interleaved and written at a time by save_waveform (1 MiB)
+WRITE_CHUNK_SAMPLES = 1 << 15
 
 
 def save_waveform(path, w: DualPolWaveform) -> None:
     """Write magic, version, rates, then per sample xRe xIm yRe yIm float64
     (the (N, 2) transpose of the field).
 
-    The bytes go to a temporary file beside ``path`` that is then renamed
-    onto it, so a write that fails or is interrupted leaves any previous
-    file at ``path`` whole (a checkpoint that ``simulate --resume`` reads).
+    The payload is interleaved through one buffer of WRITE_CHUNK_SAMPLES
+    samples, not as a whole-field copy. The bytes go to a temporary file
+    beside ``path`` that is then renamed onto it, so a write that fails or
+    is interrupted leaves any previous file at ``path`` whole (a checkpoint
+    that ``simulate --resume`` reads).
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -40,7 +44,13 @@ def save_waveform(path, w: DualPolWaveform) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, w.sample_rate,
                                   w.center_freq, w.num_samples))
-            fh.write(w.field.T.astype("<c16").tobytes())
+            field = w.field
+            chunk = np.empty((min(field.shape[1], WRITE_CHUNK_SAMPLES), 2),
+                             dtype="<c16")
+            for start in range(0, field.shape[1], WRITE_CHUNK_SAMPLES):
+                part = field[:, start:start + WRITE_CHUNK_SAMPLES].T
+                np.copyto(chunk[:len(part)], part)
+                fh.write(chunk[:len(part)])
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

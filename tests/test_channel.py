@@ -185,7 +185,10 @@ def test_resume_plans_from_the_transmitted_waveform():
         propagate_link(w, link, sim, first_span=1)
 
 
-def test_propagation_memory_does_not_grow_with_distinct_steps(desk_wdm):
+def test_propagation_memory_does_not_grow_with_distinct_steps(desk_wdm,
+                                                              monkeypatch):
+    # two CPUs, so that the span splits over two threads on any machine
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     sim = SimSettings(max_phase_rad=2e-3, noise_seed=1)
     w, _ = generate_wdm(desk_wdm, 4800, seed=7)
@@ -193,22 +196,46 @@ def test_propagation_memory_does_not_grow_with_distinct_steps(desk_wdm):
     assert n >= 2 ** 15
     assert np.unique(span_step_sizes(link, sim, w.power)).size > 100
     field_bytes = 32 * n  # one (2, n) complex128 field
-    # Live at once, counted in fields: the running copy (1); in a span split
-    # over two threads, |x|^2 and |y|^2 for two step parities (1), two
-    # buffer sets of phase (1/4), rotation (1/2) and half-spectrum phasor
-    # (1/4), and the gvd f^2 table (1/8); at the EDFA, the amplified copy
-    # and the (2, 2, n) normal draws (2). The split span sets the peak at
-    # about 4.1 fields (3 with one thread, where the EDFA sets it); the
-    # rest up to 5 covers the step plan, RNG state and small temporaries.
-    # One full-length phasor per distinct step length would add half a
-    # field each, and two complex noise temporaries at the EDFA two fields.
+    # Live at once, counted in fields: the running copy (1). In a span, one
+    # working set shared by both threads: |x|^2 and |y|^2 (1/2), phase
+    # (1/4), rotation (1/2), the phasors of this step and the next (1/2),
+    # their argument (1/8) and the gvd f^2 table (1/8), so 3.0 fields. At
+    # the EDFA, the amplified copy (1) and one row's (2, n) normal draws
+    # (1/2), so 2.5. The rest up to 4 covers the step plan, RNG state and
+    # small temporaries. One full-length phasor per distinct step length
+    # would add half a field each, and a phase, rotation and phasor per
+    # thread about one field.
     tracemalloc.start()
     try:
         propagate_link(w, link, sim)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * field_bytes, peak / field_bytes
+    assert peak < 4 * field_bytes, peak / field_bytes
+
+
+def test_span_threads_split_the_step_trig(monkeypatch):
+    # the rotation over n samples and each new phasor over m = n//2 + 1 bins
+    # take one cos and one sin per element, however many threads share them
+    link = LinkConfig(num_spans=1, span_length_km=80.0)
+    steps = span_step_sizes(link, SimSettings(max_phase_rad=4e-3,
+                                              max_step_km=8.0), 6e-3)
+    assert np.unique(steps).size == steps.size
+    n = 10241
+    m = n // 2 + 1
+    entered = spy_span_threads(monkeypatch, "enter")
+    seen = {"cos": [], "sin": []}
+    for name, calls in seen.items():
+        monkeypatch.setattr(np, name, counting(getattr(np, name), calls))
+    for cpus in (1, 2):
+        monkeypatch.setattr(channel, "usable_cpus", lambda: cpus)
+        for calls in seen.values():
+            calls.clear()
+        _run_spans(random_field(n, 3), 64e9, _step_operators(link, steps,
+                                                             False))
+        assert {name: sum(calls) for name, calls in seen.items()} == {
+            "cos": steps.size * (n + m), "sin": steps.size * (n + m)}
+    assert entered == [False, True]
 
 
 # 1024 samples stay small; 10240 complex samples (160 KiB a row) exceed
@@ -234,6 +261,14 @@ def test_run_spans_matches_oracle_bit_for_bit(plan, n, inverse, monkeypatch):
         _run_spans(got, rate, _step_operators(link, steps, inverse))
         assert np.array_equal(got, expect)
     assert entered == [False, True]
+
+
+def counting(ufunc, calls):
+    """``ufunc`` that appends the size of its first argument to ``calls``."""
+    def counted(x, *args, **kwargs):
+        calls.append(np.size(x))
+        return ufunc(x, *args, **kwargs)
+    return counted
 
 
 def spy_span_threads(monkeypatch, method):
@@ -323,6 +358,50 @@ def test_concurrent_spans_fold_and_match_serial(monkeypatch):
     assert all(np.array_equal(got, ref)
                for runs, ref in zip(results, expect) for got in runs)
     assert sum(folds) > 0
+    assert _SPAN_THREADS.running == 0
+
+
+def test_split_spans_share_their_buffers_under_fast_switching(monkeypatch):
+    # two spans at once, each split over two threads (four threads, no
+    # fold); each thread writes halves of the rotation and of the next
+    # phasor that its partner reads after a barrier, so a read that ran
+    # ahead of a write would change bits, and distinct step lengths make
+    # every step build a phasor
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 4)
+    entered = spy_span_threads(monkeypatch, "enter")
+    folds = spy_span_threads(monkeypatch, "fold")
+    link = LinkConfig(num_spans=1, span_length_km=80.0)
+    steps = span_step_sizes(link, SimSettings(max_phase_rad=4e-3,
+                                              max_step_km=8.0), 6e-3)
+    operators = _step_operators(link, steps, False)
+    fields = [random_field(4096, seed) for seed in (5, 6)]
+    expect = [split_step_oracle(f, 64e9, link, steps, False) for f in fields]
+    results = [[] for _ in fields]
+    start = threading.Barrier(len(fields))
+
+    def simulate(i):
+        start.wait(timeout=60)
+        for _ in range(3):
+            got = fields[i].copy()
+            _run_spans(got, 64e9, operators)
+            results[i].append(got)
+
+    threads = [threading.Thread(target=simulate, args=(i,))
+               for i in range(len(fields))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert entered == [True] * 6 and not any(folds)
+    assert all(len(runs) == 3 and all(np.array_equal(got, ref)
+                                       for got in runs)
+               for runs, ref in zip(results, expect))
     assert _SPAN_THREADS.running == 0
 
 

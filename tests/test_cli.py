@@ -163,6 +163,19 @@ def test_malformed_sweep_grids_rejected_at_load(ws, grid):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("num_symbols", 1000.7, "num_symbols must be an integer"),
+    ("sim_rate_hz", float("nan"), "sim_rate_hz must be finite and positive"),
+    ("sim_rate_hz", -96e9, "sim_rate_hz must be finite and positive")])
+def test_malformed_config_numbers_rejected_at_load(ws, key, value, message):
+    # neither is rounded nor loaded to fail later inside generate_wdm
+    _, cfg_path = ws
+    doc = ExperimentConfig.from_yaml(cfg_path).to_dict()
+    doc[key] = value
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_simulate_writes_artifacts_and_manifest(ws):
     root, cfg_path = ws
     out = root / "sim"

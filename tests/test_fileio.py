@@ -11,10 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fiberdbp import (CoefficientSet, DbpConfig, DualPolWaveform, LinkConfig,
-                      WdmConfig, generate_wdm, load_coefficients, load_symbols,
-                      load_waveform, make_dbp_coefficient_set, read_csv,
-                      save_coefficients, save_symbols, save_waveform,
-                      write_csv)
+                      WdmConfig, fileio, generate_wdm, load_coefficients,
+                      load_symbols, load_waveform, make_dbp_coefficient_set,
+                      read_csv, save_coefficients, save_symbols,
+                      save_waveform, write_csv)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,18 @@ def test_waveform_save_load_save_is_byte_exact(parts):
         assert p1.read_bytes()[-parts.nbytes:] == parts.transpose(1, 0, 2) \
             .astype("<f8").tobytes()
         assert p2.read_bytes() == p1.read_bytes()
+
+
+def test_chunked_waveform_payload_equals_the_whole_field_copy(tmp_path):
+    # several write chunks plus a remainder, from a row-major field
+    n = 3 * fileio.WRITE_CHUNK_SAMPLES + 1001
+    rng = np.random.default_rng(4)
+    field = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    p = tmp_path / "long.fdbp"
+    save_waveform(p, DualPolWaveform(field, 64e9, 5e9))
+    assert p.read_bytes() == (
+        struct.pack("<4sHddQ", b"FDBP", 1, 64e9, 5e9, n)
+        + field.T.astype("<c16").tobytes())
 
 
 def test_waveform_rejects_bad_magic_and_version(tmp_path, waveform):
