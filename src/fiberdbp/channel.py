@@ -29,22 +29,22 @@ threads, the caller and one helper, which share one set of work buffers
 and meet at two barriers per fine step. After the first, |x|^2 + |y|^2 is
 complete and each thread computes the rotation over half of the samples
 and the next step's phasor over half of the bins, so that trig is done
-once; after the second, each thread rotates and disperses its own row. A
-process-wide count of span threads against the usable CPUs (the affinity
-mask) decides whether a span takes a helper; when another span enters and
-the count exceeds the CPUs, the helper is given back at the next step and
-the caller runs both rows. Either way the output is the same bits, and no
+once; after the second, each thread rotates and disperses its own row. The
+process's one CPU budget (``cpus.BUDGET``, shared with the receive path)
+decides whether a span takes a helper; when another caller enters and the
+count exceeds the CPUs, the helper is given back at the next step and the
+caller runs both rows. Either way the output is the same bits, and no
 thread outlives the span.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cpus
 from .signals import DualPolWaveform, check_numbers
 
 # SI defining constants, exact since 2019 (equal to scipy.constants.c and .h)
@@ -222,52 +222,6 @@ def _step_operators(link: LinkConfig, steps: np.ndarray, inverse: bool
     return sgn * link.beta2_s2_km, ops
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on (the affinity mask, where there is one).
-
-    The one CPU budget: the span threads here and optimize's pool of
-    independent transmissions both read it through this module.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _SpanThreads:
-    """Threads running split-step spans in this process, against the CPUs.
-
-    ``enter`` counts a span's calling thread in and, while the count is
-    below the usable CPUs, a helper thread for its second row. ``fold``
-    gives the helper back once the count exceeds the CPUs, which happens
-    when another span enters meanwhile; the caller then runs both rows.
-    The CPU count is read at every call, so a changed affinity mask counts.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.running = 0
-
-    def enter(self) -> bool:
-        with self._lock:
-            self.running += 1
-            helper = self.running < usable_cpus()
-            self.running += helper
-        return helper
-
-    def fold(self) -> bool:
-        with self._lock:
-            over = self.running > usable_cpus()
-            self.running -= over
-        return over
-
-    def leave(self, threads: int) -> None:
-        with self._lock:
-            self.running -= threads
-
-
-_SPAN_THREADS = _SpanThreads()
-
-
 def _run_spans(field: np.ndarray, rate: float,
                operators: tuple[float, list[tuple[float, float, float]]]
                ) -> None:
@@ -298,7 +252,7 @@ def _run_spans(field: np.ndarray, rate: float,
     both rows with one share covering everything; that is also the code
     the serial path runs.
 
-    While ``_SPAN_THREADS`` counts fewer threads than usable CPUs, a helper
+    While ``cpus.BUDGET`` counts fewer threads than usable CPUs, a helper
     thread runs row 1 and the caller row 0. Barrier B's action decides,
     once for both threads, whether to fold: then both finish the step, the
     caller joins the helper and runs both rows from there on. An error in
@@ -369,7 +323,7 @@ def _run_spans(field: np.ndarray, rate: float,
         return len(steps)
 
     build(0, slice(None))
-    split = _SPAN_THREADS.enter()
+    split = cpus.BUDGET.enter()
     folded = False
     try:
         if not split:
@@ -378,7 +332,7 @@ def _run_spans(field: np.ndarray, rate: float,
 
         def decide():
             nonlocal folded
-            folded = _SPAN_THREADS.fold()
+            folded = cpus.BUDGET.fold()
 
         # barriers A and B of the docstring
         barriers = (threading.Barrier(2), threading.Barrier(2, action=decide))
@@ -415,7 +369,7 @@ def _run_spans(field: np.ndarray, rate: float,
         if folded:
             run((0, 1), resume, everything, None)
     finally:
-        _SPAN_THREADS.leave(1 + (split and not folded))
+        cpus.BUDGET.leave(1 + (split and not folded))
 
 
 def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,

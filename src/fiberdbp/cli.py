@@ -7,8 +7,10 @@ sets, CSV tables) carries the configuration hash so results can always be
 traced back; re-running an unchanged config reproduces identical files.
 
 Subcommands: simulate, coeffs, optimize, dbp, sweep, cost, figure. They
-run on the CPUs of the affinity mask (channel.usable_cpus), which
-``taskset`` limits; no option sets a thread count, and outputs ignore it.
+run on the CPUs of the affinity mask (cpus.usable_cpus), which ``taskset``
+limits: the simulated spans, the engine's block passes and the receive
+chain's spectral steps take a helper thread from that one budget while a
+CPU is idle. No option sets a thread count, and outputs ignore it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,12 @@ step loop; the single-band variants are the case N_sb = 1, and a variant
 differs from another only in the filter that turns intensity into phase.
 One engine pass can carry a batch of tap sets on the same input (a leading
 axis on every array); run_dbp passes one set, and the coefficient optimizer
-passes the perturbed sets of a Jacobian.
+passes the perturbed sets of a Jacobian. A pass runs on its caller and,
+while a CPU is idle, one helper thread from the process's CPU budget
+(cpus): one set's blocks, or a batch's sets, are cut in two halves, and
+each thread runs its half with its own buffers and the shared read-only
+plan. Every block of every set runs the same code either way, so the
+output does not depend on the thread count.
 
 Variants
 --------
@@ -42,6 +47,7 @@ from functools import partial
 import numpy as np
 
 from .channel import LinkConfig, dispersion_phase
+from .cpus import in_two
 from .kernel import (CoefficientSet, StepGeometry, analytic_coefficients,
                      coefficient_memory, geometry_fingerprint)
 from .signals import DualPolWaveform, check_numbers
@@ -204,16 +210,15 @@ def _nonlinear_step(fields: np.ndarray, phase, scales: np.ndarray,
     phase(intens, theta) writes the filtered phase of the (B, n_sb, N')
     joint intensities into theta; scales are the sets' (B,) phase scales.
     work holds the intensity, theta and the rotation, each (B, n_sb, N').
-    The rotation is cos + j sin of -theta, which is how np.exp(-1j * theta)
-    rounds.
+    The rotation is cos + j sin of theta times the negated scale, which
+    rounds as -(theta * scale), and so as np.exp(-1j * theta * scale).
     """
     intens, theta, rot = work
     np.square(np.abs(fields[:, 0], out=intens), out=intens)
     np.square(np.abs(fields[:, 1], out=theta), out=theta)
     intens += theta
     phase(intens, theta)
-    theta *= scales[:, None, None]
-    np.negative(theta, out=theta)
+    theta *= -scales[:, None, None]
     np.cos(theta, out=rot.real)
     np.sin(theta, out=rot.imag)
     fields *= rot[:, None]
@@ -325,18 +330,20 @@ def standard_ssfm_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
 
 
 class _BlockEngine:
-    """Precomputed per-block state for B tap sets that share one config.
+    """Precomputed per-block plan for B tap sets that share one config.
 
     Every set runs the same config on the same input block; only the taps
-    (and their power scales) differ. ``process`` maps one (2, N) block to
-    the (B, 2, N) outputs in a buffer that the next call overwrites. Every
-    variant runs one step loop on a (B, 2, N_sb, N') subband array, with
-    N_sb = 1 for EDC, OSSFM and ESSFM: per-subband dispersion, then the
-    nonlinear phase rotation. The variant chooses only the rotation's phase
-    filter (the MIMO transfer for CB_ESSFM, the per-set FIR for OSSFM and
-    ESSFM). The steps run in place in buffers allocated once per engine;
-    the subband split and merge are two precomputed gathers, skipped at
-    N_sb = 1 where they are the identity.
+    (and their power scales) differ. Every variant runs one step loop on a
+    (b, 2, N_sb, N') subband array, with N_sb = 1 for EDC, OSSFM and ESSFM:
+    per-subband dispersion, then the nonlinear phase rotation. The variant
+    chooses only the rotation's phase filter (the MIMO transfer for
+    CB_ESSFM, the per-set FIR for OSSFM and ESSFM). The plan (dispersion
+    phasors, phase filter, scales, and the subband split and merge gathers,
+    skipped at N_sb = 1 where they are the identity) is read-only once
+    built, so threads share it. ``lane(sets)`` gives one thread the plan's
+    view for a slice of the sets and its own buffers, allocated once;
+    ``process`` maps one (2, N) block to that lane's (b, 2, N) outputs, in
+    a buffer that the lane's next call overwrites.
     """
 
     def __init__(self, cfg: DbpConfig, rate: float, coeff_sets: list):
@@ -344,7 +351,7 @@ class _BlockEngine:
         n = cfg.block_size
         n_sb = cfg.n_subbands
         n_prime = n // n_sb
-        batch = len(coeff_sets)
+        self.batch = len(coeff_sets)
 
         if cfg.n_steps == 0:
             # zero nonlinear steps (EDC, or any variant at N_st = 0): the
@@ -382,17 +389,14 @@ class _BlockEngine:
             interior = rho * step + (1 - rho) * step
             self.gvd_lengths = [(1 - rho) * step] + [interior] * (cfg.n_steps - 1)
             self.final_gvd = rho * step
-            self.work = _rotation_work(batch, n_sb, n_prime)
-            # the phase filter holds the taps only, never the engine
+            # the phase filter holds the taps only, never the engine; a
+            # lane applies it to its own slice of the per-set data
             if cfg.variant == "CB_ESSFM":
-                self.phase = partial(_mimo_phase, np.stack(
+                self.filter = (_mimo_phase, np.stack(
                     [build_mimo_transfer(c, n_prime) for c in coeff_sets]))
             else:
-                self.phase = partial(_fir_phase,
-                                     [c.coeffs[0] for c in coeff_sets])
+                self.filter = (_fir_phase, [c.coeffs[0] for c in coeff_sets])
 
-        self.sub = np.empty((batch, 2, n_sb, n_prime), dtype=complex)
-        self.out = self.sub.reshape(batch, 2, n)
         self.split = self.merge = None
         # per-subband dispersion at the absolute frequency of each block bin
         freqs = np.fft.fftfreq(n, 1.0 / rate)
@@ -402,15 +406,37 @@ class _BlockEngine:
             self.split = np.fft.ifftshift(
                 np.fft.fftshift(np.arange(n)).reshape(n_sb, n_prime), axes=-1)
             self.merge = np.argsort(self.split.ravel())
-            self.out = np.empty((batch, 2, n), dtype=complex)
             freqs = freqs[self.split]
+        # the compensation exp(-1j dz k) as cos + j sin of -dz k, which is
+        # how np.exp rounds it (its real part is +-0)
         k = dispersion_phase(cfg.link.beta2_s2_km, freqs)
-        self._phasors = {dz: np.exp(-1j * dz * k)
-                         for dz in set(self.gvd_lengths + [self.final_gvd])}
+        arg = np.empty(k.shape)
+        self._phasors = {}
+        for dz in set(self.gvd_lengths + [self.final_gvd]):
+            phasor = self._phasors[dz] = np.empty(k.shape, dtype=complex)
+            np.multiply(k, -dz, out=arg)
+            np.cos(arg, out=phasor.real)
+            np.sin(arg, out=phasor.imag)
 
-    def process(self, blk: np.ndarray) -> np.ndarray:
+    def lane(self, sets: slice) -> tuple:
+        """One thread's view of the sets ``sets``: their phase filter and
+        scales (views of the plan) and its own (sub, out, work) buffers."""
+        n = self.cfg.block_size
         n_sb = self.cfg.n_subbands
-        sub = self.sub
+        batch = len(range(self.batch)[sets])
+        sub = np.empty((batch, 2, n_sb, n // n_sb), dtype=complex)
+        out = sub.reshape(batch, 2, n)
+        if self.merge is not None:
+            out = np.empty((batch, 2, n), dtype=complex)
+        if not self.gvd_lengths:
+            return None, None, sub, out, None
+        fn, data = self.filter
+        return (partial(fn, data[sets]), self.scales[sets], sub, out,
+                _rotation_work(batch, n_sb, n // n_sb))
+
+    def process(self, blk: np.ndarray, lane: tuple) -> np.ndarray:
+        phase, scales, sub, out, work = lane
+        n_sb = self.cfg.n_subbands
         spec = np.fft.fft(blk, axis=-1)
         if self.split is None:
             sub[:] = spec[:, None]
@@ -419,10 +445,9 @@ class _BlockEngine:
         for st, dz in enumerate(self.gvd_lengths):
             sub *= self._phasors[dz]
             np.fft.ifft(sub, axis=-1, out=sub)
-            _nonlinear_step(sub, self.phase, self.scales[:, st], self.work)
+            _nonlinear_step(sub, phase, scales[:, st], work)
             np.fft.fft(sub, axis=-1, out=sub)
         sub *= self._phasors[self.final_gvd]
-        out = self.out
         if self.merge is not None:
             sub *= n_sb
             np.take(sub.reshape(out.shape), self.merge, axis=-1, out=out)
@@ -433,7 +458,14 @@ def _run_blocks(w: DualPolWaveform, cfg: DbpConfig, coeff_sets: list,
                 counter=None) -> np.ndarray:
     """(B, 2, n) outputs of one engine pass of B tap sets over w's blocks.
 
-    A counter, if given, tallies the blocks processed in counter.blocks.
+    cpus.in_two runs the pass whole in the caller or cut in two halves,
+    the second on a helper thread: by blocks for one set and by sets for
+    several. It cuts when the helper's blocks hold at least cpus.MIN_SHARE
+    samples (both polarizations of its sets) and a CPU is idle. Each part
+    has its own lane of buffers and writes its own slice of the output,
+    and every block of every set runs the same code either way, so the
+    output is the same bits. A counter, if given, tallies the blocks
+    processed in counter.blocks, in the calling thread.
     """
     n = w.num_samples
     keep = cfg.block_size - cfg.overlap
@@ -448,18 +480,42 @@ def _run_blocks(w: DualPolWaveform, cfg: DbpConfig, coeff_sets: list,
 
     engine = _BlockEngine(cfg, w.sample_rate, coeff_sets)
     field = w.field
-    out = np.empty((len(coeff_sets),) + field.shape, dtype=complex)
+    batch = len(coeff_sets)
+    out = np.empty((batch,) + field.shape, dtype=complex)
     half = cfg.overlap // 2
     nblocks = int(np.ceil(n / keep))
-    for b in range(nblocks):
-        start = (b * keep - half) % n
-        idx = (start + np.arange(cfg.block_size)) % n
-        proc = engine.process(field[:, idx])
-        if counter is not None:
-            counter.blocks += 1
-        span = min(keep, n - b * keep)
-        out[..., b * keep: b * keep + span] = proc[..., half: half + span]
+
+    def run(k, parts):
+        blocks, sets = range(nblocks), slice(None)
+        if batch == 1:
+            blocks = blocks[_part(nblocks, k, parts)]
+        else:
+            sets = _part(batch, k, parts)
+        lane = engine.lane(sets)
+        for b in blocks:
+            start = (b * keep - half) % n
+            idx = (start + np.arange(cfg.block_size)) % n
+            proc = engine.process(field[:, idx], lane)
+            span = min(keep, n - b * keep)
+            cols = slice(b * keep, b * keep + span)
+            out[sets, :, cols] = proc[..., half: half + span]
+
+    # samples per array operation in the helper's part: its blocks of the
+    # one set, or every block of its half of the sets, both polarizations
+    if batch == 1:
+        share = 2 * cfg.block_size if nblocks > 1 else 0
+    else:
+        share = 2 * cfg.block_size * (batch // 2)
+    in_two(run, share)
+    if counter is not None:
+        counter.blocks += nblocks
     return out
+
+
+def _part(size: int, k: int, parts: int) -> slice:
+    """Part k of ``parts`` near-equal parts of range(size), the first ones
+    the longer."""
+    return slice(-(-k * size // parts), -(-(k + 1) * size // parts))
 
 
 def run_dbp(w: DualPolWaveform, cfg: DbpConfig,

@@ -24,7 +24,8 @@ from .signals import DualPolWaveform, SymbolRecord
 _MAGIC = b"FDBP"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHddQ")
-# samples interleaved and written at a time by save_waveform (1 MiB)
+# samples interleaved and written at a time by save_waveform, and read at
+# a time by load_waveform (1 MiB)
 WRITE_CHUNK_SAMPLES = 1 << 15
 
 
@@ -57,6 +58,13 @@ def save_waveform(path, w: DualPolWaveform) -> None:
 
 
 def load_waveform(path) -> DualPolWaveform:
+    """Read a file written by save_waveform.
+
+    The payload is read through one buffer of WRITE_CHUNK_SAMPLES samples
+    straight into the (2, N) field, so no copy of the whole payload is held
+    beside the result. A payload shorter or longer than the header's
+    sample count raises ValueError.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -66,17 +74,20 @@ def load_waveform(path) -> DualPolWaveform:
             raise ValueError(f"{path}: not a waveform file")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        data = np.frombuffer(fh.read(count * 32), dtype="<f8")
-        trailing = fh.read(1)
-    # checked in float64 units before the complex view, so that a cut of
-    # half a complex value also reports truncation
-    if data.size != count * 4:
-        raise ValueError(f"{path}: truncated payload")
-    if trailing:
-        raise ValueError(f"{path}: trailing data")
-    field = data.view("<c16").reshape(count, 2).T
-    return DualPolWaveform(field.astype(np.complex128, order="C"), rate,
-                           center)
+        # checked before allocating, so a damaged count cannot ask for more
+        # memory than the file holds
+        if os.fstat(fh.fileno()).st_size - _HEADER.size < count * 32:
+            raise ValueError(f"{path}: truncated payload")
+        field = np.empty((2, count), dtype=np.complex128)
+        chunk = np.empty((min(count, WRITE_CHUNK_SAMPLES), 2), dtype="<c16")
+        for start in range(0, count, WRITE_CHUNK_SAMPLES):
+            part = chunk[:count - start]
+            if fh.readinto(part) != part.nbytes:
+                raise ValueError(f"{path}: truncated payload")
+            field[:, start:start + len(part)] = part.T
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing data")
+    return DualPolWaveform(field, rate, center)
 
 
 def save_symbols(path, record: SymbolRecord) -> None:

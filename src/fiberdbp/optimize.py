@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import channel
+from . import cpus
 from .channel import LinkConfig, SimSettings, propagate_link
 from .dbp import DbpConfig, _run_blocks, make_dbp_coefficient_set
 from .kernel import CoefficientSet
@@ -60,7 +60,7 @@ def _concurrent_map(fn, items) -> list:
     items is a sequence. Runs inline on one usable CPU or at most one item;
     results come back in input order either way.
     """
-    threads = channel.usable_cpus()
+    threads = cpus.usable_cpus()
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(min(threads, len(items))) as pool:
@@ -289,7 +289,7 @@ def sweep_launch_power(powers_dbm, link: LinkConfig, wdm: WdmConfig,
 
     Each point receives with receiver_coefficients at its own power: the
     analytic set, refined on the training set when one is given. The grid
-    points run one thread per usable CPU (channel.usable_cpus); every
+    points run one thread per usable CPU (cpus.usable_cpus); every
     point is seeded on its own, so the curve does not depend on the CPU
     count. The training set arrives built, so no pool runs inside another.
     """

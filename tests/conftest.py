@@ -3,6 +3,7 @@ import pytest
 
 import fiberdbp.optimize
 from fiberdbp import LinkConfig, StepGeometry, WdmConfig
+from fiberdbp.cpus import Budget
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +36,20 @@ def pool_widths(monkeypatch):
 
     monkeypatch.setattr(fiberdbp.optimize, "ThreadPoolExecutor", spy)
     return widths
+
+
+def spy_budget(monkeypatch, method):
+    """Wrap a ``cpus.Budget`` method; returns the list of its results."""
+    seen = []
+    wrapped = getattr(Budget, method)
+
+    def record(self):
+        result = wrapped(self)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(Budget, method, record)
+    return seen
 
 
 def rel_rms(a: np.ndarray, b: np.ndarray) -> float:

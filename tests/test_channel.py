@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from fiberdbp import (DualPolWaveform, LinkConfig, SimSettings, WdmConfig,
-                      backward_propagate, channel, edfa, generate_wdm,
+                      backward_propagate, edfa, generate_wdm,
                       propagate_link, span_step_sizes)
-from fiberdbp.channel import (_SPAN_THREADS, _SpanThreads, _run_spans,
-                              _step_operators, ase_variance_per_pol)
-from conftest import rel_rms
+from fiberdbp.channel import _run_spans, _step_operators, ase_variance_per_pol
+from fiberdbp.cpus import BUDGET
+from conftest import rel_rms, spy_budget
 from oracles import split_step_oracle
 
 
@@ -188,7 +188,7 @@ def test_resume_plans_from_the_transmitted_waveform():
 def test_propagation_memory_does_not_grow_with_distinct_steps(desk_wdm,
                                                               monkeypatch):
     # two CPUs, so that the span splits over two threads on any machine
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     sim = SimSettings(max_phase_rad=2e-3, noise_seed=1)
     w, _ = generate_wdm(desk_wdm, 4800, seed=7)
@@ -223,12 +223,12 @@ def test_span_threads_split_the_step_trig(monkeypatch):
     assert np.unique(steps).size == steps.size
     n = 10241
     m = n // 2 + 1
-    entered = spy_span_threads(monkeypatch, "enter")
+    entered = spy_budget(monkeypatch, "enter")
     seen = {"cos": [], "sin": []}
     for name, calls in seen.items():
         monkeypatch.setattr(np, name, counting(getattr(np, name), calls))
     for cpus in (1, 2):
-        monkeypatch.setattr(channel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: cpus)
         for calls in seen.values():
             calls.clear()
         _run_spans(random_field(n, 3), 64e9, _step_operators(link, steps,
@@ -253,10 +253,10 @@ def test_run_spans_matches_oracle_bit_for_bit(plan, n, inverse, monkeypatch):
     assert len(np.unique(steps)) == (1 if "step_km" in plan else steps.size)
     field = random_field(n, n, p0)
     expect = split_step_oracle(field, rate, link, steps, inverse)
-    entered = spy_span_threads(monkeypatch, "enter")
+    entered = spy_budget(monkeypatch, "enter")
     # one CPU runs both rows in the calling thread, two split them
     for cpus in (1, 2):
-        monkeypatch.setattr(channel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: cpus)
         got = field.copy()
         _run_spans(got, rate, _step_operators(link, steps, inverse))
         assert np.array_equal(got, expect)
@@ -269,20 +269,6 @@ def counting(ufunc, calls):
         calls.append(np.size(x))
         return ufunc(x, *args, **kwargs)
     return counted
-
-
-def spy_span_threads(monkeypatch, method):
-    """Wrap a ``_SpanThreads`` method; returns the list of its results."""
-    seen = []
-    wrapped = getattr(_SpanThreads, method)
-
-    def record(self):
-        result = wrapped(self)
-        seen.append(result)
-        return result
-
-    monkeypatch.setattr(_SpanThreads, method, record)
-    return seen
 
 
 def random_field(n, seed, p0=6e-3):
@@ -301,9 +287,9 @@ def test_span_folds_when_the_cpus_shrink(fold_at, monkeypatch):
     k = {"first": 0, "middle": steps.size // 2, "last": steps.size - 1}
     reads = itertools.count()
     # read 0 is the span's entry, read j + 1 the barrier of step j
-    monkeypatch.setattr(channel, "usable_cpus",
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus",
                         lambda: 2 if next(reads) <= k[fold_at] else 1)
-    folds = spy_span_threads(monkeypatch, "fold")
+    folds = spy_budget(monkeypatch, "fold")
     # the helper lags after the fold: the caller must not touch row 1 first
     fft, caller = np.fft.fft, threading.current_thread()
 
@@ -319,14 +305,14 @@ def test_span_folds_when_the_cpus_shrink(fold_at, monkeypatch):
     assert folds == [False] * k[fold_at] + [True]
     assert np.array_equal(got, split_step_oracle(field, 64e9, link, steps,
                                                  False))
-    assert _SPAN_THREADS.running == 0
+    assert BUDGET.running == 0
 
 
 def test_concurrent_spans_fold_and_match_serial(monkeypatch):
     # four spans at once on two CPUs: the first to enter takes a helper and
     # folds it when the next enters; every span still equals its serial run
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
-    folds = spy_span_threads(monkeypatch, "fold")
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
+    folds = spy_budget(monkeypatch, "fold")
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     steps = span_step_sizes(link, SimSettings(step_km=1.0), 6e-3)
     operators = _step_operators(link, steps, False)
@@ -358,7 +344,7 @@ def test_concurrent_spans_fold_and_match_serial(monkeypatch):
     assert all(np.array_equal(got, ref)
                for runs, ref in zip(results, expect) for got in runs)
     assert sum(folds) > 0
-    assert _SPAN_THREADS.running == 0
+    assert BUDGET.running == 0
 
 
 def test_split_spans_share_their_buffers_under_fast_switching(monkeypatch):
@@ -367,9 +353,9 @@ def test_split_spans_share_their_buffers_under_fast_switching(monkeypatch):
     # phasor that its partner reads after a barrier, so a read that ran
     # ahead of a write would change bits, and distinct step lengths make
     # every step build a phasor
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 4)
-    entered = spy_span_threads(monkeypatch, "enter")
-    folds = spy_span_threads(monkeypatch, "fold")
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 4)
+    entered = spy_budget(monkeypatch, "enter")
+    folds = spy_budget(monkeypatch, "fold")
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     steps = span_step_sizes(link, SimSettings(max_phase_rad=4e-3,
                                               max_step_km=8.0), 6e-3)
@@ -402,7 +388,7 @@ def test_split_spans_share_their_buffers_under_fast_switching(monkeypatch):
     assert all(len(runs) == 3 and all(np.array_equal(got, ref)
                                        for got in runs)
                for runs, ref in zip(results, expect))
-    assert _SPAN_THREADS.running == 0
+    assert BUDGET.running == 0
 
 
 class Failure(Exception):
@@ -423,7 +409,7 @@ def fail_ifft_in(monkeypatch, fails, error):
 
 @pytest.mark.parametrize("raising", ["helper", "caller"])
 def test_span_error_reaches_the_caller(raising, monkeypatch):
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
     error = Failure if raising == "helper" else KeyboardInterrupt
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     operators = _step_operators(link, np.full(40, 2.0), False)
@@ -445,14 +431,14 @@ def test_span_error_reaches_the_caller(raising, monkeypatch):
     assert not worker.is_alive()
     assert [type(e) for e in caught] == [error]
     assert threading.active_count() == before
-    assert _SPAN_THREADS.running == 0
+    assert BUDGET.running == 0
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
 def test_no_thread_outlives_a_simulation(fails, desk_link, desk_wdm,
                                          monkeypatch):
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
-    entered = spy_span_threads(monkeypatch, "enter")
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
+    entered = spy_budget(monkeypatch, "enter")
     sim = SimSettings(max_phase_rad=2e-3, noise_seed=1)
     w, _ = generate_wdm(desk_wdm, 128, seed=1)
     rx = propagate_link(w, desk_link, sim)
@@ -469,7 +455,7 @@ def test_no_thread_outlives_a_simulation(fails, desk_link, desk_wdm,
         else:
             run()
         assert threading.active_count() == before
-        assert _SPAN_THREADS.running == 0
+        assert BUDGET.running == 0
     assert all(entered)
 
 

@@ -254,7 +254,7 @@ def test_tuned_power_sweep_does_not_depend_on_the_cpu_count(
     del pool_widths[:]  # the training pair's
     curves = []
     for cpus in (1, 2):
-        monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fiberdbp.cpus, "usable_cpus", lambda: cpus)
         res = sweep_launch_power([0.0, 2.0, 4.0], cfg.link, cfg.wdm,
                                  cfg.dbp_config(), cfg.num_symbols, cfg.sim,
                                  cfg.seeds["eval"], train=train)

@@ -1,17 +1,19 @@
 """Arithmetic cost model: dual-route checks, counters, per-config pricing.
 
 The golden 681 / 75 / 32 RM/2D values are pinned on the closed forms in
-test_acceptance.py and on the per-config dispatch (dbp_cost) here.
+test_acceptance.py, and here on the per-config dispatch (dbp_cost) and on
+the engine's own block count (count_runtime_multiplies).
 """
 
 import numpy as np
 import pytest
 
-from fiberdbp import (DbpConfig, LinkConfig, SimSettings, WdmConfig,
-                      cb_essfm_cost, count_runtime_multiplies, dbp_cost,
-                      essfm_time_domain_cost, generate_wdm,
+from fiberdbp import (DbpConfig, DualPolWaveform, LinkConfig, SimSettings,
+                      WdmConfig, cb_essfm_cost, count_runtime_multiplies,
+                      dbp_cost, essfm_time_domain_cost, generate_wdm,
                       make_dbp_coefficient_set, propagate_link, run_dbp)
 from fiberdbp.complexity import CostCounter
+from conftest import spy_budget
 
 # full-scale block parameters
 N, N_OV, SPS = 16384, 1800, 1.125
@@ -149,3 +151,27 @@ def test_counter_tallies_processed_blocks(counted_setup):
         used = blocks * (block - overlap) / rx.num_samples
         assert count_runtime_multiplies(rx, cfg).rm_per_2d == pytest.approx(
             per_block.rm_per_2d * used, rel=1e-12)
+
+
+def test_counted_golden_costs_with_split_passes(monkeypatch):
+    # two whole full-scale blocks, one on each of two threads: the blocks
+    # the engine tallies still price the published counts
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
+    entered = spy_budget(monkeypatch, "enter")
+    link = LinkConfig(num_spans=2, span_length_km=80.0)
+    n = 2 * (N - N_OV)
+    rng = np.random.default_rng(0)
+    w = DualPolWaveform(1e-2 * (rng.standard_normal((2, n))
+                                + 1j * rng.standard_normal((2, n))), 36e9)
+    for variant, n_steps, n_sb, golden in (("CB_ESSFM", 15, 2, 681),
+                                           ("CB_ESSFM", 1, 2, 75),
+                                           ("EDC", 0, 1, 32)):
+        cfg = DbpConfig(link=link, variant=variant, n_steps=n_steps,
+                        n_subbands=n_sb, block_size=N, overlap=N_OV,
+                        oversampling=SPS)
+        coeffs = None
+        if cfg.uses_coefficients:
+            coeffs = make_dbp_coefficient_set(cfg, 36e9, 1e-3)
+        rep = count_runtime_multiplies(w, cfg, coeffs)
+        assert round(rep.rm_per_2d) == golden, variant
+    assert entered == [True] * 3

@@ -1,6 +1,9 @@
 """Backpropagation engine: reductions, framing, NLPR, coefficient builder."""
 
 import re
+import sys
+import threading
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -8,14 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fiberdbp import (CoefficientSet, DbpConfig, LinkConfig, SimSettings, WdmConfig,
+import fiberdbp
+from fiberdbp import (CoefficientSet, DbpConfig, DualPolWaveform, LinkConfig,
+                      SimSettings, WdmConfig,
                       backward_propagate, build_mimo_transfer,
                       channel_memory_samples, generate_wdm,
                       make_dbp_coefficient_set, nlpr_step, propagate_link,
                       run_dbp, standard_ssfm_coefficient_set)
 from fiberdbp.channel import dispersion_phase
-from fiberdbp.dbp import VARIANTS
-from conftest import rel_rms
+from fiberdbp.cpus import BUDGET, MIN_SHARE
+from fiberdbp.dbp import VARIANTS, _run_blocks
+from conftest import rel_rms, spy_budget
 from oracles import dbp_oracle
 
 RATE = 64e9
@@ -275,13 +281,14 @@ def long_wave():
     return generate_wdm(wdm, 12288, sim_rate=RATE, seed=24)[0]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("block_size", [4096, 16384])
 @pytest.mark.parametrize("variant, n_sb, n_steps", [
     ("EDC", 1, 0), ("OSSFM", 1, 3), ("ESSFM", 1, 3), ("CB_ESSFM", 2, 3),
     ("CB_ESSFM", 3, 2), ("CB_ESSFM", 2, 0)])
 def test_run_dbp_matches_oracle_engine_bit_for_bit(link, long_wave,
                                                    block_size, variant, n_sb,
-                                                   n_steps):
+                                                   n_steps, cpus, monkeypatch):
     # the one-set engine before batching, fresh arrays and exp rotations;
     # three subbands give an odd subband length for the split gather
     cfg = cfg_for(link, variant=variant, n_subbands=n_sb, n_steps=n_steps,
@@ -290,7 +297,14 @@ def test_run_dbp_matches_oracle_engine_bit_for_bit(link, long_wave,
     coeffs = None
     if cfg.uses_coefficients:
         coeffs = make_dbp_coefficient_set(cfg, RATE, 1e-3)
+    # one CPU runs every block in the caller, two hand half of them to a
+    # helper; blocks below the split threshold (4095 samples, for three
+    # subbands) stay in the caller without asking the budget
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: cpus)
+    entered = spy_budget(monkeypatch, "enter")
     got = run_dbp(long_wave, cfg, coeffs)
+    split = 2 * cfg.block_size >= MIN_SHARE
+    assert entered == ([cpus == 2] if split else [])
     assert np.array_equal(got.field, dbp_oracle(long_wave, cfg, coeffs))
 
 
@@ -518,3 +532,140 @@ def test_ideal_ssfm_restores_nonlinear_channel(link):
     rx = propagate_link(w, link, sim)
     out = backward_propagate(rx, link, sim, rx.power)
     assert rel_rms(out.field, w.field) < 1e-2
+
+
+def split_case(link, wave_len=6 * 4096):
+    """A waveform and a CB_ESSFM config whose single-set passes split."""
+    cfg = cfg_for(link, variant="CB_ESSFM", n_subbands=2, n_steps=2,
+                  block_size=MIN_SHARE // 2, overlap=512)
+    rng = np.random.default_rng(wave_len)
+    w = DualPolWaveform(3e-2 * (rng.standard_normal((2, wave_len))
+                                + 1j * rng.standard_normal((2, wave_len))),
+                        RATE)
+    return w, cfg, make_dbp_coefficient_set(cfg, RATE, 1e-3)
+
+
+def test_batched_pass_splits_by_sets(link, monkeypatch):
+    # several tap sets: each thread runs every block for half of the sets;
+    # each set's output equals its one-set pass on one CPU
+    w, cfg, base = split_case(link)
+    sets = [replace(base, step_scales=base.step_scales * (1 + 0.1 * i))
+            for i in range(3)]
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 1)
+    alone = [_run_blocks(w, cfg, [c])[0] for c in sets]
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
+    entered = spy_budget(monkeypatch, "enter")
+    batched = _run_blocks(w, cfg, sets)
+    assert entered == [True]
+    assert all(np.array_equal(a, b) for a, b in zip(batched, alone))
+
+
+class Failure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raising", ["helper", "caller"])
+def test_engine_error_reaches_the_caller(link, raising, monkeypatch):
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
+    entered = spy_budget(monkeypatch, "enter")
+    w, cfg, coeffs = split_case(link)
+    error = Failure if raising == "helper" else KeyboardInterrupt
+    caught = []
+
+    def caller():
+        try:
+            run_dbp(w, cfg, coeffs)
+        except BaseException as exc:
+            caught.append(exc)
+
+    before = threading.active_count()
+    worker = threading.Thread(target=caller)
+    ifft = np.fft.ifft
+
+    def failing(*args, **kwargs):
+        if (threading.current_thread() is worker) == (raising == "caller"):
+            raise error
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", failing)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert entered == [True]
+    assert [type(e) for e in caught] == [error]
+    assert threading.active_count() == before
+    assert BUDGET.running == 0
+
+
+def test_concurrent_passes_match_serial(link, monkeypatch):
+    # four receivers at once on two CPUs: the budget hands out at most one
+    # helper while the count is below the CPUs; every output equals its
+    # run on one CPU
+    cases = [split_case(link, 6 * 4096 + 512 * i) for i in range(4)]
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 1)
+    expect = [run_dbp(*case).field for case in cases]
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
+    entered = spy_budget(monkeypatch, "enter")
+    results = [[] for _ in cases]
+    start = threading.Barrier(len(cases))
+
+    def receive(i):
+        start.wait(timeout=60)
+        for _ in range(3):
+            results[i].append(run_dbp(*cases[i]).field)
+
+    threads = [threading.Thread(target=receive, args=(i,))
+               for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(r) for r in results] == [3] * len(cases)
+    assert all(np.array_equal(got, ref)
+               for runs, ref in zip(results, expect) for got in runs)
+    assert len(entered) == 12 and not all(entered)
+    assert BUDGET.running == 0
+
+
+def test_helpers_call_no_public_function(desk_wdm, monkeypatch):
+    # a tracer that wraps the package's public functions keeps one span
+    # stack, so every call into them must come from the caller's thread
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
+    entered = spy_budget(monkeypatch, "enter")
+    threads = set()
+    modules = [m for name, m in sys.modules.items()
+               if name == "fiberdbp" or name.startswith("fiberdbp.")]
+    public = {fn for m in modules for name, fn in vars(m).items()
+              if not name.startswith("_")
+              and isinstance(fn, types.FunctionType)
+              and fn.__module__.startswith("fiberdbp")}
+
+    def wrap(fn):
+        def wrapper(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in modules:
+        for name, fn in list(vars(module).items()):
+            if isinstance(fn, types.FunctionType) and fn in public:
+                monkeypatch.setattr(module, name, wrap(fn))
+    link = LinkConfig(num_spans=1, span_length_km=80.0)
+    cfg = DbpConfig(link=link, n_steps=1, n_subbands=2, block_size=4096,
+                    overlap=1024)
+    tx, record = generate_wdm(desk_wdm, 8192, seed=3)
+    rx = fiberdbp.propagate_link(tx, link, SimSettings(step_km=20.0,
+                                                       noise_enabled=False))
+    coeffs = fiberdbp.make_dbp_coefficient_set(cfg, 36e9,
+                                               desk_wdm.launch_power_w)
+    fiberdbp.evaluate(rx, record, desk_wdm, cfg, coeffs)
+    # the span, the demux, the engine, the matched filter, and the two row
+    # steps of the decimation
+    assert entered == [True] * 6
+    assert threads == {threading.current_thread()}

@@ -3,6 +3,7 @@
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,28 @@ def test_chunked_waveform_payload_equals_the_whole_field_copy(tmp_path):
     assert p.read_bytes() == (
         struct.pack("<4sHddQ", b"FDBP", 1, 64e9, 5e9, n)
         + field.T.astype("<c16").tobytes())
+
+
+def test_chunked_waveform_load_equals_the_whole_payload_copy(tmp_path):
+    # several read chunks plus a remainder, held once: the field and one
+    # chunk, where the whole payload read as bytes and copied made two fields
+    n = 8 * fileio.WRITE_CHUNK_SAMPLES + 1001
+    rng = np.random.default_rng(5)
+    field = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    p = tmp_path / "long.fdbp"
+    save_waveform(p, DualPolWaveform(field, 64e9, 5e9))
+    payload = p.read_bytes()[struct.calcsize("<4sHddQ"):]
+    expect = np.frombuffer(payload, dtype="<f8").view("<c16").reshape(
+        n, 2).T.astype(np.complex128, order="C")
+    tracemalloc.start()
+    try:
+        got = load_waveform(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.field, expect) and got.field.flags.c_contiguous
+    assert (got.sample_rate, got.center_freq) == (64e9, 5e9)
+    assert peak < 1.2 * field.nbytes, peak / field.nbytes
 
 
 def test_waveform_rejects_bad_magic_and_version(tmp_path, waveform):

@@ -209,10 +209,10 @@ def test_training_set_is_the_serial_composition(monkeypatch, pool_widths,
     sim = SimSettings(max_phase_rad=2e-3, noise_enabled=True)
     if cpus is not None:
         # the one CPU budget: this patch sizes the pool and the span threads
-        monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fiberdbp.cpus, "usable_cpus", lambda: cpus)
     got = build_training_set(LINK_NL, WDM, 128, sim, train_seed=4,
                              val_seed=7)
-    width = min(fiberdbp.channel.usable_cpus(), 2)
+    width = min(fiberdbp.cpus.usable_cpus(), 2)
     assert pool_widths == ([width] if width > 1 else [])
     for seed, rx, record in ((4, got.train_rx, got.train_record),
                              (7, got.val_rx, got.val_record)):
@@ -231,7 +231,7 @@ def test_concurrent_map_keeps_input_order(monkeypatch, pool_widths):
         return i * i
 
     for cpus in (2, 8):
-        monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fiberdbp.cpus, "usable_cpus", lambda: cpus)
         assert _concurrent_map(slow, range(5)) == [0, 1, 4, 9, 16]
     # one thread per usable CPU, no more threads than items
     assert pool_widths == [2, 5]
@@ -247,10 +247,10 @@ def test_concurrent_map_runs_inline_without_a_pool(monkeypatch):
     def where(x):
         return x, threading.get_ident()
 
-    monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(fiberdbp.cpus, "usable_cpus", lambda: 1)
     assert _concurrent_map(where, [1, 2, 3]) == [(1, here), (2, here),
                                                   (3, here)]
-    monkeypatch.setattr(fiberdbp.channel, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(fiberdbp.cpus, "usable_cpus", lambda: 4)
     assert _concurrent_map(where, [5]) == [(5, here)]
     assert _concurrent_map(where, []) == []
 

@@ -5,8 +5,9 @@ import pytest
 
 from fiberdbp import (DualPolWaveform, WdmConfig, demux_channel, generate_wdm,
                       matched_filter, resample)
-from fiberdbp.signals import _regrid
-from conftest import rel_rms
+from fiberdbp.cpus import MIN_SHARE
+from fiberdbp.signals import _regrid, raised_cosine_spectrum
+from conftest import rel_rms, spy_budget
 
 
 def single_channel(power_dbm=0.0, fmt="64-qam", rolloff=0.1):
@@ -174,3 +175,36 @@ def test_waveform_polarizations_are_field_rows():
     assert np.array_equal(w.y, [3, 4, 5])
     with pytest.raises(AttributeError):
         w.x = np.zeros(3)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_row_steps_equal_the_whole_field_transforms(cpus, monkeypatch):
+    # rows long enough to split (the demux's output rows too): one CPU
+    # transforms both in the caller, two hand row 1 to a helper; either way
+    # each row equals its row of the (2, n) transforms
+    n = 2 * MIN_SHARE + 1
+    rng = np.random.default_rng(cpus)
+    w = DualPolWaveform(rng.standard_normal((2, n))
+                        + 1j * rng.standard_normal((2, n)), 64e9, 5e9)
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: cpus)
+    entered = spy_budget(monkeypatch, "enter")
+    cfg = single_channel()
+    spec = np.fft.fft(w.field, axis=-1)
+    freqs = np.fft.fftfreq(n, 1.0 / w.sample_rate)
+    g = np.sqrt(raised_cosine_spectrum(freqs, cfg.baud_rate, cfg.rolloff))
+    assert np.array_equal(matched_filter(w, cfg).field,
+                          np.fft.ifft(spec * g, axis=-1))
+    for new_len, alias in ((2 * n, False), (n // 2, True), (n - 2, False)):
+        expect = np.fft.ifft(_regrid(spec, new_len) * (new_len / n), axis=-1)
+        got = resample(w, w.sample_rate * new_len / n, allow_alias=alias)
+        assert np.array_equal(got.field, expect)
+    df = w.sample_rate / n
+    ch = demux_channel(w, 8e9, 40e9)
+    n_bins = round(ch.sample_rate / df)
+    assert n_bins >= MIN_SHARE
+    lo = n // 2 + round((ch.center_freq - w.center_freq) / df) - n_bins // 2
+    sl = np.fft.fftshift(spec, axes=-1)[:, lo:lo + n_bins] * (n_bins / n)
+    assert np.array_equal(ch.field,
+                          np.fft.ifft(np.fft.ifftshift(sl, axes=-1), axis=-1))
+    # the matched filter, two row steps per resample, the demux
+    assert entered == [cpus == 2] * 8
