@@ -281,14 +281,13 @@ def long_wave():
     return generate_wdm(wdm, 12288, sim_rate=RATE, seed=24)[0]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("block_size", [4096, 16384])
 @pytest.mark.parametrize("variant, n_sb, n_steps", [
     ("EDC", 1, 0), ("OSSFM", 1, 3), ("ESSFM", 1, 3), ("CB_ESSFM", 2, 3),
     ("CB_ESSFM", 3, 2), ("CB_ESSFM", 2, 0)])
 def test_run_dbp_matches_oracle_engine_bit_for_bit(link, long_wave,
                                                    block_size, variant, n_sb,
-                                                   n_steps, cpus, monkeypatch):
+                                                   n_steps, monkeypatch):
     # the one-set engine before batching, fresh arrays and exp rotations;
     # three subbands give an odd subband length for the split gather
     cfg = cfg_for(link, variant=variant, n_subbands=n_sb, n_steps=n_steps,
@@ -300,12 +299,15 @@ def test_run_dbp_matches_oracle_engine_bit_for_bit(link, long_wave,
     # one CPU runs every block in the caller, two hand half of them to a
     # helper; blocks below the split threshold (4095 samples, for three
     # subbands) stay in the caller without asking the budget
-    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: cpus)
     entered = spy_budget(monkeypatch, "enter")
-    got = run_dbp(long_wave, cfg, coeffs)
     split = 2 * cfg.block_size >= MIN_SHARE
-    assert entered == ([cpus == 2] if split else [])
-    assert np.array_equal(got.field, dbp_oracle(long_wave, cfg, coeffs))
+    expect = dbp_oracle(long_wave, cfg, coeffs)
+    for cpus in (1, 2):
+        monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: cpus)
+        entered.clear()
+        got = run_dbp(long_wave, cfg, coeffs)
+        assert entered == ([cpus == 2] if split else []), cpus
+        assert np.array_equal(got.field, expect), cpus
 
 
 def test_overlap_below_memory_warns(link, test_wave):
