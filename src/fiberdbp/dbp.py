@@ -39,10 +39,12 @@ signs; coefficient sets built here are already negated accordingly.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -329,6 +331,45 @@ def standard_ssfm_coefficient_set(cfg: DbpConfig, sample_rate_hz: float,
     return out
 
 
+# a run cycles through a handful of geometries (perfbench's receiver
+# ladder through six, its tuned splitting-ratio sweep through four), and
+# a plan at 16384-sample blocks holds at most about 1 MB
+@functools.lru_cache(maxsize=8)
+def _dispersion_plan(beta2_s2_km: float, rate: float, n: int, n_sb: int,
+                     lengths: tuple) -> tuple:
+    """The data-independent part of an engine: (phasors, split, merge).
+
+    phasors maps each dispersion length in ``lengths`` (km) to its
+    (n_sb, n / n_sb) compensation at the absolute frequency of each block
+    bin; split and merge are the subband gathers (None at n_sb = 1, where
+    they are the identity). Every array is read-only, since the cache
+    shares it between engines and threads.
+    """
+    n_prime = n // n_sb
+    split = merge = None
+    freqs = np.fft.fftfreq(n, 1.0 / rate)
+    if n_sb > 1:
+        # block bin of subband s, subband bin k: the fftshifted block
+        # spectrum cut into n_sb pieces, each ifftshifted
+        split = np.fft.ifftshift(
+            np.fft.fftshift(np.arange(n)).reshape(n_sb, n_prime), axes=-1)
+        merge = np.argsort(split.ravel())
+        freqs = freqs[split]
+        split.flags.writeable = merge.flags.writeable = False
+    # the compensation exp(-1j dz k) as cos + j sin of -dz k, which is how
+    # np.exp rounds it (its real part is +-0)
+    k = dispersion_phase(beta2_s2_km, freqs)
+    arg = np.empty(k.shape)
+    phasors = {}
+    for dz in lengths:
+        phasor = phasors[dz] = np.empty(k.shape, dtype=complex)
+        np.multiply(k, -dz, out=arg)
+        np.cos(arg, out=phasor.real)
+        np.sin(arg, out=phasor.imag)
+        phasor.flags.writeable = False
+    return MappingProxyType(phasors), split, merge
+
+
 class _BlockEngine:
     """Precomputed per-block plan for B tap sets that share one config.
 
@@ -337,13 +378,16 @@ class _BlockEngine:
     (b, 2, N_sb, N') subband array, with N_sb = 1 for EDC, OSSFM and ESSFM:
     per-subband dispersion, then the nonlinear phase rotation. The variant
     chooses only the rotation's phase filter (the MIMO transfer for
-    CB_ESSFM, the per-set FIR for OSSFM and ESSFM). The plan (dispersion
-    phasors, phase filter, scales, and the subband split and merge gathers,
-    skipped at N_sb = 1 where they are the identity) is read-only once
-    built, so threads share it. ``lane(sets)`` gives one thread the plan's
-    view for a slice of the sets and its own buffers, allocated once;
-    ``process`` maps one (2, N) block to that lane's (b, 2, N) outputs, in
-    a buffer that the lane's next call overwrites.
+    CB_ESSFM, the per-set FIR for OSSFM and ESSFM). The dispersion plan
+    (phasors per dispersion length, and the subband split and merge
+    gathers, skipped at N_sb = 1 where they are the identity) depends on
+    the geometry only and comes from a bounded cache, _dispersion_plan, so
+    engines of one geometry share it; construction does only the per-set
+    work: validation, scales and the phase filter. The whole plan is
+    read-only once built, so threads share it. ``lane(sets)`` gives one
+    thread the plan's view for a slice of the sets and its own buffers,
+    allocated once; ``process`` maps one (2, N) block to that lane's
+    (b, 2, N) outputs, in a buffer that the lane's next call overwrites.
     """
 
     def __init__(self, cfg: DbpConfig, rate: float, coeff_sets: list):
@@ -397,26 +441,9 @@ class _BlockEngine:
             else:
                 self.filter = (_fir_phase, [c.coeffs[0] for c in coeff_sets])
 
-        self.split = self.merge = None
-        # per-subband dispersion at the absolute frequency of each block bin
-        freqs = np.fft.fftfreq(n, 1.0 / rate)
-        if n_sb > 1:
-            # block bin of subband s, subband bin k: the fftshifted block
-            # spectrum cut into n_sb pieces, each ifftshifted
-            self.split = np.fft.ifftshift(
-                np.fft.fftshift(np.arange(n)).reshape(n_sb, n_prime), axes=-1)
-            self.merge = np.argsort(self.split.ravel())
-            freqs = freqs[self.split]
-        # the compensation exp(-1j dz k) as cos + j sin of -dz k, which is
-        # how np.exp rounds it (its real part is +-0)
-        k = dispersion_phase(cfg.link.beta2_s2_km, freqs)
-        arg = np.empty(k.shape)
-        self._phasors = {}
-        for dz in set(self.gvd_lengths + [self.final_gvd]):
-            phasor = self._phasors[dz] = np.empty(k.shape, dtype=complex)
-            np.multiply(k, -dz, out=arg)
-            np.cos(arg, out=phasor.real)
-            np.sin(arg, out=phasor.imag)
+        self.phasors, self.split, self.merge = _dispersion_plan(
+            cfg.link.beta2_s2_km, rate, n, n_sb,
+            tuple(sorted(set(self.gvd_lengths + [self.final_gvd]))))
 
     def lane(self, sets: slice) -> tuple:
         """One thread's view of the sets ``sets``: their phase filter and
@@ -443,11 +470,11 @@ class _BlockEngine:
         else:
             np.divide(spec[:, self.split], n_sb, out=sub)
         for st, dz in enumerate(self.gvd_lengths):
-            sub *= self._phasors[dz]
+            sub *= self.phasors[dz]
             np.fft.ifft(sub, axis=-1, out=sub)
             _nonlinear_step(sub, phase, scales[:, st], work)
             np.fft.fft(sub, axis=-1, out=sub)
-        sub *= self._phasors[self.final_gvd]
+        sub *= self.phasors[self.final_gvd]
         if self.merge is not None:
             sub *= n_sb
             np.take(sub.reshape(out.shape), self.merge, axis=-1, out=out)

@@ -9,23 +9,28 @@ shaping, matched filtering, resampling, demultiplexing) take and return
 one waveform, transform its rows on the block FFT grid and treat the
 sequence as circularly periodic, which keeps block-based processing free
 of edge transients. Every receiver, the coefficient tuner included, runs
-the same matched_filter and resample on each waveform it scores; batches
-of tap sets and the engine's subband partition live in dbp. The receive
-stages (matched_filter, resample, demux_channel) hand their y row to a
-helper thread when cpus.in_two grants one, and otherwise transform the
-(2, N) array whole (demux_channel row by row); a row's transform is the
-same bits either way.
+the same matched_decimate on each waveform it scores; batches of tap sets
+and the engine's subband partition live in dbp. matched_filter, resample
+and matched_decimate are one private per-row step (forward transform,
+optional real weight, regrid to the output length, inverse transform), so
+the receive filter and the decimation cost one transform pair a row; the
+filter's spectrum is cached per grid. The receive stages hand their y row
+to a helper thread when cpus.in_two grants one, and otherwise transform
+the (2, N) array whole (demux_channel row by row); a row's transform is
+the same bits either way.
 
 Main entry points
 -----------------
 generate_wdm      : synthesize a WDM comb of RRC-shaped QAM channels
 matched_filter    : apply the root-raised-cosine receive filter
 resample          : FFT-grid rate conversion (zero-pad up, fold down)
+matched_decimate  : matched filter and decimation to the symbol rate
 demux_channel     : brick-wall extraction of one channel to baseband
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
@@ -291,6 +296,65 @@ def generate_wdm(cfg: WdmConfig, num_symbols: int, sim_rate: float | None = None
     return wave, record
 
 
+@functools.lru_cache(maxsize=8)
+def _receive_filter(n: int, rate: float, baud: float,
+                    rolloff: float) -> np.ndarray:
+    """Root-raised-cosine receive response on the n-bin FFT grid at
+    ``rate``, read-only since the cache shares it. A receiver filters
+    every waveform of a run at one length and rate, so each grid is built
+    once."""
+    freqs = np.fft.fftfreq(n, d=1.0 / rate)
+    g = np.sqrt(raised_cosine_spectrum(freqs, baud, rolloff))
+    g.flags.writeable = False
+    return g
+
+
+def _new_length(w: DualPolWaveform, new_rate: float) -> int:
+    new_len_f = w.num_samples * new_rate / w.sample_rate
+    new_len = int(round(new_len_f))
+    if abs(new_len_f - new_len) > 1e-6:
+        raise ValueError("new_rate not representable on this block grid")
+    return new_len
+
+
+def _spectral_step(w: DualPolWaveform, new_len: int, weight=None,
+                   oob=None) -> tuple[np.ndarray, float | None]:
+    """The (2, new_len) rows ``ifft(_regrid(fft(row) * weight) * new_len / n)``
+    of w's field: the weight is skipped when None, and the regrid and its
+    scale when new_len is n. Row y runs on a helper when cpus.in_two
+    grants one; each row is the same bits either way.
+
+    With a boolean bin mask ``oob``, also returns the fraction of the
+    spectrum's energy in those bins (else None).
+    """
+    n = w.num_samples
+    out = np.empty((2, new_len), dtype=np.complex128)
+    # the spectrum is allocated here in the caller, not in the helper (see
+    # demux_channel); at equal lengths it is transformed back in place
+    spec = out if new_len == n else np.empty_like(w.field)
+    energy = np.zeros((2, 2))  # per row: out-of-band, total
+
+    def run(k, parts):
+        rows = slice(k, 2, parts)
+        np.fft.fft(w.field[rows], axis=-1, out=spec[rows])
+        if weight is not None:
+            spec[rows] *= weight
+        if oob is not None:
+            power = np.abs(spec[rows]) ** 2
+            energy[rows, 0] = np.sum(power[:, oob], axis=-1)
+            energy[rows, 1] = np.sum(power, axis=-1)
+        if new_len != n:
+            _regrid(spec[rows], new_len, out=out[rows])
+            out[rows] *= new_len / n
+        np.fft.ifft(out[rows], axis=-1, out=out[rows])
+
+    in_two(run, max(n, new_len))
+    if oob is None:
+        return out, None
+    total = energy[:, 1].sum()
+    return out, energy[:, 0].sum() / total if total > 0 else 0.0
+
+
 def matched_filter(w: DualPolWaveform, cfg: WdmConfig) -> DualPolWaveform:
     """Apply the root-raised-cosine receive filter (unit passband gain).
 
@@ -298,31 +362,43 @@ def matched_filter(w: DualPolWaveform, cfg: WdmConfig) -> DualPolWaveform:
     with the transmitter shaping the cascade is exactly Nyquist, so symbol
     instants are ISI-free back to back.
     """
-    freqs = np.fft.fftfreq(w.num_samples, d=1.0 / w.sample_rate)
-    g = np.sqrt(raised_cosine_spectrum(freqs, cfg.baud_rate, cfg.rolloff))
-    out = np.empty_like(w.field)
-
-    def run(k, parts):
-        rows = slice(k, 2, parts)
-        np.fft.fft(w.field[rows], axis=-1, out=out[rows])
-        out[rows] *= g
-        np.fft.ifft(out[rows], axis=-1, out=out[rows])
-
-    in_two(run, w.num_samples)
+    g = _receive_filter(w.num_samples, w.sample_rate, cfg.baud_rate,
+                        cfg.rolloff)
+    out, _ = _spectral_step(w, w.num_samples, g)
     return DualPolWaveform(out, w.sample_rate, w.center_freq)
 
 
-def _regrid(spec: np.ndarray, new_len: int) -> np.ndarray:
+def matched_decimate(w: DualPolWaveform, cfg: WdmConfig) -> DualPolWaveform:
+    """matched_filter, then resample to the symbol rate with the fold
+    allowed, in one forward and one inverse transform per row.
+
+    Equal to ``resample(matched_filter(w, cfg), cfg.baud_rate,
+    allow_alias=True)`` up to rounding (within 1e-12 relative), and to the
+    matched filter bit for bit when w is sampled at the symbol rate.
+    """
+    g = _receive_filter(w.num_samples, w.sample_rate, cfg.baud_rate,
+                        cfg.rolloff)
+    new_len = _new_length(w, cfg.baud_rate)
+    out, _ = _spectral_step(w, new_len, g)
+    return DualPolWaveform(out, new_len * w.sample_rate / w.num_samples,
+                           w.center_freq)
+
+
+def _regrid(spec: np.ndarray, new_len: int, out=None) -> np.ndarray:
     """Map unshifted FFT bins onto a new grid length by signed frequency.
 
     Upsampling places bins (zero padding); downsampling folds aliases. Both
     are the exact resampling of the underlying periodic bandlimited signal.
     Source bins are added in ascending order, in runs that land on
     contiguous target bins, so every target sums its aliases in bin order.
+    The result is written to ``out`` when given.
     """
     n = spec.shape[-1]
     pos = (n + 1) // 2  # bins below pos carry the non-negative frequencies
-    out = np.zeros(spec.shape[:-1] + (new_len,), dtype=np.complex128)
+    if out is None:
+        out = np.zeros(spec.shape[:-1] + (new_len,), dtype=np.complex128)
+    else:
+        out[...] = 0
     j = 0
     while j < n:
         t = (j if j < pos else j - n) % new_len
@@ -343,34 +419,16 @@ def resample(w: DualPolWaveform, new_rate: float,
     legitimately exploits the fold.
     """
     n, rate = w.num_samples, w.sample_rate
-    new_len_f = n * new_rate / rate
-    new_len = int(round(new_len_f))
-    if abs(new_len_f - new_len) > 1e-6:
-        raise ValueError("new_rate not representable on this block grid")
+    new_len = _new_length(w, new_rate)
     if new_len == n:
         return w.copy()
-    spec = np.empty_like(w.field)
-
-    def forward(k, parts):
-        rows = slice(k, 2, parts)
-        np.fft.fft(w.field[rows], axis=-1, out=spec[rows])
-
-    in_two(forward, n)
+    oob = None
     if new_len < n and not allow_alias:
         oob = np.abs(np.fft.fftfreq(n, d=1.0 / rate)) > new_rate / 2
-        total = np.sum(np.abs(spec) ** 2)
-        frac = np.sum(np.abs(spec[..., oob]) ** 2) / total if total > 0 else 0.0
-        if frac > OOB_TOL:
-            raise AliasingError(
-                f"{frac:.2e} of signal energy beyond the new Nyquist band")
-    out = np.empty((2, new_len), dtype=np.complex128)
-
-    def inverse(k, parts):
-        rows = slice(k, 2, parts)
-        np.multiply(_regrid(spec[rows], new_len), new_len / n, out=out[rows])
-        np.fft.ifft(out[rows], axis=-1, out=out[rows])
-
-    in_two(inverse, new_len)
+    out, frac = _spectral_step(w, new_len, oob=oob)
+    if oob is not None and frac > OOB_TOL:
+        raise AliasingError(
+            f"{frac:.2e} of signal energy beyond the new Nyquist band")
     return DualPolWaveform(out, new_len * rate / n, w.center_freq)
 
 

@@ -20,7 +20,8 @@ from fiberdbp import (CoefficientSet, DbpConfig, DualPolWaveform, LinkConfig,
                       run_dbp, standard_ssfm_coefficient_set)
 from fiberdbp.channel import dispersion_phase
 from fiberdbp.cpus import BUDGET, MIN_SHARE
-from fiberdbp.dbp import VARIANTS, _run_blocks
+from fiberdbp.dbp import (VARIANTS, _BlockEngine, _dispersion_plan,
+                          _run_blocks)
 from conftest import rel_rms, spy_budget
 from oracles import dbp_oracle
 
@@ -308,6 +309,42 @@ def test_run_dbp_matches_oracle_engine_bit_for_bit(link, long_wave,
         got = run_dbp(long_wave, cfg, coeffs)
         assert entered == ([cpus == 2] if split else []), cpus
         assert np.array_equal(got.field, expect), cpus
+
+
+def plan_engine(link, rate=RATE, **kw):
+    cfg = cfg_for(link, **{"variant": "CB_ESSFM", "n_subbands": 2, **kw})
+    return _BlockEngine(cfg, rate, [make_dbp_coefficient_set(cfg, rate,
+                                                             1e-3)])
+
+
+def test_engines_of_one_geometry_share_a_read_only_plan(link):
+    a, b = plan_engine(link), plan_engine(link)
+    assert a.phasors is b.phasors
+    assert a.split is b.split and a.merge is b.merge
+    assert set(a.phasors) == {*a.gvd_lengths, a.final_gvd}
+    for arr in [*a.phasors.values(), a.split, a.merge]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+
+
+@pytest.mark.parametrize("change", [
+    dict(splitting_ratio=0.2), dict(rate=RATE / 2), dict(block_size=2048),
+    dict(n_subbands=4)], ids=["rho", "rate", "block", "subbands"])
+def test_another_geometry_gets_its_own_plan(link, change):
+    base, other = plan_engine(link), plan_engine(link, **change)
+    assert not any(p is q for p in base.phasors.values()
+                   for q in other.phasors.values())
+    if "rate" in change:  # the same lengths at other frequencies
+        assert base.phasors.keys() == other.phasors.keys()
+        assert base.split is not other.split
+
+
+def test_plan_cache_stays_at_its_bound(link):
+    bound = _dispersion_plan.cache_parameters()["maxsize"]
+    cfg = cfg_for(link, variant="EDC", n_steps=0)
+    for k in range(bound + 3):
+        _BlockEngine(cfg, RATE * (1 + k / 64), [None])
+    assert _dispersion_plan.cache_info().currsize == bound
 
 
 def test_overlap_below_memory_warns(link, test_wave):
@@ -667,7 +704,7 @@ def test_helpers_call_no_public_function(desk_wdm, monkeypatch):
     coeffs = fiberdbp.make_dbp_coefficient_set(cfg, 36e9,
                                                desk_wdm.launch_power_w)
     fiberdbp.evaluate(rx, record, desk_wdm, cfg, coeffs)
-    # the span, the demux, the engine, the matched filter, and the two row
-    # steps of the decimation
-    assert entered == [True] * 6
+    # the span, the demux, the engine, and the symbol step (matched filter
+    # and decimation in one transform pair)
+    assert entered == [True] * 4
     assert threads == {threading.current_thread()}

@@ -22,6 +22,32 @@ def test_snr_of_identical_inputs_is_capped():
     assert res.snr_db == 100.0
 
 
+def three_call_snr(rx, tx):
+    """The pooled, x and y SNR in dB, each summed on its own, as snr
+    computed them before it shared the per-polarization energies."""
+    rx, _ = remove_mean_phase(rx, tx)
+
+    def db(r, t):
+        return min(10 * np.log10(np.sum(np.abs(t) ** 2)
+                                 / np.sum(np.abs(r - t) ** 2)), 100.0)
+    return db(rx, tx), db(rx[0], tx[0]), db(rx[1], tx[1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pooled_snr_matches_three_separate_sums(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(16, 20_000))
+    tx = random_symbols(n, seed)
+    sigma = 10 ** (-rng.uniform(5, 40) / 20) * np.array([[1.0], [rng.uniform(
+        0.1, 10)]])
+    rx = (tx + sigma * (rng.normal(size=tx.shape)
+                        + 1j * rng.normal(size=tx.shape))) \
+        * np.exp(1j * rng.uniform(-3, 3))
+    res = snr(rx, tx)
+    got = res.snr_db, res.snr_x_db, res.snr_y_db
+    assert np.allclose(got, three_call_snr(rx, tx), rtol=0, atol=1e-12)
+
+
 def test_snr_matches_known_noise_level():
     tx = random_symbols(n=200_000)
     rng = np.random.default_rng(1)

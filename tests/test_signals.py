@@ -6,7 +6,8 @@ import pytest
 from fiberdbp import (DualPolWaveform, WdmConfig, demux_channel, generate_wdm,
                       matched_filter, resample)
 from fiberdbp.cpus import MIN_SHARE
-from fiberdbp.signals import _regrid, raised_cosine_spectrum
+from fiberdbp.signals import (_receive_filter, _regrid, matched_decimate,
+                              raised_cosine_spectrum)
 from conftest import rel_rms, spy_budget
 
 
@@ -206,5 +207,59 @@ def test_row_steps_equal_the_whole_field_transforms(cpus, monkeypatch):
     sl = np.fft.fftshift(spec, axes=-1)[:, lo:lo + n_bins] * (n_bins / n)
     assert np.array_equal(ch.field,
                           np.fft.ifft(np.fft.ifftshift(sl, axes=-1), axis=-1))
-    # the matched filter, two row steps per resample, the demux
-    assert entered == [cpus == 2] * 8
+    # the matched filter, one row step per resample, the demux
+    assert entered == [cpus == 2] * 5
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_symbol_step_equals_the_whole_field_expression(cpus, monkeypatch):
+    # 18 432 samples at 36 GS/s down to 16 384 symbols: one CPU runs both
+    # rows in the caller, two hand row y to a helper
+    cfg = single_channel()
+    n = 18432
+    rng = np.random.default_rng(10 + cpus)
+    w = DualPolWaveform(rng.standard_normal((2, n))
+                        + 1j * rng.standard_normal((2, n)), 36e9)
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: cpus)
+    entered = spy_budget(monkeypatch, "enter")
+    got = matched_decimate(w, cfg)
+    new_len = n * 32 // 36
+    freqs = np.fft.fftfreq(n, 1.0 / w.sample_rate)
+    g = np.sqrt(raised_cosine_spectrum(freqs, cfg.baud_rate, cfg.rolloff))
+    spec = np.fft.fft(w.field, axis=-1) * g
+    expect = np.fft.ifft(_regrid(spec, new_len) * (new_len / n), axis=-1)
+    assert np.array_equal(got.field, expect)
+    assert got.sample_rate == cfg.baud_rate
+    assert entered == [cpus == 2]
+
+
+@pytest.mark.parametrize("n, rate", [(2304, 36e9), (1125, 36e9),
+                                     (18432, 36e9), (4096, 64e9),
+                                     (1001, 32e9)],
+                         ids=["desk", "odd", "ladder", "2sps", "at-baud"])
+def test_symbol_step_matches_filter_then_resample(n, rate):
+    cfg = single_channel()
+    rng = np.random.default_rng(n)
+    w = DualPolWaveform(rng.standard_normal((2, n))
+                        + 1j * rng.standard_normal((2, n)), rate, 3e9)
+    filtered = matched_filter(w, cfg)
+    expect = resample(filtered, cfg.baud_rate, allow_alias=True)
+    got = matched_decimate(w, cfg)
+    assert got.num_samples == expect.num_samples
+    assert (got.sample_rate, got.center_freq) == (expect.sample_rate, 3e9)
+    err = np.linalg.norm(got.field - expect.field) / np.linalg.norm(
+        expect.field)
+    assert err <= 1e-12
+    if rate == cfg.baud_rate:  # no regrid: the matched filter itself
+        assert np.array_equal(got.field, filtered.field)
+
+
+def test_receive_filter_is_cached_and_read_only():
+    g = _receive_filter(2304, 36e9, 32e9, 0.1)
+    assert _receive_filter(2304, 36e9, 32e9, 0.1) is g
+    with pytest.raises(ValueError, match="read-only"):
+        g[0] = 0.0
+    bound = _receive_filter.cache_parameters()["maxsize"]
+    for k in range(bound + 2):
+        _receive_filter(64 + k, 36e9, 32e9, 0.1)
+    assert _receive_filter.cache_info().currsize == bound
