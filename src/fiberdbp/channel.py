@@ -35,6 +35,16 @@ decides whether a span takes a helper; when another caller enters and the
 count exceeds the CPUs, the helper is given back at the next step and the
 caller runs both rows. Either way the output is the same bits, and no
 thread outlives the span.
+
+A checkpointed link writes each span's snapshot while the next span
+propagates: ``propagate_link`` hands the checkpoint callback to one writer
+thread, ``fiberdbp-checkpoint``, with a copy of the amplified field. At
+most one checkpoint is in flight, so the calls keep span order and never
+overlap; the writer is joined before the next one starts and before the
+function returns, also when it raises, and a callback's error is raised
+in the caller after the running span. A file replacement waits mostly on
+a disk flush (tens of ms), so the writer is not counted in
+``cpus.BUDGET`` and the span keeps its two row threads.
 """
 
 from __future__ import annotations
@@ -379,12 +389,23 @@ def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
 
     An EDFA follows each span. ASE is seeded per span from sim.noise_seed,
     so runs are reproducible and spans are statistically independent.
-    ``checkpoint(span_index, waveform)`` is called with a snapshot after
-    each amplifier when provided. Passing first_span > 0 with the
-    ``snapshot`` taken after amplifier first_span resumes a checkpointed
-    run bit-exactly: the fine-step plan still comes from ``w`` (the
-    snapshot's power includes ASE), and the remaining spans keep the seeds
-    they would have had in the uninterrupted run.
+    Passing first_span > 0 with the ``snapshot`` taken after amplifier
+    first_span resumes a checkpointed run bit-exactly: the fine-step plan
+    still comes from ``w`` (the snapshot's power includes ASE), and the
+    remaining spans keep the seeds they would have had in the
+    uninterrupted run.
+
+    When provided, ``checkpoint(span_index, waveform)`` is called after
+    each amplifier with a snapshot of its own, on a writer thread named
+    ``fiberdbp-checkpoint``, while the next span propagates. At most one
+    checkpoint is in flight: the calls come in span order, one at a time,
+    and every one has returned when this function returns. An error in a
+    checkpoint is raised here once the span running meanwhile has
+    finished, and no later checkpoint is called. An error in the caller
+    (an interrupt during a span, say) still waits for the checkpoint in
+    flight, so the file it writes is left whole, and the caller's error
+    is the one raised. The writer mostly waits on the disk, so it takes no
+    CPU from ``cpus.BUDGET``.
     """
     w.require_finite()
     _check_headroom(w)
@@ -400,12 +421,35 @@ def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
     operators = _step_operators(link, span_step_sizes(link, sim, w.power),
                                 inverse=False)
     out = (w if snapshot is None else snapshot).copy()
-    for span in range(first_span, link.num_spans):
-        _run_spans(out.field, out.sample_rate, operators)
-        out = edfa(out, link, (sim.noise_seed, span),
-                   noise_enabled=sim.noise_enabled)
-        if checkpoint is not None:
-            checkpoint(span + 1, out.copy())
+    errors = []
+
+    def write(span, snap):
+        try:
+            checkpoint(span, snap)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    writer = None
+    try:
+        for span in range(first_span, link.num_spans):
+            _run_spans(out.field, out.sample_rate, operators)
+            out = edfa(out, link, (sim.noise_seed, span),
+                       noise_enabled=sim.noise_enabled)
+            if checkpoint is not None:
+                if writer is not None:
+                    writer.join()
+                if errors:
+                    raise errors[0]
+                thread = threading.Thread(target=write,
+                                          args=(span + 1, out.copy()),
+                                          name="fiberdbp-checkpoint")
+                thread.start()
+                writer = thread
+    finally:
+        if writer is not None:
+            writer.join()
+    if errors:
+        raise errors[0]
     return out
 
 

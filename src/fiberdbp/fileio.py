@@ -6,6 +6,10 @@ JSON (floats survive the round trip exactly via repr semantics). Symbol
 records ride on numpy's npz. CSV files carry a header row and, when the
 caller passes one, a config_hash column so every artifact can be traced to
 the exact configuration that produced it.
+
+Every writer puts its bytes in a temporary file beside the target and
+renames it onto the target (``_replacing``), so a file that a failed or
+interrupted write was replacing keeps its previous bytes.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import csv
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,32 +34,45 @@ _HEADER = struct.Struct("<4sHddQ")
 WRITE_CHUNK_SAMPLES = 1 << 15
 
 
+@contextmanager
+def _replacing(path, mode="wb", **open_kwargs):
+    """Open a temporary file beside ``path`` for writing; once the block
+    finishes, rename it onto ``path``.
+
+    A write that fails or is interrupted leaves any previous file at
+    ``path`` whole and removes the temporary file. Replacing an existing
+    file this way costs one disk flush, as truncating and rewriting it in
+    place does.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_waveform(path, w: DualPolWaveform) -> None:
     """Write magic, version, rates, then per sample xRe xIm yRe yIm float64
     (the (N, 2) transpose of the field).
 
     The payload is interleaved through one buffer of WRITE_CHUNK_SAMPLES
-    samples, not as a whole-field copy. The bytes go to a temporary file
-    beside ``path`` that is then renamed onto it, so a write that fails or
-    is interrupted leaves any previous file at ``path`` whole (a checkpoint
-    that ``simulate --resume`` reads).
+    samples, not as a whole-field copy. Like every writer here, it replaces
+    ``path`` whole or not at all (a checkpoint that ``simulate --resume``
+    reads).
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, w.sample_rate,
-                                  w.center_freq, w.num_samples))
-            field = w.field
-            chunk = np.empty((min(field.shape[1], WRITE_CHUNK_SAMPLES), 2),
-                             dtype="<c16")
-            for start in range(0, field.shape[1], WRITE_CHUNK_SAMPLES):
-                part = field[:, start:start + WRITE_CHUNK_SAMPLES].T
-                np.copyto(chunk[:len(part)], part)
-                fh.write(chunk[:len(part)])
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with _replacing(path) as fh:
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, w.sample_rate,
+                              w.center_freq, w.num_samples))
+        field = w.field
+        chunk = np.empty((min(field.shape[1], WRITE_CHUNK_SAMPLES), 2),
+                         dtype="<c16")
+        for start in range(0, field.shape[1], WRITE_CHUNK_SAMPLES):
+            part = field[:, start:start + WRITE_CHUNK_SAMPLES].T
+            np.copyto(chunk[:len(part)], part)
+            fh.write(chunk[:len(part)])
 
 
 def load_waveform(path) -> DualPolWaveform:
@@ -91,8 +109,11 @@ def load_waveform(path) -> DualPolWaveform:
 
 
 def save_symbols(path, record: SymbolRecord) -> None:
-    np.savez(path, symbols=record.symbols, baud_rate=record.baud_rate,
-             format=record.format, seed=record.seed)
+    """Write ``record`` as an npz archive at ``path`` itself (numpy's own
+    habit of appending ``.npz`` to a file name does not apply)."""
+    with _replacing(path) as fh:
+        np.savez(fh, symbols=record.symbols, baud_rate=record.baud_rate,
+                 format=record.format, seed=record.seed)
 
 
 def load_symbols(path) -> SymbolRecord:
@@ -116,7 +137,8 @@ def save_coefficients(path, coeffs: CoefficientSet,
     }
     if config_hash is not None:
         doc["config_hash"] = config_hash
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    with _replacing(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def load_coefficients(path) -> CoefficientSet:
@@ -141,7 +163,7 @@ def write_csv(path, rows: list[dict], config_hash: str | None = None) -> None:
     if config_hash is not None:
         for r in rows:
             r.setdefault("config_hash", config_hash)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)

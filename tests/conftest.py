@@ -1,9 +1,32 @@
+import threading
+
 import numpy as np
 import pytest
 
 import fiberdbp.optimize
 from fiberdbp import LinkConfig, StepGeometry, WdmConfig
 from fiberdbp.cpus import Budget
+
+
+# names of the threads the package starts: a span's row-1 thread, the
+# helper of a split (cpus.in_two) and propagate_link's checkpoint writer
+PACKAGE_THREADS = ("span-row-1", "fiberdbp-helper", "fiberdbp-checkpoint")
+
+
+def package_threads() -> list[threading.Thread]:
+    """The package's threads that are still running."""
+    return [t for t in threading.enumerate() if t.name in PACKAGE_THREADS]
+
+
+@pytest.fixture(autouse=True)
+def no_package_thread_outlives_the_test():
+    """Fail any test that leaves one of the package's threads running."""
+    yield
+    left = package_threads()
+    for thread in left:  # so that the tests after this one start clean
+        thread.join(timeout=60)
+    if left:
+        pytest.fail(f"threads left running: {[t.name for t in left]}")
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,10 @@ import pytest
 from fiberdbp import (DualPolWaveform, LinkConfig, SimSettings, WdmConfig,
                       backward_propagate, edfa, generate_wdm,
                       propagate_link, span_step_sizes)
+from fiberdbp import channel, cpus
 from fiberdbp.channel import _run_spans, _step_operators, ase_variance_per_pol
 from fiberdbp.cpus import BUDGET
-from conftest import rel_rms, spy_budget
+from conftest import PACKAGE_THREADS, package_threads, rel_rms, spy_budget
 from oracles import split_step_oracle
 
 
@@ -457,6 +458,155 @@ def test_no_thread_outlives_a_simulation(fails, desk_link, desk_wdm,
         assert threading.active_count() == before
         assert BUDGET.running == 0
     assert all(entered)
+
+
+def watch_spans(monkeypatch, num_spans, before=None):
+    """Wrap channel._run_spans; returns {k: event set when span k starts}
+    for k = 1..num_spans. ``before(k)`` runs as span k starts."""
+    started = {k: threading.Event() for k in range(1, num_spans + 1)}
+    run, count = _run_spans, itertools.count(1)
+
+    def watched(*args):
+        k = next(count)
+        started[k].set()
+        if before is not None:
+            before(k)
+        run(*args)
+
+    monkeypatch.setattr(channel, "_run_spans", watched)
+    return started
+
+
+def test_checkpoint_is_written_while_the_next_span_runs(desk_link, desk_wdm,
+                                                        monkeypatch):
+    started = watch_spans(monkeypatch, desk_link.num_spans)
+    sim = SimSettings(max_phase_rad=2e-3, noise_seed=1)
+    w, _ = generate_wdm(desk_wdm, 128, seed=1)
+    seen = []
+
+    def checkpoint(span, snap):
+        if span == 1:  # span 2 starts while this checkpoint is in flight
+            seen.append(started[2].wait(timeout=30))
+
+    propagate_link(w, desk_link, sim, checkpoint=checkpoint)
+    assert seen == [True]
+
+
+def test_checkpoints_come_in_order_one_at_a_time(desk_link, desk_wdm,
+                                                 monkeypatch):
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
+    sim = SimSettings(max_phase_rad=2e-3, noise_seed=2)
+    w, _ = generate_wdm(desk_wdm, 512, seed=2)
+    operators = _step_operators(desk_link, span_step_sizes(desk_link, sim,
+                                                           w.power), False)
+    serial, out = {}, w.copy()
+    for span in range(desk_link.num_spans):
+        _run_spans(out.field, out.sample_rate, operators)
+        out = edfa(out, desk_link, (sim.noise_seed, span))
+        serial[span + 1] = out.field.tobytes()
+    busy = threading.Lock()
+    calls, overlaps, snaps = [], [], {}
+
+    def checkpoint(span, snap):
+        if not busy.acquire(blocking=False):
+            overlaps.append(span)
+            busy.acquire()
+        try:
+            time.sleep(0.01)  # a call that overlapped this one would show
+            calls.append((span, threading.current_thread().name))
+            snaps[span] = snap
+        finally:
+            busy.release()
+
+    rx = propagate_link(w, desk_link, sim, checkpoint=checkpoint)
+    # every call has returned, in span order, on the writer thread
+    assert calls == [(k, "fiberdbp-checkpoint")
+                     for k in range(1, desk_link.num_spans + 1)]
+    assert not overlaps
+    # each snapshot is its own: the spans after it did not touch it
+    assert {k: s.field.tobytes() for k, s in snaps.items()} == serial
+    assert rx.field.tobytes() == serial[desk_link.num_spans]
+
+
+def test_checkpoint_error_is_raised_after_the_running_span(desk_link,
+                                                           desk_wdm,
+                                                           monkeypatch):
+    started = watch_spans(monkeypatch, desk_link.num_spans)
+    sim = SimSettings(max_phase_rad=2e-3, noise_seed=1)
+    w, _ = generate_wdm(desk_wdm, 128, seed=1)
+    calls = []
+
+    def checkpoint(span, snap):
+        calls.append(span)
+        if span == 2:
+            raise Failure
+
+    before = threading.active_count()
+    with pytest.raises(Failure):
+        propagate_link(w, desk_link, sim, checkpoint=checkpoint)
+    # span 3 ran while checkpoint 2 failed; nothing after it was started
+    assert calls == [1, 2]
+    assert [k for k, event in started.items() if event.is_set()] == [1, 2, 3]
+    assert threading.active_count() == before and not package_threads()
+    assert BUDGET.running == 0
+
+
+def test_interrupted_span_lets_the_checkpoint_in_flight_finish(
+        desk_link, desk_wdm, monkeypatch):
+    interrupted = threading.Event()
+
+    def interrupt(k):
+        if k == 2:
+            interrupted.set()
+            raise KeyboardInterrupt
+
+    watch_spans(monkeypatch, desk_link.num_spans, interrupt)
+    sim = SimSettings(max_phase_rad=2e-3, noise_seed=1)
+    w, _ = generate_wdm(desk_wdm, 128, seed=1)
+    seen = []
+
+    def checkpoint(span, snap):
+        # span 2 is interrupted while this checkpoint is in flight, which
+        # is still writing when the caller unwinds
+        seen.append(interrupted.wait(timeout=30))
+        time.sleep(0.05)
+        seen.append(span)
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        propagate_link(w, desk_link, sim, checkpoint=checkpoint)
+    assert seen == [True, 1]
+    assert threading.active_count() == before and not package_threads()
+    assert BUDGET.running == 0
+
+
+def test_thread_guard_knows_every_package_thread(desk_link, desk_wdm,
+                                                 monkeypatch):
+    # the conftest guard finds the package's threads by name: a span's row
+    # thread, a split's helper and the checkpoint writer
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
+    names, start = set(), threading.Thread.start
+
+    def spy(thread):
+        names.add(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    w, _ = generate_wdm(desk_wdm, 128, seed=1)
+    propagate_link(w, desk_link, SimSettings(max_phase_rad=2e-3),
+                   checkpoint=lambda span, snap: None)
+    cpus.in_two(lambda part, parts: None, cpus.MIN_SHARE)
+    assert names == set(PACKAGE_THREADS)
+    # and sees one that is left running
+    release = threading.Event()
+    left = threading.Thread(target=release.wait, name="fiberdbp-checkpoint")
+    left.start()
+    try:
+        assert package_threads() == [left]
+    finally:
+        release.set()
+        left.join(timeout=60)
+    assert not left.is_alive()
 
 
 def test_link_matches_oracle_spans_bit_for_bit(desk_link, desk_wdm):

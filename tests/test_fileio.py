@@ -1,5 +1,6 @@
 """Round-trip and validation tests for the on-disk formats."""
 
+import errno
 import json
 import struct
 import tempfile
@@ -145,24 +146,58 @@ def test_waveform_rejects_trailing_data(tmp_path):
         load_waveform(p)
 
 
-class _PayloadFails:
-    """Waveform whose header fields read fine and whose samples raise."""
+class _DiskFull:
+    """A file whose writes take half of their data and then report a full
+    disk, as write(2) does when the space runs out partway."""
 
-    sample_rate, center_freq, num_samples = 64e9, 0.0, 4
+    def __init__(self, fh):
+        self._fh = fh
 
-    @property
-    def field(self):
-        raise OSError("disk full after the header")
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "disk full")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
 
 
-def test_failed_waveform_write_keeps_previous_file(tmp_path, waveform):
-    p = tmp_path / "ckpt_span002.fdbp"
-    save_waveform(p, waveform[0])
+def _small_coefficients():
+    return CoefficientSet(1, 18e9, 1e-3, -0.1, np.ones(2), "abc",
+                          {0: np.array([0.1, 0.2, 0.1])})
+
+
+# file name and writer, handed the path and the (waveform, record) fixture
+WRITERS = {
+    "waveform": ("w.fdbp", lambda p, wr: save_waveform(p, wr[0])),
+    "symbols": ("syms.npz", lambda p, wr: save_symbols(p, wr[1])),
+    "coefficients": ("c.json",
+                     lambda p, wr: save_coefficients(p, _small_coefficients())),
+    "csv": ("t.csv", lambda p, wr: write_csv(p, [{"rho": 0.1, "SNR_dB": 21.5},
+                                                 {"rho": 0.5, "SNR_dB": 22.0}])),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_failed_write_keeps_previous_file(writer, tmp_path, waveform,
+                                          monkeypatch):
+    name, write = WRITERS[writer]
+    p = tmp_path / name
+    write(p, waveform)
     before = p.read_bytes()
+    # every writer opens its file through the module's open
+    real_open = open
+    monkeypatch.setattr(fileio, "open", lambda *args, **kwargs: _DiskFull(
+        real_open(*args, **kwargs)), raising=False)
     with pytest.raises(OSError, match="disk full"):
-        save_waveform(p, _PayloadFails())
+        write(p, waveform)
     assert p.read_bytes() == before
-    assert list(tmp_path.iterdir()) == [p]
+    assert list(tmp_path.iterdir()) == [p]  # no *.tmp left behind
 
 
 def test_symbol_record_round_trip(tmp_path, waveform):
