@@ -57,7 +57,7 @@ import numpy as np
 from . import cpus
 from .signals import DualPolWaveform, check_numbers
 
-# SI defining constants, exact since 2019 (equal to scipy.constants.c and .h)
+# SI defining constants, exact since 2019
 _C_M_S = 299_792_458.0
 _H_JS = 6.626_070_15e-34
 LN10_OVER_10 = np.log(10.0) / 10.0

@@ -218,7 +218,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
                 "target_power_dbm": cfg.wdm.launch_power_dbm_per_channel,
                 "per_channel_power_dbm": audit,
                 "files": ["tx.fdbp", "rx.fdbp", "symbols.npz"]}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    fileio.save_json(out / "manifest.json", manifest)
     print(f"simulate: wrote {out}/tx.fdbp rx.fdbp symbols.npz "
           f"(hash {manifest['config_hash']})")
     return 0
@@ -247,8 +247,9 @@ def cmd_optimize(cfg: ExperimentConfig, args) -> int:
     report = {"config_hash": cfg.config_hash(), "improved": result.improved,
               "init_val_mse": result.init_val_mse,
               "final_val_mse": result.final_val_mse,
-              "train_mse_path": list(result.train_mse_path)}
-    (out / "optimize_report.json").write_text(json.dumps(report, indent=1) + "\n")
+              "train_mse_path": list(result.train_mse_path),
+              "bands": {str(h): asdict(fit) for h, fit in result.fits.items()}}
+    fileio.save_json(out / "optimize_report.json", report)
     print(f"optimize: improved={result.improved} "
           f"val MSE {result.init_val_mse:.3e} -> {result.final_val_mse:.3e}")
     return 0

@@ -2,10 +2,11 @@
 
 Waveforms use a little-endian binary container (magic ``FDBP``) so repeated
 runs with the same seed produce byte-identical files. Coefficient sets are
-JSON (floats survive the round trip exactly via repr semantics). Symbol
-records ride on numpy's npz. CSV files carry a header row and, when the
-caller passes one, a config_hash column so every artifact can be traced to
-the exact configuration that produced it.
+JSON (floats survive the round trip exactly via repr semantics), and so
+are run reports (``save_json``). Symbol records ride on numpy's npz. CSV
+files carry a header row and, when the caller passes one, a config_hash
+column so every artifact can be traced to the exact configuration that
+produced it.
 
 Every writer puts its bytes in a temporary file beside the target and
 renames it onto the target (``_replacing``), so a file that a failed or
@@ -137,6 +138,11 @@ def save_coefficients(path, coeffs: CoefficientSet,
     }
     if config_hash is not None:
         doc["config_hash"] = config_hash
+    save_json(path, doc)
+
+
+def save_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON, replacing ``path`` whole."""
     with _replacing(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=1) + "\n")
 

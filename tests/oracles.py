@@ -12,13 +12,13 @@ evaluated its finite-difference Jacobian one backpropagation run at a time.
 from dataclasses import replace
 
 import numpy as np
-import scipy.optimize
 
 from fiberdbp.channel import LinkConfig, dispersion_phase
 from fiberdbp.dbp import DbpConfig, build_mimo_transfer
 from fiberdbp.kernel import StepGeometry, _beat, _simpson_weights, step_kernel
 from fiberdbp.metrics import (prepare_dbp_input, remove_mean_phase,
                               symbols_from_dbp_output)
+from fiberdbp.optimize import _fit_least_squares
 from fiberdbp.signals import DualPolWaveform
 
 
@@ -243,11 +243,18 @@ def dbp_oracle(w: DualPolWaveform, cfg: DbpConfig, coeffs=None) -> np.ndarray:
     return out
 
 
-def optimize_oracle(train, cfg: DbpConfig, init):
+def solve_in_package(fun, x0, max_nfev):
+    """The tuner's trust-region fit, one residual evaluation at a time."""
+    x, f, _ = _fit_least_squares(lambda xs: map(fun, xs), x0, max_nfev)
+    return x, f
+
+
+def optimize_oracle(train, cfg: DbpConfig, init, solve=solve_in_package):
     """Band-by-band tap fit that runs one backpropagation per residual.
 
     The coefficient optimizer before its Jacobian columns were batched:
-    least_squares(trf) with scipy's serial 2-point Jacobian over
+    solve(fun, x0, max_nfev) -> (x, fun(x)) fits each band, by default
+    with the tuner's own solver evaluating fun point by point, over
     dbp_oracle. Returns (taps by separation, training MSE path).
     """
     idx = (train.wdm.num_channels - 1) // 2
@@ -275,10 +282,8 @@ def optimize_oracle(train, cfg: DbpConfig, init):
             return residuals(replace(current, coeffs={
                 **current.coeffs, h: unpack(params, h)}))
 
-        sol = scipy.optimize.least_squares(fun, x0, method="trf",
-                                           diff_step=1e-6,
-                                           max_nfev=50 * (x0.size + 1))
+        x, f = solve(fun, x0, 50 * (x0.size + 1))
         current = replace(current, coeffs={**current.coeffs,
-                                           h: unpack(sol.x, h)})
-        path.append(float(np.sum(sol.fun ** 2)))
+                                           h: unpack(x, h)})
+        path.append(float(np.sum(f ** 2)))
     return current.coeffs, tuple(path)

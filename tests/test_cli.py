@@ -192,6 +192,26 @@ def test_simulate_writes_artifacts_and_manifest(ws):
     assert tx.num_samples == 256 * int(manifest["sample_rate_hz"] / 32e9)
 
 
+def test_optimize_report_traces_each_band_fit(ws):
+    # per band: the solver's iterations, evaluations, Jacobians and the
+    # test that ended the fit, next to the tuned set it reports on
+    root, cfg_path = ws
+    out = root / "opt"
+    assert run(cfg_path, out, "optimize") == 0
+    report = json.loads((out / "optimize_report.json").read_text())
+    coeffs = fiberdbp.fileio.load_coefficients(out / "coeffs_optimized.json")
+    assert report["config_hash"] == \
+        ExperimentConfig.from_yaml(cfg_path).config_hash()
+    assert list(report["bands"]) == [str(h) for h in sorted(coeffs.coeffs)]
+    assert len(report["train_mse_path"]) == len(report["bands"])
+    for fit in report["bands"].values():
+        assert set(fit) == {"iterations", "nfev", "njev", "termination"}
+        assert 1 <= fit["iterations"] < fit["nfev"]
+        assert 1 <= fit["njev"] <= fit["nfev"]
+        assert fit["termination"] in ("gtol", "ftol", "xtol",
+                                      "ftol and xtol", "max_nfev")
+
+
 def test_simulate_rerun_is_byte_identical(ws):
     root, cfg_path = ws
     a, b = root / "rep_a", root / "rep_b"

@@ -180,6 +180,8 @@ WRITERS = {
                      lambda p, wr: save_coefficients(p, _small_coefficients())),
     "csv": ("t.csv", lambda p, wr: write_csv(p, [{"rho": 0.1, "SNR_dB": 21.5},
                                                  {"rho": 0.5, "SNR_dB": 22.0}])),
+    "json": ("report.json", lambda p, wr: fileio.save_json(
+        p, {"improved": True, "train_mse_path": [0.5, 0.25]})),
 }
 
 

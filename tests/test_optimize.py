@@ -14,6 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 import fiberdbp.channel
@@ -26,8 +27,9 @@ from fiberdbp import (DbpConfig, LinkConfig, SimSettings, SweepResult,
                       sweep_launch_power, sweep_splitting_ratio)
 from fiberdbp.dbp import _run_blocks
 from fiberdbp.metrics import remove_mean_phase, symbols_from_dbp_output
-from fiberdbp.optimize import (_concurrent_map, _Objective,
-                               receiver_coefficients, score_receivers)
+from fiberdbp.optimize import (DIFF_STEP, _concurrent_map, _fit_least_squares,
+                               _Objective, receiver_coefficients,
+                               score_receivers)
 from oracles import optimize_oracle
 
 WDM = WdmConfig(32e9, 1, 0.0, 0.1, "64-qam", 2.0)
@@ -173,7 +175,7 @@ def test_batched_residuals_equal_single_runs(train_nonlinear, tap_bases,
 
 @pytest.mark.parametrize("cfg", [CFG_NL, CFG_CB], ids=["ESSFM", "CB_ESSFM"])
 def test_fit_reproduces_serial_optimizer(train_nonlinear, cfg):
-    # batched Jacobian columns must leave scipy's trajectory untouched
+    # batched Jacobian columns must leave the solver's trajectory untouched
     init = standard_ssfm_coefficient_set(cfg, RATE, WDM.launch_power_w,
                                          memory=4)
     res = optimize_coefficients(train_nonlinear, cfg, init)
@@ -182,6 +184,119 @@ def test_fit_reproduces_serial_optimizer(train_nonlinear, cfg):
     assert res.train_mse_path == path
     for h, c in taps.items():
         assert np.array_equal(res.coeffs.coeffs[h], c)
+
+
+def test_no_jacobian_after_the_terminating_step(train_nonlinear,
+                                                monkeypatch):
+    # every tap set the engine sees on the training split is a residual
+    # evaluation (a pass of one set) or a Jacobian column (a pass of P
+    # sets); the last training pass is the step that ended the fit
+    init = standard_ssfm_coefficient_set(CFG_NL, RATE, WDM.launch_power_w,
+                                         memory=4)
+    passes = []
+    monkeypatch.setattr(fiberdbp.optimize, "_run_blocks",
+                        lambda w, cfg, sets: passes.append(len(sets))
+                        or _run_blocks(w, cfg, sets))
+    res = optimize_coefficients(train_nonlinear, CFG_NL, init)
+    (fit,) = res.fits.values()
+    p = (init.coeffs[0].size + 1) // 2
+    train, val = passes[:-2], passes[-2:]  # val: init and tuned sets
+    assert val == [1, 1]
+    assert sum(train) == fit.nfev + p * fit.njev
+    assert train.count(p) == fit.njev and train.count(1) == fit.nfev
+    assert train[:2] == [1, p] and train[-1] == 1
+    assert fit.termination != "max_nfev"
+
+
+# synthetic residual problems for the solver; each reaches one path of it
+_T = np.linspace(0.0, 1.0, 40)
+_A = np.random.default_rng(0).standard_normal((30, 4))
+_B = np.random.default_rng(1).standard_normal(30)
+
+
+def _rosenbrock(p):
+    return np.array([10 * (p[1] - p[0] ** 2), 1 - p[0]])
+
+
+def _log_ratio(p):
+    # a Gauss-Newton step from 4 overshoots 0.01 past 0, where log fails
+    log = np.log(p[0] / 0.01) if p[0] > 0 else -np.inf
+    return np.array([log, 0.1 * (p[0] - 0.01)])
+
+
+SYNTHETIC = {
+    # (residuals, x0, max_nfev, the path the fit must reach)
+    "linear": (lambda p: _A @ p - _B, np.zeros(4), 100, "gauss-newton"),
+    "exponential": (lambda p: p[0] * np.exp(-p[1] * _T) + p[2]
+                    - 2 * np.exp(-1.3 * _T) - 0.5,
+                    np.array([1.0, 0.5, 0.0]), 400, "bounded"),
+    "rosenbrock": (_rosenbrock, np.array([-1.2, 1.0]), 300, "bounded"),
+    # p[1] never enters: its Jacobian column is exactly zero
+    "rank_deficient": (lambda p: p[0] * _T + p[2] * _T ** 2 - np.sqrt(_T),
+                       np.array([0.3, 0.7, 0.0]), 300, "rank-deficient"),
+    "non_finite": (_log_ratio, np.array([4.0]), 100, "non-finite"),
+    "capped": (_rosenbrock, np.array([-1.2, 1.0]), 7, "max_nfev"),
+}
+
+
+def _scipy_trf(fun, x0, max_nfev):
+    sol = scipy.optimize.least_squares(fun, x0, method="trf",
+                                       diff_step=DIFF_STEP,
+                                       max_nfev=max_nfev)
+    return sol.x, sol.fun
+
+
+def _assert_fit_matches(x, f, want_x, want_f, cost0):
+    # x within 1e-6 of the peak |x| and the cost within 1e-12 of the
+    # initial cost; measured: at most 7.4e-8 and 1e-16 (the SVD is numpy's
+    # LAPACK here, scipy's there)
+    assert np.max(np.abs(x - want_x)) <= 1e-6 * np.max(np.abs(want_x))
+    assert abs(np.dot(f, f) - np.dot(want_f, want_f)) <= 1e-12 * cost0
+
+
+@pytest.mark.parametrize("case", [*SYNTHETIC, "ESSFM", "CB_ESSFM"])
+def test_solver_matches_scipy_trf(request, monkeypatch, case):
+    if case not in SYNTHETIC:
+        # the band-by-band fit against scipy's serial trf per band; a
+        # band's start depends on the bands before it, so its MSE moves
+        # with their rounding (measured 2.4e-10 relative)
+        cfg = {"ESSFM": CFG_NL, "CB_ESSFM": CFG_CB}[case]
+        train = request.getfixturevalue("train_nonlinear")
+        init = standard_ssfm_coefficient_set(cfg, RATE, WDM.launch_power_w,
+                                             memory=4)
+        res = optimize_coefficients(train, cfg, init)
+        taps, path = optimize_oracle(train, cfg, init, _scipy_trf)
+        peak = max(np.max(np.abs(c)) for c in taps.values())
+        for h, c in taps.items():
+            assert np.max(np.abs(res.coeffs.coeffs[h] - c)) <= 1e-6 * peak
+        np.testing.assert_allclose(res.train_mse_path, path, rtol=1e-9)
+        return
+    fun, x0, max_nfev, path = SYNTHETIC[case]
+    reached = set()
+    real_step = fiberdbp.optimize._trust_region_step
+
+    def step(uf, s, V, delta, alpha, m):
+        p, alpha = real_step(uf, s, V, delta, alpha, m)
+        reached.add("gauss-newton" if alpha == 0 else "bounded")
+        if s[-1] <= np.finfo(float).eps * m * s[0]:
+            reached.add("rank-deficient")
+        return p, alpha
+
+    def residuals(p):
+        r = fun(p)
+        if not np.all(np.isfinite(r)):
+            reached.add("non-finite")
+        return r
+
+    monkeypatch.setattr(fiberdbp.optimize, "_trust_region_step", step)
+    x, f, fit = _fit_least_squares(lambda xs: map(residuals, xs), x0,
+                                   max_nfev)
+    if fit.termination == "max_nfev":
+        reached.add("max_nfev")
+    assert path in reached
+    assert fit.nfev <= max_nfev
+    _assert_fit_matches(x, f, *_scipy_trf(fun, x0, max_nfev),
+                        np.dot(fun(x0), fun(x0)))
 
 
 def test_training_set_rejects_shared_seed():
