@@ -33,24 +33,24 @@ once; after the second, each thread rotates and disperses its own row. The
 process's one CPU budget (``cpus.BUDGET``, shared with the receive path)
 decides whether a span takes a helper; when another caller enters and the
 count exceeds the CPUs, the helper is given back at the next step and the
-caller runs both rows. Either way the output is the same bits, and no
-thread outlives the span.
+caller runs both rows. Either way the output is the same bits.
 
 A checkpointed link writes each span's snapshot while the next span
-propagates: ``propagate_link`` hands the checkpoint callback to one writer
-thread, ``fiberdbp-checkpoint``, with a copy of the amplified field. At
-most one checkpoint is in flight, so the calls keep span order and never
-overlap; the writer is joined before the next one starts and before the
-function returns, also when it raises, and a callback's error is raised
-in the caller after the running span. A file replacement waits mostly on
-a disk flush (tens of ms), so the writer is not counted in
-``cpus.BUDGET`` and the span keeps its two row threads.
+propagates: ``propagate_link`` hands the checkpoint callback a copy of
+the amplified field on a writer thread, ``fiberdbp-checkpoint``. At most
+one checkpoint is in flight, so the calls keep span order and never
+overlap. A file replacement waits mostly on a disk flush (tens of ms), so
+the writer is not counted in ``cpus.BUDGET`` and the span keeps its two
+row threads. Both threads are ``cpus.helper`` threads: when each is
+joined and whose error is raised follows its rules.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -263,11 +263,11 @@ def _run_spans(field: np.ndarray, rate: float,
     the serial path runs.
 
     While ``cpus.BUDGET`` counts fewer threads than usable CPUs, a helper
-    thread runs row 1 and the caller row 0. Barrier B's action decides,
-    once for both threads, whether to fold: then both finish the step, the
-    caller joins the helper and runs both rows from there on. An error in
-    either thread aborts both barriers, the helper is joined and the error
-    is raised in the caller.
+    thread (``cpus.helper``) runs row 1 and the caller row 0. Barrier B's
+    action decides, once for both threads, whether to fold: then both
+    finish the step, the caller joins the helper and runs both rows from
+    there on. An error in either thread aborts both barriers, so that the
+    other stops too.
     """
     beta2, steps = operators
     n = field.shape[-1]
@@ -346,7 +346,6 @@ def _run_spans(field: np.ndarray, rate: float,
 
         # barriers A and B of the docstring
         barriers = (threading.Barrier(2), threading.Barrier(2, action=decide))
-        errors = []
 
         def abort():
             for barrier in barriers:
@@ -355,27 +354,15 @@ def _run_spans(field: np.ndarray, rate: float,
         # cut at a multiple of 64 so that each share's vector loops cover
         # the elements one pass over the whole array would
         cuts = [size // 2 // 64 * 64 for size in (n, m)]
-
-        def helper():
+        row1 = partial(run, (1,), 0, [slice(c, None) for c in cuts], barriers)
+        with cpus.helper(row1, "span-row-1", on_error=abort):
             try:
-                run((1,), 0, [slice(c, None) for c in cuts], barriers)
-            except BaseException as exc:  # raised again in the caller
-                errors.append(exc)
+                resume = run((0,), 0, [slice(c) for c in cuts], barriers)
+            except threading.BrokenBarrierError:
+                return  # the helper raised, and leaving the block raises it
+            except BaseException:
                 abort()
-
-        thread = threading.Thread(target=helper, name="span-row-1")
-        thread.start()
-        try:
-            resume = run((0,), 0, [slice(c) for c in cuts], barriers)
-        except threading.BrokenBarrierError:  # the helper's error follows
-            pass
-        except BaseException:
-            abort()
-            raise
-        finally:
-            thread.join()
-        if errors:
-            raise errors[0]
+                raise
         if folded:
             run((0, 1), resume, everything, None)
     finally:
@@ -396,16 +383,16 @@ def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
     uninterrupted run.
 
     When provided, ``checkpoint(span_index, waveform)`` is called after
-    each amplifier with a snapshot of its own, on a writer thread named
-    ``fiberdbp-checkpoint``, while the next span propagates. At most one
-    checkpoint is in flight: the calls come in span order, one at a time,
-    and every one has returned when this function returns. An error in a
-    checkpoint is raised here once the span running meanwhile has
-    finished, and no later checkpoint is called. An error in the caller
-    (an interrupt during a span, say) still waits for the checkpoint in
-    flight, so the file it writes is left whole, and the caller's error
-    is the one raised. The writer mostly waits on the disk, so it takes no
-    CPU from ``cpus.BUDGET``.
+    each amplifier with a snapshot of its own, on a ``cpus.helper`` thread
+    named ``fiberdbp-checkpoint``, while the next span propagates. At most
+    one checkpoint is in flight: each writer is joined before the next one
+    starts, so the calls come in span order, one at a time, and every one
+    has returned when this function returns. By the helper's rules, a
+    checkpoint's error is raised once the span running meanwhile has
+    finished, and no later checkpoint is called; an error in the caller
+    (an interrupt during a span, say) waits for the checkpoint in flight,
+    so the file it writes is left whole, and is the one raised. The writer
+    mostly waits on the disk, so it takes no CPU from ``cpus.BUDGET``.
     """
     w.require_finite()
     _check_headroom(w)
@@ -421,35 +408,16 @@ def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
     operators = _step_operators(link, span_step_sizes(link, sim, w.power),
                                 inverse=False)
     out = (w if snapshot is None else snapshot).copy()
-    errors = []
-
-    def write(span, snap):
-        try:
-            checkpoint(span, snap)
-        except BaseException as exc:  # raised again in the caller
-            errors.append(exc)
-
-    writer = None
-    try:
+    with ExitStack() as writer:
         for span in range(first_span, link.num_spans):
             _run_spans(out.field, out.sample_rate, operators)
             out = edfa(out, link, (sim.noise_seed, span),
                        noise_enabled=sim.noise_enabled)
             if checkpoint is not None:
-                if writer is not None:
-                    writer.join()
-                if errors:
-                    raise errors[0]
-                thread = threading.Thread(target=write,
-                                          args=(span + 1, out.copy()),
-                                          name="fiberdbp-checkpoint")
-                thread.start()
-                writer = thread
-    finally:
-        if writer is not None:
-            writer.join()
-    if errors:
-        raise errors[0]
+                writer.close()  # joins the checkpoint in flight
+                writer.enter_context(cpus.helper(
+                    partial(checkpoint, span + 1, out.copy()),
+                    "fiberdbp-checkpoint"))
     return out
 
 

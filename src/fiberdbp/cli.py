@@ -364,8 +364,6 @@ def _figure_rows(cfg: ExperimentConfig, figure_id: str) -> list[dict]:
 
 def cmd_figure(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
-    if args.figure_id not in FIGURE_IDS:
-        raise SystemExit(f"figure_id must be one of {FIGURE_IDS}")
     rows = _figure_rows(cfg, args.figure_id)
     path = out / f"{args.figure_id}.csv"
     fileio.write_csv(path, rows, cfg.config_hash())

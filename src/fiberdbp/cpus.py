@@ -1,21 +1,27 @@
-"""The process's one CPU budget, from which every helper thread is taken.
+"""The process's helper threads and the one CPU budget they are taken from.
 
-Three kinds of work run on their caller and at most one helper thread: a
-simulated span (channel), an engine pass over overlap-and-save blocks
-(dbp), and a spectral step on a waveform's two polarization rows
-(signals). One process-wide count of the threads running such work,
-against the usable CPUs, decides whether a helper is taken, so concurrent
-callers (optimize's pools, spans of concurrent transmissions, receivers in
-threads) never start more helpers than there are idle CPUs. Either way
-every output is the same bits: each half runs the same code on the same
-data as the caller alone would. This module imports nothing of the
-package, so every module can take its helpers from here.
+Every thread the package starts, apart from the workers of optimize's
+pools, is a ``helper``: it runs beside a block of its caller, is joined
+when the block ends, and its error reaches the caller unless the block's
+own error does first. Three kinds of work run
+on their caller and at most one such helper: a simulated span (channel),
+an engine pass over overlap-and-save blocks (dbp), and a spectral step on
+a waveform's two polarization rows (signals). One process-wide count of
+the threads running such work, against the usable CPUs, decides whether a
+helper is taken, so concurrent callers (optimize's pools, spans of
+concurrent transmissions, receivers in threads) never start more helpers
+than there are idle CPUs. Either way every output is the same bits: each
+half runs the same code on the same data as the caller alone would. The
+fourth helper, channel's checkpoint writer, waits mostly on the disk and
+is not counted. This module imports nothing of the package, so every
+module can take its helpers from here.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
 
 # Smallest share of work that is handed to a helper, in complex samples per
 # array operation of one thread: twice the block size times its tap sets
@@ -76,38 +82,53 @@ class Budget:
 BUDGET = Budget()
 
 
+@contextmanager
+def helper(target, name: str, on_error=None):
+    """Run ``target()`` on a thread named ``name`` while the block runs.
+
+    The thread is joined when the block ends, also when the block raises.
+    An error raised in the block is the one that propagates; otherwise an
+    error raised by ``target`` is raised here after the join. When
+    ``target`` raises, ``on_error()`` runs first on the helper thread, so
+    that a caller waiting on it (at a barrier, say) can be released.
+    """
+    errors = []
+
+    def main():
+        try:
+            target()
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+            if on_error is not None:
+                on_error()
+
+    thread = threading.Thread(target=main, name=name)
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def in_two(run, share: int) -> None:
     """Do work cut in two: ``run(0, 2)`` in the caller and ``run(1, 2)``
-    on a helper thread, when ``share`` (see MIN_SHARE) is large enough and
-    the budget has a CPU for the helper; otherwise ``run(0, 1)``, the
+    on a ``helper`` thread, when ``share`` (see MIN_SHARE) is large enough
+    and the budget has a CPU for the helper; otherwise ``run(0, 1)``, the
     whole, in the caller.
 
-    The two halves must write disjoint outputs. An error in either is
-    raised here once both have returned, so no thread outlives the call.
+    The two halves must write disjoint outputs.
     """
     if share < MIN_SHARE:
         run(0, 1)
         return
-    helper = BUDGET.enter()
+    split = BUDGET.enter()
     try:
-        if not helper:
+        if split:
+            with helper(lambda: run(1, 2), "fiberdbp-helper"):
+                run(0, 2)
+        else:
             run(0, 1)
-            return
-        errors = []
-
-        def second():
-            try:
-                run(1, 2)
-            except BaseException as exc:  # raised again in the caller
-                errors.append(exc)
-
-        thread = threading.Thread(target=second, name="fiberdbp-helper")
-        thread.start()
-        try:
-            run(0, 2)
-        finally:
-            thread.join()
-        if errors:
-            raise errors[0]
     finally:
-        BUDGET.leave(1 + helper)
+        BUDGET.leave(1 + split)

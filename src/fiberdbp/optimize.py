@@ -157,15 +157,9 @@ class _Objective:
         """Symbol MSE of one set on the validation split."""
         return _symbol_mse(self._symbols(self.w_val, [coeffs])[0], self.tx_val)
 
-    def residuals(self, coeffs: CoefficientSet) -> np.ndarray:
-        return self.batch_residuals([coeffs])[0]
-
-    def batch_residuals(self, sets: list) -> list:
-        """Symbol residuals of every set on the training split."""
-        return list(self.iter_residuals(sets))
-
     def iter_residuals(self, sets: list):
-        """batch_residuals, yielded set by set as each engine pass returns."""
+        """Symbol residuals of every set on the training split, yielded set
+        by set as each engine pass returns."""
         chunk = max(1, _BATCH_BYTES // self.set_bytes)
         for i in range(0, len(sets), chunk):
             yield from map(self._symbol_residuals,

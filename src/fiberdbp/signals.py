@@ -78,10 +78,10 @@ class DualPolWaveform:
         polarization, row 1 the y polarization. Any other shape raises
         ValueError at construction.
     sample_rate : float
-        Sample rate in Hz.
+        Sample rate in Hz, finite and positive.
     center_freq : float
         Absolute optical frequency offset (Hz) of this baseband
-        representation relative to the full-band reference.
+        representation relative to the full-band reference, finite.
 
     ``x`` and ``y`` are read-only properties returning the row views
     ``field[0]`` and ``field[1]`` (writes through them change ``field``).
@@ -96,8 +96,7 @@ class DualPolWaveform:
         if self.field.ndim != 2 or self.field.shape[0] != 2:
             raise ValueError("field must be a (2, N) array, got shape "
                              f"{self.field.shape}")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        check_numbers(self, positive=("sample_rate",))
 
     @property
     def x(self) -> np.ndarray:
@@ -203,13 +202,20 @@ class WdmConfig:
 class SymbolRecord:
     """Transmitted symbols, unit average energy per polarization.
 
-    symbols has shape (num_channels, 2, num_symbols).
+    symbols has shape (num_channels, 2, num_symbols); any other shape
+    raises ValueError at construction.
     """
 
     symbols: np.ndarray
     baud_rate: float
     format: str
     seed: int
+
+    def __post_init__(self):
+        shape = np.shape(self.symbols)
+        if len(shape) != 3 or shape[1] != 2:
+            raise ValueError("symbols must be a (num_channels, 2, M) array, "
+                             f"got shape {shape}")
 
     @property
     def num_symbols(self) -> int:

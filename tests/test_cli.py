@@ -503,6 +503,15 @@ def test_unknown_subcommand_rejected(ws):
         main(["--config", str(cfg_path), "frobnicate"])
 
 
+def test_unknown_figure_rejected(ws, capsys):
+    root, cfg_path = ws
+    out = root / "nope"
+    with pytest.raises(SystemExit):
+        run(cfg_path, out, "figure", "nope")
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_names_every_command_line_option():
     # the README's Command line section and build_parser() list the same
     # options, subcommand options included

@@ -1,5 +1,6 @@
 """Round-trip and validation tests for the on-disk formats."""
 
+import copy
 import errno
 import json
 import struct
@@ -146,6 +147,16 @@ def test_waveform_rejects_trailing_data(tmp_path):
         load_waveform(p)
 
 
+def test_waveform_with_a_nan_rate_fails_at_load(tmp_path):
+    p = tmp_path / "nan.fdbp"
+    save_waveform(p, DualPolWaveform(np.ones((2, 4), dtype=complex), 64e9))
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<d", raw, 6, float("nan"))  # the header's rate
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="sample_rate must be finite"):
+        load_waveform(p)
+
+
 class _DiskFull:
     """A file whose writes take half of their data and then report a full
     disk, as write(2) does when the space runs out partway."""
@@ -211,6 +222,18 @@ def test_symbol_record_round_trip(tmp_path, waveform):
     assert back.baud_rate == rec.baud_rate
     assert back.format == rec.format
     assert back.seed == rec.seed
+
+
+def test_malformed_symbol_file_fails_at_load(tmp_path, waveform):
+    # a record's array is checked when it is built, so a file holding
+    # a (2, M) array is refused by load_symbols, not later by snr
+    _, rec = waveform
+    bad = copy.copy(rec)
+    bad.symbols = rec.symbols[0]
+    p = tmp_path / "syms.npz"
+    save_symbols(p, bad)
+    with pytest.raises(ValueError, match=r"\(num_channels, 2, M\)"):
+        load_symbols(p)
 
 
 def test_coefficients_round_trip_exact(tmp_path):

@@ -159,7 +159,7 @@ def test_batched_residuals_equal_single_runs(train_nonlinear, tap_bases,
             mock.patch.object(fiberdbp.optimize, "_run_blocks",
                               lambda w, cfg, sets: passes.append(len(sets))
                               or _run_blocks(w, cfg, sets)):
-        got = obj.batch_residuals(sets)
+        got = list(obj.iter_residuals(sets))
     k = sets_per_pass or batch
     assert passes == [k] * (batch // k) + [batch % k] * (batch % k > 0)
     assert len(got) == batch
@@ -170,7 +170,7 @@ def test_batched_residuals_equal_single_runs(train_nonlinear, tap_bases,
         err = (rx - obj.tx_train).ravel() / np.sqrt(2 * rx.shape[-1])
         single = np.concatenate([err.real, err.imag])
         assert np.array_equal(r, single)
-        assert np.array_equal(obj.residuals(coeffs), single)
+        assert np.array_equal(list(obj.iter_residuals([coeffs]))[0], single)
 
 
 @pytest.mark.parametrize("cfg", [CFG_NL, CFG_CB], ids=["ESSFM", "CB_ESSFM"])

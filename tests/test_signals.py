@@ -6,8 +6,8 @@ import pytest
 from fiberdbp import (DualPolWaveform, WdmConfig, demux_channel, generate_wdm,
                       matched_filter, resample)
 from fiberdbp.cpus import MIN_SHARE
-from fiberdbp.signals import (_receive_filter, _regrid, matched_decimate,
-                              raised_cosine_spectrum)
+from fiberdbp.signals import (SymbolRecord, _receive_filter, _regrid,
+                              matched_decimate, raised_cosine_spectrum)
 from conftest import rel_rms, spy_budget
 
 
@@ -167,6 +167,21 @@ def test_waveform_copy_is_independent():
 def test_waveform_rejects_non_jones_field(shape):
     with pytest.raises(ValueError, match=r"\(2, N\)"):
         DualPolWaveform(np.zeros(shape, complex), 1.0)
+
+
+@pytest.mark.parametrize("rate, center", [
+    (float("nan"), 0.0), (float("inf"), 0.0), (-float("inf"), 0.0),
+    (0.0, 0.0), (-1.0, 0.0), (1.0, float("nan")), (1.0, float("inf"))])
+def test_waveform_rejects_non_finite_rates(rate, center):
+    name = "sample_rate" if center == 0.0 else "center_freq"
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DualPolWaveform(np.zeros((2, 8)), rate, center)
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 8), (3, 1, 8), (3, 2, 8, 1)])
+def test_symbol_record_rejects_a_malformed_symbol_array(shape):
+    with pytest.raises(ValueError, match=r"\(num_channels, 2, M\)"):
+        SymbolRecord(np.zeros(shape, complex), 32e9, "16-qam", 0)
 
 
 def test_waveform_polarizations_are_field_rows():
