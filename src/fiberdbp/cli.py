@@ -94,7 +94,7 @@ class ExperimentConfig:
                  "sim": lambda d: SimSettings(**d),
                  "dbp": dict, "sweeps": dict,
                  "seeds": lambda d: {**_DEFAULT_SEEDS, **d},
-                 "output_dir": str, "checkpoint_spans": bool}
+                 "output_dir": str}
         cfg = cls(**{key: parse.get(key, lambda v: v)(value)
                      for key, value in doc.items()})
         cfg.validate()
@@ -124,6 +124,11 @@ class ExperimentConfig:
             raise ValueError("num_symbols must be >= 2")
         if {"train", "val", "eval"} - set(self.seeds):
             raise ValueError("seeds must define train, val and eval")
+        for name, seed in self.seeds.items():
+            if (not isinstance(seed, numbers.Integral)
+                    or isinstance(seed, bool) or seed < 0):
+                raise ValueError(f"seed {name!r} must be an integer >= 0, "
+                                 f"got {seed!r}")
         for key, grid in self.sweeps.items():
             if key not in _SWEEP_GRIDS:
                 raise ValueError(f"unknown sweep grid {key!r}")
@@ -316,10 +321,12 @@ def cmd_cost(cfg: ExperimentConfig, args) -> int:
     dcfg = cfg.dbp_config()
     steps_grid = cfg.sweeps.get("n_steps", [dcfg.n_steps])
     rate = cfg.dbp_rate_hz()
-    rows = [dbp_cost(d, rate).csv_row(d.variant, d.n_steps, d.n_subbands,
-                                      d.block_size, d.overlap, d.oversampling)
+    rows = [{"variant": d.variant, "N_st": d.n_steps, "N_sb": d.n_subbands,
+             "N": d.block_size, "N_ov": d.overlap, "n": d.oversampling,
+             "RM_per_2D": cost.rm_per_2d, "RA_per_2D": cost.ra_per_2d}
             for d in _ladder(dcfg, steps_grid)
-            if d.variant == "EDC" or d.n_steps]
+            if d.variant == "EDC" or d.n_steps
+            for cost in [dbp_cost(d, rate)]]
     seen = set()
     rows = [r for r in rows
             if (key := tuple(r.values())) not in seen and not seen.add(key)]
@@ -398,6 +405,7 @@ def main(argv=None) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seeds={**cfg.seeds, "eval": args.seed})
+        cfg.validate()
     handler = {"simulate": cmd_simulate, "coeffs": cmd_coeffs,
                "optimize": cmd_optimize, "dbp": cmd_dbp, "sweep": cmd_sweep,
                "cost": cmd_cost, "figure": cmd_figure}[args.command]

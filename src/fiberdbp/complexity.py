@@ -18,6 +18,13 @@ Counting conventions (these make the published cost figures reproducible):
 Costs are reported per 2D (single-polarization) symbol: a block of N
 samples at n samples per symbol yields (N - N_ov) new samples, i.e.
 2 (N - N_ov) / n new 2D symbols.
+
+Every price comes from one per-block stage table per engine (coupled-band
+or single-band). The steady-state prices (dbp_cost, cb_essfm_cost,
+essfm_time_domain_cost) divide one block's table over its N - N_ov new
+samples; their docstrings give the closed forms the tables sum to, which
+the tests check. count_runtime_multiplies prices the blocks the engine's
+tiling runs over a given waveform, without running the engine.
 """
 
 from __future__ import annotations
@@ -29,40 +36,24 @@ from .dbp import DbpConfig, _tap_memory
 from .kernel import CoefficientSet
 from .signals import DualPolWaveform
 
-_CSV_COLUMNS = ("variant", "N_st", "N_sb", "N", "N_ov", "n",
-                "RM_per_2D", "RA_per_2D")
-
 
 @dataclass
 class CostReport:
     """Per-2D-symbol cost with a per-stage breakdown.
 
-    breakdown maps stage names to (rm, ra) pairs in the same per-2D units;
-    the totals must equal the breakdown sums.
+    breakdown maps stage names to (rm, ra) pairs in per-2D units; the
+    totals are their sums in the breakdown's order.
     """
 
-    rm_per_2d: float
-    ra_per_2d: float
     breakdown: dict[str, tuple[float, float]]
 
-    def __post_init__(self):
-        self.validate()
+    @property
+    def rm_per_2d(self) -> float:
+        return sum(v[0] for v in self.breakdown.values())
 
-    def validate(self):
-        rm = sum(v[0] for v in self.breakdown.values())
-        ra = sum(v[1] for v in self.breakdown.values())
-        for name, (m, a) in self.breakdown.items():
-            if m < 0 or a < 0:
-                raise ValueError(f"negative count in stage {name!r}")
-        if not math.isclose(rm, self.rm_per_2d, rel_tol=1e-9, abs_tol=1e-9) \
-                or not math.isclose(ra, self.ra_per_2d, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError("breakdown does not sum to the totals")
-
-    def csv_row(self, variant: str, n_steps: int, n_subbands: int,
-                block_size: int, overlap: int, oversampling: float) -> dict:
-        return dict(zip(_CSV_COLUMNS, (variant, n_steps, n_subbands,
-                                       block_size, overlap, oversampling,
-                                       self.rm_per_2d, self.ra_per_2d)))
+    @property
+    def ra_per_2d(self) -> float:
+        return sum(v[1] for v in self.breakdown.values())
 
 
 def _cfft_cost(size: int) -> tuple[float, float]:
@@ -106,127 +97,110 @@ def _time_block_counts(block_size: int, n_steps: int,
     return out
 
 
-def _per_2d_report(blocks: dict[str, tuple[float, float]],
-                   scale: float) -> CostReport:
-    """Scale raw (RM, RA) stage counts to per-2D units; totals are summed in
-    the stages' order."""
-    breakdown = {k: (m * scale, a * scale) for k, (m, a) in blocks.items()}
-    return CostReport(sum(v[0] for v in breakdown.values()),
-                      sum(v[1] for v in breakdown.values()), breakdown)
+def _block_table(cfg: DbpConfig, n_taps: int) -> dict[str, tuple[float, float]]:
+    """Per-block stage table of a config: the coupled-band one for
+    CB_ESSFM, the single-band one at n_taps one-sided FIR taps otherwise."""
+    if cfg.variant == "CB_ESSFM":
+        return _cb_block_counts(cfg.block_size, cfg.n_steps, cfg.n_subbands)
+    return _time_block_counts(cfg.block_size, cfg.n_steps, n_taps)
+
+
+def _per_2d_report(table: dict[str, tuple[float, float]], oversampling: float,
+                   samples: int, blocks: int = 1) -> CostReport:
+    """Price ``blocks`` blocks of a per-block table over ``samples`` output
+    samples at ``oversampling`` samples per symbol: 2 samples / oversampling
+    2D symbols."""
+    scale = oversampling / (2 * samples)
+    return CostReport({k: (blocks * m * scale, blocks * a * scale)
+                       for k, (m, a) in table.items()})
 
 
 def cb_essfm_cost(block_size: int, overlap: int, oversampling: float,
                   n_steps: int, n_subbands: int = 1) -> CostReport:
-    """Closed-form cost of the coupled-band engine.
+    """Cost of the coupled-band engine, priced from its per-block table.
 
+    The table sums to the closed form
     RM/2D = (n/2) (N/(N-N_ov)) [ (5 N_st + 4) log2(N/N_sb)
             + N_st (3 N_sb + 1)/2 + 4 log2 N_sb - 6
             + (20 N_sb N_st + 16)/N ]
     and the companion RA/2D with coefficients (15 N_st + 12),
-    N_st (5 N_sb - 1)/2, 12 log2 N_sb. The report's breakdown carries the
-    same total split by stage (the two routes are checked against each
-    other on every call).
+    N_st (5 N_sb - 1)/2, 12 log2 N_sb.
     """
-    _check_block(block_size, overlap, n_subbands, n_steps)
-    n, n_ov, n_sps = block_size, overlap, oversampling
-    n_st, n_sb = n_steps, n_subbands
-    pref = (n_sps / 2) * (n / (n - n_ov))
-    rm = pref * ((5 * n_st + 4) * math.log2(n / n_sb)
-                 + n_st * (3 * n_sb + 1) / 2 + 4 * math.log2(n_sb) - 6
-                 + (20 * n_sb * n_st + 16) / n)
-    ra = pref * ((15 * n_st + 12) * math.log2(n / n_sb)
-                 + n_st * (5 * n_sb - 1) / 2 + 12 * math.log2(n_sb) - 6
-                 + (20 * n_sb * n_st + 16) / n)
-    report = _per_2d_report(_cb_block_counts(n, n_st, n_sb),
-                            n_sps / (2 * (n - n_ov)))
-    if not (math.isclose(rm, report.rm_per_2d, rel_tol=1e-9)
-            and math.isclose(ra, report.ra_per_2d, rel_tol=1e-9)):
-        raise AssertionError("stage breakdown disagrees with the closed form")
-    return report
+    _check_block(block_size, overlap, oversampling, n_subbands, n_steps)
+    return _per_2d_report(_cb_block_counts(block_size, n_steps, n_subbands),
+                          oversampling, block_size - overlap)
 
 
 def essfm_time_domain_cost(block_size: int, overlap: int, oversampling: float,
                            n_steps: int, n_taps: int = 0) -> CostReport:
-    """Closed-form cost of the time-domain single-band engine.
+    """Cost of the time-domain single-band engine, priced from its
+    per-block table.
 
+    The table sums to the closed form
     RM/2D = (n/2) (N/(N-N_ov)) [ (N_st+1)(4 log2 N - 6 + 16/N)
             + N_st (11 + N_c) ], RA/2D with (12 log2 N - 6 + 16/N) and
     N_st (11 + 2 N_c). A single tap (N_c = 0) gives the optimized
     split-step cost; N_st = 0 gives plain dispersion compensation.
     """
-    _check_block(block_size, overlap, 1, n_steps)
+    _check_block(block_size, overlap, oversampling, 1, n_steps)
     if n_taps < 0:
         raise ValueError("n_taps must be >= 0")
-    n, n_ov, n_sps, n_st = block_size, overlap, oversampling, n_steps
-    pref = (n_sps / 2) * (n / (n - n_ov))
-    rm = pref * ((n_st + 1) * (4 * math.log2(n) - 6 + 16 / n)
-                 + n_st * (11 + n_taps))
-    ra = pref * ((n_st + 1) * (12 * math.log2(n) - 6 + 16 / n)
-                 + n_st * (11 + 2 * n_taps))
-    report = _per_2d_report(_time_block_counts(n, n_st, n_taps),
-                            n_sps / (2 * (n - n_ov)))
-    if not (math.isclose(rm, report.rm_per_2d, rel_tol=1e-9)
-            and math.isclose(ra, report.ra_per_2d, rel_tol=1e-9)):
-        raise AssertionError("stage breakdown disagrees with the closed form")
-    return report
+    return _per_2d_report(_time_block_counts(block_size, n_steps, n_taps),
+                          oversampling, block_size - overlap)
 
 
 def dbp_cost(cfg: DbpConfig, sample_rate_hz: float) -> CostReport:
-    """Closed-form cost of one backpropagation config.
+    """Steady-state cost of one backpropagation config.
 
-    CB_ESSFM is priced by cb_essfm_cost; EDC, OSSFM and ESSFM by
+    CB_ESSFM is priced as cb_essfm_cost; EDC, OSSFM and ESSFM as
     essfm_time_domain_cost, ESSFM with the tap count that
     make_dbp_coefficient_set builds at sample_rate_hz (the walk-off memory
     rule; no taps are built).
     """
-    if cfg.variant == "CB_ESSFM":
-        return cb_essfm_cost(cfg.block_size, cfg.overlap, cfg.oversampling,
-                             cfg.n_steps, cfg.n_subbands)
-    n_taps = _tap_memory(cfg, 0, sample_rate_hz) if cfg.n_steps else 0
-    return essfm_time_domain_cost(cfg.block_size, cfg.overlap,
-                                  cfg.oversampling, cfg.n_steps, n_taps)
+    n_taps = _tap_memory(cfg, 0, sample_rate_hz) if cfg.uses_coefficients else 0
+    return _per_2d_report(_block_table(cfg, n_taps), cfg.oversampling,
+                          cfg.block_size - cfg.overlap)
 
 
-def _check_block(block_size, overlap, n_subbands, n_steps):
-    if block_size <= overlap:
-        raise ValueError("need block_size > overlap")
+def _check_block(block_size, overlap, oversampling, n_subbands, n_steps):
+    if n_subbands < 1:
+        raise ValueError("n_subbands must be >= 1")
+    if not 0 <= overlap < block_size:
+        raise ValueError("need block_size > overlap >= 0")
     if block_size % n_subbands:
         raise ValueError("block_size must divide into n_subbands")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
+    if not (math.isfinite(oversampling) and oversampling > 0):
+        raise ValueError("oversampling must be finite and > 0")
 
 
-class CostCounter:
-    """Tally of the blocks one engine run processes (run_dbp's counter)."""
-
-    def __init__(self):
-        self.blocks = 0
-
-
-# the order the engine runs its stages in; totals are summed in this order
+# the order the engine runs its stages in. Counted totals are summed in
+# this order, steady-state totals in table order: one order for both would
+# move one route's coupled-band totals by up to 2 ulp, and perfbench checks
+# the counted ones with ==
 _ENGINE_STAGES = ("outer_fft", "fft", "gvd", "subband_fft", "intensity",
                   "mimo", "fir", "exp_lut", "rotation")
 
 
 def count_runtime_multiplies(w: DualPolWaveform, cfg: DbpConfig,
                              coeffs: CoefficientSet | None = None) -> CostReport:
-    """Run the engine on w, tally its blocks, and report their cost.
+    """Cost of running the engine on w with the tap set coeffs.
 
-    Each processed block is priced from the same per-block table as the
-    closed forms (_cb_block_counts, _time_block_counts), the single-band
-    FIR at the tap count of the set that ran. The count reflects the run's
-    true block tiling (a sequence that does not divide into whole block
-    strides pays for the extra boundary block), which is the point of
-    cross-validating the closed forms.
+    Prices the blocks the engine's tiling runs over w
+    (DbpConfig.num_blocks) from the same per-block table as dbp_cost, the
+    single-band FIR at the tap count of coeffs, which must be a set the
+    engine accepts (DbpConfig.check_coefficient_set). Unlike dbp_cost it
+    counts the tiling's real block count: a sequence that does not divide
+    into whole block strides pays for the extra boundary block. No engine
+    pass runs.
     """
-    from .dbp import run_dbp
-    counter = CostCounter()
-    run_dbp(w, cfg, coeffs, counter=counter)
-    if cfg.variant == "CB_ESSFM":
-        table = _cb_block_counts(cfg.block_size, cfg.n_steps, cfg.n_subbands)
-    else:
-        wing = (coeffs.coeffs[0].size - 1) // 2 if cfg.n_steps else 0
-        table = _time_block_counts(cfg.block_size, cfg.n_steps, wing)
-    run = {k: (counter.blocks * table[k][0], counter.blocks * table[k][1])
-           for k in _ENGINE_STAGES if k in table}
-    return _per_2d_report(run, cfg.oversampling / (2 * w.num_samples))
+    blocks = cfg.num_blocks(w.num_samples)
+    wing = 0
+    if cfg.uses_coefficients:
+        cfg.check_coefficient_set(coeffs, w.sample_rate)
+        if 0 in coeffs.coeffs:
+            wing = (coeffs.coeffs[0].size - 1) // 2
+    table = _block_table(cfg, wing)
+    return _per_2d_report({k: table[k] for k in _ENGINE_STAGES if k in table},
+                          cfg.oversampling, w.num_samples, blocks)

@@ -116,6 +116,43 @@ class DbpConfig:
         nonlinear steps."""
         return self.variant != "EDC" and self.n_steps > 0
 
+    def num_blocks(self, num_samples: int) -> int:
+        """Blocks the overlap-and-save tiling runs over num_samples
+        samples, ceil(num_samples / (block_size - overlap)); the last one
+        may be used only in part. A block longer than the sequence raises
+        ValueError."""
+        if self.block_size > num_samples:
+            raise ValueError("block_size exceeds the sequence length")
+        return -(-num_samples // (self.block_size - self.overlap))
+
+    def check_coefficient_set(self, coeffs: CoefficientSet | None,
+                              sample_rate_hz: float) -> None:
+        """Raise ValueError unless the engine can run this config with
+        coeffs on a waveform sampled at sample_rate_hz: a set built for
+        its n_subbands, sample rate and step count, with separation-0 taps
+        for the single-band variants and no tap vector longer than a
+        subband block."""
+        if coeffs is None:
+            raise ValueError(f"{self.variant} requires a coefficient set")
+        n_sb = self.n_subbands
+        if coeffs.n_sb != n_sb:
+            raise ValueError("coefficient set built for a different n_subbands")
+        built = coeffs.subband_rate * n_sb
+        if not math.isclose(built, sample_rate_hz, rel_tol=1e-12):
+            raise ValueError(
+                f"coefficient set built for a {built:.10g} Hz sample rate, "
+                f"waveform sampled at {sample_rate_hz:.10g} Hz")
+        if coeffs.num_steps != self.n_steps:
+            raise ValueError(
+                f"coefficient set built for {coeffs.num_steps} steps, "
+                f"config runs {self.n_steps}")
+        if self.variant != "CB_ESSFM" and 0 not in coeffs.coeffs:
+            raise ValueError(
+                f"{self.variant} needs separation-0 taps; the set has "
+                f"separations {sorted(coeffs.coeffs)}")
+        for h, c in coeffs.coeffs.items():
+            _check_tap_length(h, c, self.block_size // n_sb)
+
     @property
     def step_length_km(self) -> float:
         return self.link.total_length_km / max(self.n_steps, 1)
@@ -404,26 +441,7 @@ class _BlockEngine:
             self.final_gvd = cfg.link.total_length_km
         else:
             for coeffs in coeff_sets:
-                if coeffs is None:
-                    raise ValueError(f"{cfg.variant} requires a coefficient set")
-                if coeffs.n_sb != n_sb:
-                    raise ValueError(
-                        "coefficient set built for a different n_subbands")
-                built = coeffs.subband_rate * n_sb
-                if not math.isclose(built, rate, rel_tol=1e-12):
-                    raise ValueError(
-                        f"coefficient set built for a {built:.10g} Hz "
-                        f"sample rate, waveform sampled at {rate:.10g} Hz")
-                if coeffs.num_steps != cfg.n_steps:
-                    raise ValueError(
-                        f"coefficient set built for {coeffs.num_steps} steps, "
-                        f"config runs {cfg.n_steps}")
-                if cfg.variant != "CB_ESSFM" and 0 not in coeffs.coeffs:
-                    raise ValueError(
-                        f"{cfg.variant} needs separation-0 taps; the set "
-                        f"has separations {sorted(coeffs.coeffs)}")
-                for h, c in coeffs.coeffs.items():
-                    _check_tap_length(h, c, n_prime)
+                cfg.check_coefficient_set(coeffs, rate)
             self.scales = np.array([c.step_scales / c.reference_power_w
                                     for c in coeff_sets])
             step = cfg.step_length_km
@@ -481,8 +499,8 @@ class _BlockEngine:
         return np.fft.ifft(out, axis=-1, out=out)
 
 
-def _run_blocks(w: DualPolWaveform, cfg: DbpConfig, coeff_sets: list,
-                counter=None) -> np.ndarray:
+def _run_blocks(w: DualPolWaveform, cfg: DbpConfig,
+                coeff_sets: list) -> np.ndarray:
     """(B, 2, n) outputs of one engine pass of B tap sets over w's blocks.
 
     cpus.in_two runs the pass whole in the caller or cut in two halves,
@@ -491,13 +509,11 @@ def _run_blocks(w: DualPolWaveform, cfg: DbpConfig, coeff_sets: list,
     samples (both polarizations of its sets) and a CPU is idle. Each part
     has its own lane of buffers and writes its own slice of the output,
     and every block of every set runs the same code either way, so the
-    output is the same bits. A counter, if given, tallies the blocks
-    processed in counter.blocks, in the calling thread.
+    output is the same bits.
     """
     n = w.num_samples
     keep = cfg.block_size - cfg.overlap
-    if cfg.block_size > n:
-        raise ValueError("block_size exceeds the sequence length")
+    nblocks = cfg.num_blocks(n)
     mem = channel_memory_samples(cfg.link, w.sample_rate, w.sample_rate)
     if cfg.overlap < mem and cfg.block_size < n:
         warnings.warn(
@@ -510,7 +526,6 @@ def _run_blocks(w: DualPolWaveform, cfg: DbpConfig, coeff_sets: list,
     batch = len(coeff_sets)
     out = np.empty((batch,) + field.shape, dtype=complex)
     half = cfg.overlap // 2
-    nblocks = int(np.ceil(n / keep))
 
     def run(k, parts):
         blocks, sets = range(nblocks), slice(None)
@@ -534,8 +549,6 @@ def _run_blocks(w: DualPolWaveform, cfg: DbpConfig, coeff_sets: list,
     else:
         share = 2 * cfg.block_size * (batch // 2)
     in_two(run, share)
-    if counter is not None:
-        counter.blocks += nblocks
     return out
 
 
@@ -546,16 +559,16 @@ def _part(size: int, k: int, parts: int) -> slice:
 
 
 def run_dbp(w: DualPolWaveform, cfg: DbpConfig,
-            coeffs: CoefficientSet | None = None,
-            counter=None) -> DualPolWaveform:
+            coeffs: CoefficientSet | None = None) -> DualPolWaveform:
     """Backpropagate a waveform with the configured variant.
 
     Blockwise overlap-and-save: blocks of block_size samples advance by
     block_size - overlap, and overlap/2 samples are discarded on each side
     of every processed block. The input is treated as circular, which makes
-    the framing exact for the periodic test signals used throughout. A
-    counter (complexity.CostCounter) tallies the blocks processed.
+    the framing exact for the periodic test signals used throughout. The
+    tiling runs DbpConfig.num_blocks(w.num_samples) blocks, the count that
+    complexity.count_runtime_multiplies prices.
     """
     w.require_finite()
-    out = _run_blocks(w, cfg, [coeffs], counter)[0]
+    out = _run_blocks(w, cfg, [coeffs])[0]
     return DualPolWaveform(out, w.sample_rate, w.center_freq)

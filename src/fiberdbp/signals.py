@@ -48,12 +48,16 @@ class AliasingError(ValueError):
 
 
 def check_numbers(config, positive=()) -> None:
-    """Raise ValueError unless every ``int`` field of a dataclass holds an
-    integer, every ``float`` one a finite number (or None where annotated
-    ``float | None``) and every field named in ``positive`` a number > 0."""
+    """Raise ValueError unless every ``bool`` field of a dataclass holds
+    True or False, every ``int`` one an integer, every ``float`` one a
+    finite number (or None where annotated ``float | None``) and every
+    field named in ``positive`` a number > 0."""
     for f in fields(config):  # the annotations are strings (PEP 563)
         value = getattr(config, f.name)
-        if f.type == "int":
+        if f.type == "bool":
+            ok = isinstance(value, (bool, np.bool_))
+            kind = "true or false"
+        elif f.type == "int":
             ok = isinstance(value, (int, np.integer))
             kind = "an integer"
         elif f.type in ("float", "float | None"):
@@ -63,7 +67,7 @@ def check_numbers(config, positive=()) -> None:
             kind = "finite and positive" if f.name in positive else "finite"
         else:
             continue
-        if not ok or isinstance(value, bool):
+        if not ok or (f.type != "bool" and isinstance(value, bool)):
             raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 

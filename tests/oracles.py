@@ -1,4 +1,5 @@
-"""Validation oracles for the kernel, channel, dbp and optimize modules.
+"""Validation oracles for the kernel, channel, dbp, optimize and
+complexity modules.
 
 Each oracle computes what a fiberdbp routine computes by a slower, more
 direct route: quadrature of the step kernel, dense Gauss-Legendre Volterra
@@ -6,9 +7,12 @@ coefficients, the dense n x n kernel transform that the row-chunked one
 replaced, the allocating split-step loop, with one full-length phasor per
 step length, that the in-place one replaced, the allocating one-set block
 engine that the batched one replaced, and the coefficient optimizer that
-evaluated its finite-difference Jacobian one backpropagation run at a time.
+evaluated its finite-difference Jacobian one backpropagation run at a time,
+and the paper's closed-form RM/RA counts that the per-block stage tables
+are summed into.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -287,3 +291,26 @@ def optimize_oracle(train, cfg: DbpConfig, init, solve=solve_in_package):
                                            h: unpack(x, h)})
         path.append(float(np.sum(f ** 2)))
     return current.coeffs, tuple(path)
+
+
+def cb_essfm_closed_form(n, n_ov, n_sps, n_st, n_sb) -> tuple[float, float]:
+    """(RM, RA) per 2D symbol of the coupled-band engine, as written in
+    complexity.cb_essfm_cost's docstring."""
+    pref = (n_sps / 2) * (n / (n - n_ov))
+    lg, lg_sb = math.log2(n / n_sb), math.log2(n_sb)
+    tail = (20 * n_sb * n_st + 16) / n
+    rm = pref * ((5 * n_st + 4) * lg + n_st * (3 * n_sb + 1) / 2
+                 + 4 * lg_sb - 6 + tail)
+    ra = pref * ((15 * n_st + 12) * lg + n_st * (5 * n_sb - 1) / 2
+                 + 12 * lg_sb - 6 + tail)
+    return rm, ra
+
+
+def essfm_closed_form(n, n_ov, n_sps, n_st, n_c) -> tuple[float, float]:
+    """(RM, RA) per 2D symbol of the time-domain single-band engine, as
+    written in complexity.essfm_time_domain_cost's docstring."""
+    pref = (n_sps / 2) * (n / (n - n_ov))
+    lg = math.log2(n)
+    rm = pref * ((n_st + 1) * (4 * lg - 6 + 16 / n) + n_st * (11 + n_c))
+    ra = pref * ((n_st + 1) * (12 * lg - 6 + 16 / n) + n_st * (11 + 2 * n_c))
+    return rm, ra

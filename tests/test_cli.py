@@ -176,6 +176,26 @@ def test_malformed_config_numbers_rejected_at_load(ws, key, value, message):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    ("checkpoint_spans", "false", "checkpoint_spans must be true or false"),
+    ("sim.noise_enabled", "no", "noise_enabled must be true or false"),
+    ("seeds.eval", 9.5, "seed 'eval' must be an integer >= 0"),
+    ("seeds.train", -1, "seed 'train' must be an integer >= 0")])
+def test_malformed_switches_and_seeds_rejected_at_load(ws, path, value,
+                                                       message):
+    # a quoted "false" would load as True, "no" would switch the ASE on,
+    # and a fractional or negative seed would fail only inside generate_wdm
+    _, cfg_path = ws
+    doc = ExperimentConfig.from_yaml(cfg_path).to_dict()
+    *parents, key = path.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_simulate_writes_artifacts_and_manifest(ws):
     root, cfg_path = ws
     out = root / "sim"
@@ -300,6 +320,8 @@ def test_seed_flag_is_the_config_eval_seed(ws):
     manifest = json.loads((root / "seed_flag" / "manifest.json").read_text())
     assert manifest["config_hash"] \
         == ExperimentConfig.from_yaml(conf).config_hash()
+    with pytest.raises(ValueError, match="seed 'eval' must be an integer"):
+        run(flag, root / "seed_bad", "--seed", "-1", "cost")
 
 
 def test_cost_table_structure(ws):
@@ -315,6 +337,17 @@ def test_cost_table_structure(ws):
     variants = {r["variant"] for r in rows}
     assert variants == {"EDC", "OSSFM", "ESSFM", "CB_ESSFM"}
     assert all(float(r["RM_per_2D"]) > 0 for r in rows)
+
+
+def test_cost_table_of_the_shipped_fullscale_config(tmp_path):
+    # the published counts, priced from the config the README ships
+    assert main(["--config", str(ROOT / "configs" / "fullscale.yaml"),
+                 "--out", str(tmp_path), "cost"]) == 0
+    rows = read_csv(tmp_path / "cost.csv")
+    rm = {(r["variant"], int(r["N_st"])): float(r["RM_per_2D"]) for r in rows}
+    assert round(rm["CB_ESSFM", 15]) == 681
+    assert round(rm["CB_ESSFM", 1]) == 75
+    assert round(rm["EDC", 0]) == 32
 
 
 def test_cost_table_uses_closed_forms_only(ws, monkeypatch):

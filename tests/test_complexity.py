@@ -1,9 +1,13 @@
-"""Arithmetic cost model: dual-route checks, counters, per-config pricing.
+"""Arithmetic cost model: stage tables against the paper's closed forms,
+per-config pricing, and the engine's block tiling.
 
-The golden 681 / 75 / 32 RM/2D values are pinned on the closed forms in
-test_acceptance.py, and here on the per-config dispatch (dbp_cost) and on
-the engine's own block count (count_runtime_multiplies).
+The golden 681 / 75 / 32 RM/2D values are pinned on cb_essfm_cost and
+essfm_time_domain_cost in test_acceptance.py, and here on the per-config
+dispatch (dbp_cost) and on the tiling's block count
+(count_runtime_multiplies).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +16,9 @@ from fiberdbp import (DbpConfig, DualPolWaveform, LinkConfig, SimSettings,
                       WdmConfig, cb_essfm_cost, count_runtime_multiplies,
                       dbp_cost, essfm_time_domain_cost, generate_wdm,
                       make_dbp_coefficient_set, propagate_link, run_dbp)
-from fiberdbp.complexity import CostCounter
+from fiberdbp.dbp import _BlockEngine
 from conftest import spy_budget
+from oracles import cb_essfm_closed_form, essfm_closed_form
 
 # full-scale block parameters
 N, N_OV, SPS = 16384, 1800, 1.125
@@ -33,6 +38,41 @@ def test_golden_multiplication_counts():
     assert price("CB_ESSFM", 15, 2) == 681
     assert price("CB_ESSFM", 1, 2) == 75
     assert price("EDC", 0, 1) == 32
+
+
+def test_stage_tables_sum_to_the_closed_forms():
+    # the closed forms of the docstrings are the oracle of every price
+    for n in (1024, 2048, 4096, 16384):
+        for n_ov in (0, 64, n // 8, n // 2):
+            for n_st in range(31):
+                for n_sb in (1, 2, 4, 8):
+                    rep = cb_essfm_cost(n, n_ov, SPS, n_st, n_sb)
+                    rm, ra = cb_essfm_closed_form(n, n_ov, SPS, n_st, n_sb)
+                    case = (n, n_ov, n_st, n_sb)
+                    assert math.isclose(rep.rm_per_2d, rm, rel_tol=1e-9), case
+                    assert math.isclose(rep.ra_per_2d, ra, rel_tol=1e-9), case
+                for n_c in range(41):
+                    rep = essfm_time_domain_cost(n, n_ov, SPS, n_st, n_c)
+                    rm, ra = essfm_closed_form(n, n_ov, SPS, n_st, n_c)
+                    case = (n, n_ov, n_st, n_c)
+                    assert math.isclose(rep.rm_per_2d, rm, rel_tol=1e-9), case
+                    assert math.isclose(rep.ra_per_2d, ra, rel_tol=1e-9), case
+
+
+@pytest.mark.parametrize("price, args, message", [
+    (cb_essfm_cost, (N, N_OV, SPS, 15, 0), "n_subbands must be >= 1"),
+    (cb_essfm_cost, (N, -10, SPS, 15, 2), "overlap >= 0"),
+    (essfm_time_domain_cost, (N, -2, SPS, 15), "overlap >= 0"),
+    (cb_essfm_cost, (N, N_OV, float("nan"), 15, 2), "oversampling"),
+    (cb_essfm_cost, (N, N_OV, -1.125, 15, 2), "oversampling"),
+    (essfm_time_domain_cost, (N, N_OV, float("inf"), 0), "oversampling"),
+    (essfm_time_domain_cost, (N, N_OV, 0.0, 0), "oversampling")],
+    ids=["no_subbands", "cb_negative_overlap", "essfm_negative_overlap",
+         "nan_oversampling", "negative_oversampling", "inf_oversampling",
+         "zero_oversampling"])
+def test_cost_functions_refuse_bad_blocks(price, args, message):
+    with pytest.raises(ValueError, match=message):
+        price(*args)
 
 
 def test_breakdown_sums_to_total():
@@ -73,14 +113,6 @@ def test_overlap_overhead_scales_cost():
     lean = cb_essfm_cost(N, 0, SPS, 15, 2).rm_per_2d
     padded = cb_essfm_cost(N, N // 2, SPS, 15, 2).rm_per_2d
     assert padded == pytest.approx(2 * lean, rel=1e-12)
-
-
-def test_csv_row_columns():
-    row = cb_essfm_cost(N, N_OV, SPS, 15, 2).csv_row("CB_ESSFM", 15, 2, N,
-                                                     N_OV, SPS)
-    assert list(row) == ["variant", "N_st", "N_sb", "N", "N_ov", "n",
-                        "RM_per_2D", "RA_per_2D"]
-    assert row["variant"] == "CB_ESSFM" and row["N"] == N
 
 
 @pytest.fixture(scope="module")
@@ -137,27 +169,64 @@ def test_counter_partial_final_block_within_one_percent(counted_setup):
                                           rel=0.01)
 
 
-def test_counter_tallies_processed_blocks(counted_setup):
-    # the engine tallies the blocks it runs, whole and partial; the report
-    # prices exactly that many blocks from the closed forms' block table
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_engine_processes_num_blocks(counted_setup, monkeypatch, cpus):
+    # the engine runs exactly the blocks of the tiling rule, whole and
+    # partial, whether its pass runs on one thread or is split in two
     link, rx = counted_setup
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: cpus)
+    monkeypatch.setattr("fiberdbp.cpus.MIN_SHARE", 0)
+    entered = spy_budget(monkeypatch, "enter")
+    processed = []
+    process = _BlockEngine.process
+
+    def spy(self, blk, lane):
+        processed.append(blk.shape)
+        return process(self, blk, lane)
+
+    monkeypatch.setattr(_BlockEngine, "process", spy)
     for block, overlap, blocks in ((2048, 1024, 4), (2048, 512, 3)):
         cfg = DbpConfig(link=link, variant="EDC", n_steps=0, block_size=block,
                         overlap=overlap, oversampling=2.0)
-        counter = CostCounter()
-        run_dbp(rx, cfg, counter=counter)
-        assert counter.blocks == blocks
+        assert cfg.num_blocks(rx.num_samples) == blocks
+        processed.clear()
+        run_dbp(rx, cfg)
+        assert processed == [(2, block)] * blocks
+    assert entered == [cpus == 2] * 2
+
+
+def test_counted_cost_runs_no_engine_pass(counted_setup, monkeypatch):
+    # the report prices the tiling's blocks from the per-block table, and
+    # refuses the tap sets the engine would refuse, without an engine pass
+    link, rx = counted_setup
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_runtime_multiplies ran the engine")
+
+    monkeypatch.setattr("fiberdbp.dbp._run_blocks", refuse)
+    for block, overlap, blocks in ((2048, 1024, 4), (2048, 512, 3)):
+        cfg = DbpConfig(link=link, variant="EDC", n_steps=0, block_size=block,
+                        overlap=overlap, oversampling=2.0)
         per_block = essfm_time_domain_cost(block, overlap, 2.0, 0)
         used = blocks * (block - overlap) / rx.num_samples
         assert count_runtime_multiplies(rx, cfg).rm_per_2d == pytest.approx(
             per_block.rm_per_2d * used, rel=1e-12)
+    cfg = DbpConfig(link=link, variant="CB_ESSFM", n_steps=2, n_subbands=2,
+                    block_size=2048, overlap=1024, oversampling=2.0)
+    with pytest.raises(ValueError, match="requires a coefficient set"):
+        count_runtime_multiplies(rx, cfg)
+    other = DbpConfig(link=link, variant="CB_ESSFM", n_steps=1, n_subbands=2,
+                      block_size=2048, overlap=1024, oversampling=2.0)
+    taps = make_dbp_coefficient_set(other, rx.sample_rate, 1e-3, memory=2)
+    with pytest.raises(ValueError, match="built for 1 steps"):
+        count_runtime_multiplies(rx, cfg, taps)
+    long = DbpConfig(link=link, variant="EDC", n_steps=0, block_size=8192)
+    with pytest.raises(ValueError, match="block_size exceeds"):
+        count_runtime_multiplies(rx, long)
 
 
-def test_counted_golden_costs_with_split_passes(monkeypatch):
-    # two whole full-scale blocks, one on each of two threads: the blocks
-    # the engine tallies still price the published counts
-    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
-    entered = spy_budget(monkeypatch, "enter")
+def test_counted_golden_costs_with_split_passes():
+    # two whole full-scale blocks: their counted cost is the published one
     link = LinkConfig(num_spans=2, span_length_km=80.0)
     n = 2 * (N - N_OV)
     rng = np.random.default_rng(0)
@@ -174,4 +243,3 @@ def test_counted_golden_costs_with_split_passes(monkeypatch):
             coeffs = make_dbp_coefficient_set(cfg, 36e9, 1e-3)
         rep = count_runtime_multiplies(w, cfg, coeffs)
         assert round(rep.rm_per_2d) == golden, variant
-    assert entered == [True] * 3
