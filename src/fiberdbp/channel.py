@@ -24,25 +24,25 @@ and its output is bit-identical to the direct loop that builds one
 full-length phasor per step length and allocates every step
 (``split_step_oracle`` in tests/oracles.py).
 
-While a CPU is idle, a span runs its two polarization rows on two
-threads, the caller and one helper, which share one set of work buffers
-and meet at two barriers per fine step. After the first, |x|^2 + |y|^2 is
-complete and each thread computes the rotation over half of the samples
-and the next step's phasor over half of the bins, so that trig is done
-once; after the second, each thread rotates and disperses its own row. The
-process's one CPU budget (``cpus.BUDGET``, shared with the receive path)
-decides whether a span takes a helper; when another caller enters and the
-count exceeds the CPUs, the helper is given back at the next step and the
-caller runs both rows. Either way the output is the same bits.
+A span is split like every other cut in two of the package, through
+``cpus.in_two`` with the row length as its share: while a CPU is idle and
+a row holds at least ``cpus.MIN_SHARE`` samples, it runs its two
+polarization rows on two threads, the caller and one helper, which share
+one set of work buffers and meet at two barriers per fine step. After the
+first, |x|^2 + |y|^2 is complete and each thread computes the rotation
+over half of the samples and the next step's phasor over half of the
+bins, so that trig is done once; after the second, each thread rotates
+and disperses its own row. A span that got a helper keeps it to its end.
+Either way the output is the same bits.
 
 A checkpointed link writes each span's snapshot while the next span
 propagates: ``propagate_link`` hands the checkpoint callback a copy of
 the amplified field on a writer thread, ``fiberdbp-checkpoint``. At most
 one checkpoint is in flight, so the calls keep span order and never
 overlap. A file replacement waits mostly on a disk flush (tens of ms), so
-the writer is not counted in ``cpus.BUDGET`` and the span keeps its two
-row threads. Both threads are ``cpus.helper`` threads: when each is
-joined and whose error is raised follows its rules.
+the writer takes no CPU from the budget of ``cpus.in_two`` and the span
+keeps its two row threads. Both threads are ``cpus.helper`` threads: when
+each is joined and whose error is raised follows its rules.
 """
 
 from __future__ import annotations
@@ -130,7 +130,9 @@ class SimSettings:
 
     Exactly one of ``step_km`` (uniform fine steps) and ``max_phase_rad``
     (steps bounded by the nonlinear phase accumulated per step, denser where
-    the power is high, capped at ``max_step_km``) selects the controller.
+    the power is high, capped at ``max_step_km``) selects the controller;
+    with neither set, ``max_phase_rad`` is 2e-3, the plan of every shipped
+    config.
     """
 
     step_km: float | None = None
@@ -141,7 +143,7 @@ class SimSettings:
 
     def __post_init__(self):
         if self.step_km is None and self.max_phase_rad is None:
-            object.__setattr__(self, "step_km", 0.1)
+            object.__setattr__(self, "max_phase_rad", 2e-3)
         if (self.step_km is None) == (self.max_phase_rad is None):
             raise ValueError("set exactly one of step_km / max_phase_rad")
         check_numbers(self, positive=("step_km", "max_phase_rad",
@@ -262,12 +264,13 @@ def _run_spans(field: np.ndarray, rate: float,
     both rows with one share covering everything; that is also the code
     the serial path runs.
 
-    While ``cpus.BUDGET`` counts fewer threads than usable CPUs, a helper
-    thread (``cpus.helper``) runs row 1 and the caller row 0. Barrier B's
-    action decides, once for both threads, whether to fold: then both
-    finish the step, the caller joins the helper and runs both rows from
-    there on. An error in either thread aborts both barriers, so that the
-    other stops too.
+    ``cpus.in_two`` decides, at the start of the span, whether a helper
+    thread runs row 1 beside the caller's row 0: a span under
+    ``cpus.MIN_SHARE`` samples a row runs in the caller without asking the
+    budget, and a span that got a helper keeps it to the end of the span.
+    An error in either thread aborts both barriers, so that the other
+    thread returns; ``cpus.helper`` then raises the error of the thread
+    that failed (the caller's, if both did).
     """
     beta2, steps = operators
     n = field.shape[-1]
@@ -282,7 +285,11 @@ def _run_spans(field: np.ndarray, rate: float,
     square = np.empty((2, n))
     phase = np.empty(n)
     rot = np.empty(n, dtype=np.complex128)
-    everything = (slice(None), slice(None))
+    # barriers A and B of the docstring, waited at only by a split span
+    barriers = (threading.Barrier(2), threading.Barrier(2))
+    # cut at a multiple of 64 so that each part's vector loops cover the
+    # elements one pass over the whole array would
+    cuts = [size // 2 // 64 * 64 for size in (n, m)]
 
     def build(k, bins):
         """Step k's phasor over ``bins``."""
@@ -297,76 +304,47 @@ def _run_spans(field: np.ndarray, rate: float,
         np.multiply(row[:m], half[slots[k]], out=row[:m])
         np.multiply(row[m:], half[slots[k], n - m:0:-1], out=row[m:])
 
-    def run(rows, start, share, barriers):
-        """Fine steps start.. on ``rows``, with this thread's ``share``
-        (samples, bins) of the rotation and the phasors; returns the next
-        step to run."""
-        samples, bins = share
+    def run(part, parts):
+        """Every fine step on row ``part`` (both rows when whole), with this
+        part's samples and bins of the rotation and the phasors."""
+        rows = range(part, 2, parts)
+        samples, bins = [slice(part * c, None if part == parts - 1 else c)
+                         for c in cuts]
         ph, sq0, sq1 = phase[samples], square[0, samples], square[1, samples]
         cos, sin = rot.real[samples], rot.imag[samples]
-        if start == 0:
+        try:
             for r in rows:
                 np.fft.fft(field[r], out=field[r])
-        for k in range(start, len(steps)):
+            for k in range(len(steps)):
+                for r in rows:
+                    disperse(field[r], k)
+                    np.fft.ifft(field[r], out=field[r])
+                    np.square(np.abs(field[r], out=square[r]), out=square[r])
+                if parts == 2:
+                    barriers[0].wait()
+                np.add(sq0, sq1, out=ph)
+                ph *= steps[k][1]
+                np.cos(ph, out=cos)
+                np.sin(ph, out=sin)
+                if k + 1 < len(steps) and slots[k + 1] != slots[k]:
+                    build(k + 1, bins)
+                if parts == 2:
+                    barriers[1].wait()
+                for r in rows:
+                    field[r] *= rot
+                    np.fft.fft(field[r], out=field[r])
+                    disperse(field[r], k)
             for r in rows:
-                disperse(field[r], k)
                 np.fft.ifft(field[r], out=field[r])
-                np.square(np.abs(field[r], out=square[r]), out=square[r])
-            if barriers:
-                barriers[0].wait()
-            np.add(sq0, sq1, out=ph)
-            ph *= steps[k][1]
-            np.cos(ph, out=cos)
-            np.sin(ph, out=sin)
-            if k + 1 < len(steps) and slots[k + 1] != slots[k]:
-                build(k + 1, bins)
-            if barriers:
-                barriers[1].wait()
-            for r in rows:
-                field[r] *= rot
-                np.fft.fft(field[r], out=field[r])
-                disperse(field[r], k)
-            if barriers and folded:
-                return k + 1
-        for r in rows:
-            np.fft.ifft(field[r], out=field[r])
-        return len(steps)
-
-    build(0, slice(None))
-    split = cpus.BUDGET.enter()
-    folded = False
-    try:
-        if not split:
-            run((0, 1), 0, everything, None)
-            return
-
-        def decide():
-            nonlocal folded
-            folded = cpus.BUDGET.fold()
-
-        # barriers A and B of the docstring
-        barriers = (threading.Barrier(2), threading.Barrier(2, action=decide))
-
-        def abort():
+        except threading.BrokenBarrierError:
+            return  # the other part raised, and cpus.helper raises it
+        except BaseException:
             for barrier in barriers:
                 barrier.abort()
+            raise
 
-        # cut at a multiple of 64 so that each share's vector loops cover
-        # the elements one pass over the whole array would
-        cuts = [size // 2 // 64 * 64 for size in (n, m)]
-        row1 = partial(run, (1,), 0, [slice(c, None) for c in cuts], barriers)
-        with cpus.helper(row1, "span-row-1", on_error=abort):
-            try:
-                resume = run((0,), 0, [slice(c) for c in cuts], barriers)
-            except threading.BrokenBarrierError:
-                return  # the helper raised, and leaving the block raises it
-            except BaseException:
-                abort()
-                raise
-        if folded:
-            run((0, 1), resume, everything, None)
-    finally:
-        cpus.BUDGET.leave(1 + (split and not folded))
+    build(0, slice(None))
+    cpus.in_two(run, n)
 
 
 def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
@@ -392,7 +370,8 @@ def propagate_link(w: DualPolWaveform, link: LinkConfig, sim: SimSettings,
     finished, and no later checkpoint is called; an error in the caller
     (an interrupt during a span, say) waits for the checkpoint in flight,
     so the file it writes is left whole, and is the one raised. The writer
-    mostly waits on the disk, so it takes no CPU from ``cpus.BUDGET``.
+    mostly waits on the disk, so it takes no CPU from ``cpus.in_two``'s
+    budget.
     """
     w.require_finite()
     _check_headroom(w)

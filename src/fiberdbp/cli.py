@@ -69,8 +69,7 @@ class ExperimentConfig:
     wdm: WdmConfig
     link: LinkConfig
     dbp: dict
-    sim: SimSettings = field(default_factory=lambda: SimSettings(
-        max_phase_rad=2e-3))
+    sim: SimSettings = field(default_factory=SimSettings)
     num_symbols: int = 4096
     sim_rate_hz: float | None = None
     seeds: dict = field(default_factory=lambda: dict(_DEFAULT_SEEDS))

@@ -57,33 +57,39 @@ class CostReport:
 
 
 def _cfft_cost(size: int) -> tuple[float, float]:
+    # the split-radix count is negative at size 3 and meaningless below
+    if size < 4:
+        raise ValueError(f"FFT size {size} is below 4, where the split-radix "
+                         "count does not hold")
     lg = math.log2(size)
     return size * lg - 3 * size + 4, 3 * size * lg - 3 * size + 4
 
 
 def _cb_block_counts(block_size: int, n_steps: int,
                      n_subbands: int) -> dict[str, tuple[float, float]]:
-    """Exact per-block (RM, RA) pieces of the coupled-band engine."""
+    """Exact per-block (RM, RA) pieces of the coupled-band engine, in the
+    order the engine runs them."""
     n, n_st, n_sb = block_size, n_steps, n_subbands
     n_prime = n // n_sb
     fm, fa = _cfft_cost(n)
     sm, sa = _cfft_cost(n_prime)
     out = {"outer_fft": (4 * fm, 4 * fa),
-           "subband_fft": (4 * n_sb * n_st * sm, 4 * n_sb * n_st * sa),
-           "gvd": ((n_st + 1) * 6 * n, (n_st + 1) * 6 * n)}
+           "gvd": ((n_st + 1) * 6 * n, (n_st + 1) * 6 * n),
+           "subband_fft": (4 * n_sb * n_st * sm, 4 * n_sb * n_st * sa)}
     if n_st:
         lg = math.log2(n_prime)
         out["intensity"] = (n_st * 4 * n, n_st * 3 * n)
         out["mimo"] = (n_st * (n * lg + n / 2 * (3 * n_sb - 7) + 4 * n_sb),
                        n_st * (3 * n * lg + n / 2 * (5 * n_sb - 11) + 4 * n_sb))
-        out["rotation"] = (n_st * 6 * n, n_st * 8 * n)
         out["exp_lut"] = (0.0, 0.0)
+        out["rotation"] = (n_st * 6 * n, n_st * 8 * n)
     return out
 
 
 def _time_block_counts(block_size: int, n_steps: int,
                        n_taps: int) -> dict[str, tuple[float, float]]:
-    """Per-block pieces of the time-domain (single-band) engine."""
+    """Per-block pieces of the time-domain (single-band) engine, in the
+    order the engine runs them."""
     n, n_st = block_size, n_steps
     fm, fa = _cfft_cost(n)
     out = {"fft": (4 * (n_st + 1) * fm, 4 * (n_st + 1) * fa),
@@ -92,8 +98,8 @@ def _time_block_counts(block_size: int, n_steps: int,
         out["intensity"] = (n_st * 4 * n, n_st * 3 * n)
         # symmetric filter: n_taps + 1 unique coefficients on real samples
         out["fir"] = (n_st * n * (n_taps + 1), n_st * n * 2 * n_taps)
-        out["rotation"] = (n_st * 6 * n, n_st * 8 * n)
         out["exp_lut"] = (0.0, 0.0)
+        out["rotation"] = (n_st * 6 * n, n_st * 8 * n)
     return out
 
 
@@ -175,14 +181,6 @@ def _check_block(block_size, overlap, oversampling, n_subbands, n_steps):
         raise ValueError("oversampling must be finite and > 0")
 
 
-# the order the engine runs its stages in. Counted totals are summed in
-# this order, steady-state totals in table order: one order for both would
-# move one route's coupled-band totals by up to 2 ulp, and perfbench checks
-# the counted ones with ==
-_ENGINE_STAGES = ("outer_fft", "fft", "gvd", "subband_fft", "intensity",
-                  "mimo", "fir", "exp_lut", "rotation")
-
-
 def count_runtime_multiplies(w: DualPolWaveform, cfg: DbpConfig,
                              coeffs: CoefficientSet | None = None) -> CostReport:
     """Cost of running the engine on w with the tap set coeffs.
@@ -201,6 +199,5 @@ def count_runtime_multiplies(w: DualPolWaveform, cfg: DbpConfig,
         cfg.check_coefficient_set(coeffs, w.sample_rate)
         if 0 in coeffs.coeffs:
             wing = (coeffs.coeffs[0].size - 1) // 2
-    table = _block_table(cfg, wing)
-    return _per_2d_report({k: table[k] for k in _ENGINE_STAGES if k in table},
-                          cfg.oversampling, w.num_samples, blocks)
+    return _per_2d_report(_block_table(cfg, wing), cfg.oversampling,
+                          w.num_samples, blocks)

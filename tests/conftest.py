@@ -8,10 +8,9 @@ from fiberdbp import LinkConfig, StepGeometry, WdmConfig
 from fiberdbp.cpus import Budget
 
 
-# names of the threads the package starts, each through cpus.helper: a
-# span's row-1 thread, the helper of a split (cpus.in_two) and
-# propagate_link's checkpoint writer
-PACKAGE_THREADS = ("span-row-1", "fiberdbp-helper", "fiberdbp-checkpoint")
+# names of the threads the package starts, each through cpus.helper: the
+# helper of a split (cpus.in_two) and propagate_link's checkpoint writer
+PACKAGE_THREADS = ("fiberdbp-helper", "fiberdbp-checkpoint")
 
 
 def package_threads() -> list[threading.Thread]:

@@ -14,7 +14,7 @@ from fiberdbp import (DualPolWaveform, LinkConfig, SimSettings, WdmConfig,
                       propagate_link, span_step_sizes)
 from fiberdbp import channel, cpus
 from fiberdbp.channel import _run_spans, _step_operators, ase_variance_per_pol
-from fiberdbp.cpus import BUDGET
+from fiberdbp.cpus import BUDGET, MIN_SHARE
 from conftest import PACKAGE_THREADS, package_threads, rel_rms, spy_budget
 from oracles import split_step_oracle
 
@@ -255,13 +255,14 @@ def test_run_spans_matches_oracle_bit_for_bit(plan, n, inverse, monkeypatch):
     field = random_field(n, n, p0)
     expect = split_step_oracle(field, rate, link, steps, inverse)
     entered = spy_budget(monkeypatch, "enter")
-    # one CPU runs both rows in the calling thread, two split them
+    # one CPU runs both rows in the calling thread, two split them; rows
+    # under cpus.MIN_SHARE samples stay in the caller without asking
     for cpus in (1, 2):
         monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: cpus)
         got = field.copy()
         _run_spans(got, rate, _step_operators(link, steps, inverse))
         assert np.array_equal(got, expect)
-    assert entered == [False, True]
+    assert entered == ([False, True] if n >= MIN_SHARE else [])
 
 
 def counting(ufunc, calls):
@@ -280,40 +281,40 @@ def random_field(n, seed, p0=6e-3):
 
 @pytest.mark.parametrize("fold_at", ["first", "middle", "last"])
 def test_span_folds_when_the_cpus_shrink(fold_at, monkeypatch):
-    # the CPU count is read at every step: two when the span enters, one
-    # from the barrier of step k on, so the helper is given back at step k
+    # two CPUs when the span enters, one from the helper's inverse
+    # transform of step k on: the span does not fold back to one thread,
+    # its helper runs row 1 to the end of the span
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     steps = span_step_sizes(link, SimSettings(max_phase_rad=4e-3,
                                               max_step_km=8.0), 6e-3)
-    k = {"first": 0, "middle": steps.size // 2, "last": steps.size - 1}
-    reads = itertools.count()
-    # read 0 is the span's entry, read j + 1 the barrier of step j
-    monkeypatch.setattr("fiberdbp.cpus.usable_cpus",
-                        lambda: 2 if next(reads) <= k[fold_at] else 1)
-    folds = spy_budget(monkeypatch, "fold")
-    # the helper lags after the fold: the caller must not touch row 1 first
-    fft, caller = np.fft.fft, threading.current_thread()
+    k = {"first": 0, "middle": steps.size // 2, "last": steps.size}
+    usable = [2]
+    monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: usable[0])
+    entered = spy_budget(monkeypatch, "enter")
+    ifft, helper_iffts = np.fft.ifft, []
 
-    def lagging_fft(*args, **kwargs):
-        if threading.current_thread() is not caller and any(folds):
-            time.sleep(0.05)
-        return fft(*args, **kwargs)
+    def shrinking_ifft(*args, **kwargs):
+        if threading.current_thread().name == "fiberdbp-helper":
+            if len(helper_iffts) == k[fold_at]:
+                usable[0] = 1
+            helper_iffts.append(1)
+        return ifft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fft", lagging_fft)
+    monkeypatch.setattr(np.fft, "ifft", shrinking_ifft)
     field = random_field(10241, 1)
     got = field.copy()
     _run_spans(got, 64e9, _step_operators(link, steps, False))
-    assert folds == [False] * k[fold_at] + [True]
+    assert entered == [True] and usable == [1]
+    assert len(helper_iffts) == steps.size + 1
     assert np.array_equal(got, split_step_oracle(field, 64e9, link, steps,
                                                  False))
     assert BUDGET.running == 0
 
 
 def test_concurrent_spans_fold_and_match_serial(monkeypatch):
-    # four spans at once on two CPUs: the first to enter takes a helper and
-    # folds it when the next enters; every span still equals its serial run
+    # four spans at once on two CPUs; every span still equals its serial
+    # run
     monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
-    folds = spy_budget(monkeypatch, "fold")
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     steps = span_step_sizes(link, SimSettings(step_km=1.0), 6e-3)
     operators = _step_operators(link, steps, False)
@@ -344,24 +345,22 @@ def test_concurrent_spans_fold_and_match_serial(monkeypatch):
     assert [len(r) for r in results] == [3] * len(fields)
     assert all(np.array_equal(got, ref)
                for runs, ref in zip(results, expect) for got in runs)
-    assert sum(folds) > 0
     assert BUDGET.running == 0
 
 
 def test_split_spans_share_their_buffers_under_fast_switching(monkeypatch):
-    # two spans at once, each split over two threads (four threads, no
-    # fold); each thread writes halves of the rotation and of the next
+    # two spans at once, each split over two threads (four threads); each
+    # thread writes halves of the rotation and of the next
     # phasor that its partner reads after a barrier, so a read that ran
     # ahead of a write would change bits, and distinct step lengths make
     # every step build a phasor
     monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 4)
     entered = spy_budget(monkeypatch, "enter")
-    folds = spy_budget(monkeypatch, "fold")
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     steps = span_step_sizes(link, SimSettings(max_phase_rad=4e-3,
                                               max_step_km=8.0), 6e-3)
     operators = _step_operators(link, steps, False)
-    fields = [random_field(4096, seed) for seed in (5, 6)]
+    fields = [random_field(MIN_SHARE, seed) for seed in (5, 6)]
     expect = [split_step_oracle(f, 64e9, link, steps, False) for f in fields]
     results = [[] for _ in fields]
     start = threading.Barrier(len(fields))
@@ -385,7 +384,7 @@ def test_split_spans_share_their_buffers_under_fast_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert entered == [True] * 6 and not any(folds)
+    assert entered == [True] * 6
     assert all(len(runs) == 3 and all(np.array_equal(got, ref)
                                        for got in runs)
                for runs, ref in zip(results, expect))
@@ -414,7 +413,7 @@ def test_span_error_reaches_the_caller(raising, monkeypatch):
     error = Failure if raising == "helper" else KeyboardInterrupt
     link = LinkConfig(num_spans=1, span_length_km=80.0)
     operators = _step_operators(link, np.full(40, 2.0), False)
-    field = random_field(4096, 2)
+    field = random_field(MIN_SHARE, 2)
     caught = []
 
     def caller():
@@ -441,7 +440,8 @@ def test_no_thread_outlives_a_simulation(fails, desk_link, desk_wdm,
     monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
     entered = spy_budget(monkeypatch, "enter")
     sim = SimSettings(max_phase_rad=2e-3, noise_seed=1)
-    w, _ = generate_wdm(desk_wdm, 128, seed=1)
+    w, _ = generate_wdm(desk_wdm, 2048, seed=1)
+    assert w.num_samples >= MIN_SHARE  # so that every span splits
     rx = propagate_link(w, desk_link, sim)
     if fails:  # the helper thread of the first span raises
         main = threading.main_thread()
@@ -582,8 +582,8 @@ def test_interrupted_span_lets_the_checkpoint_in_flight_finish(
 
 def test_thread_guard_knows_every_package_thread(desk_link, desk_wdm,
                                                  monkeypatch):
-    # the conftest guard finds the package's threads by name: a span's row
-    # thread, a split's helper and the checkpoint writer
+    # the conftest guard finds the package's threads by name: a split's
+    # helper and the checkpoint writer
     monkeypatch.setattr("fiberdbp.cpus.usable_cpus", lambda: 2)
     names, start = set(), threading.Thread.start
 
@@ -672,7 +672,7 @@ def test_sim_settings_xor():
     with pytest.raises(ValueError):
         SimSettings(step_km=0.1, max_phase_rad=1e-3)
     s = SimSettings()
-    assert s.step_km == 0.1 and s.max_phase_rad is None
+    assert s.step_km is None and s.max_phase_rad == 2e-3
 
 
 @pytest.mark.parametrize("bad, field", [

@@ -19,8 +19,8 @@ import fiberdbp.cli
 import fiberdbp.optimize
 from fiberdbp import (build_training_set, dbp_cost, generate_wdm,
                       load_coefficients, load_waveform, propagate_link,
-                      read_csv, sweep_launch_power, sweep_splitting_ratio,
-                      write_csv)
+                      read_csv, span_step_sizes, sweep_launch_power,
+                      sweep_splitting_ratio, write_csv)
 from fiberdbp.cli import FIGURE_IDS, ExperimentConfig, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,6 +123,20 @@ def test_absent_keys_take_field_defaults(ws):
     assert got == ExperimentConfig(cfg.wdm, cfg.link, cfg.dbp,
                                    seeds={"train": 1, "val": 2, "eval": 5})
     assert got.to_dict() == asdict(got)
+
+
+def test_noise_only_sim_block_keeps_the_default_plan():
+    # a sim: block that sets only noise fields plans the fine steps that no
+    # sim: block does (144 a span on the desk link here), not a uniform
+    # 0.1 km grid (800)
+    doc = ExperimentConfig.from_yaml(ROOT / "configs" / "desk.yaml").to_dict()
+    del doc["sim"]
+    plain = ExperimentConfig.from_dict(doc)
+    noisy = ExperimentConfig.from_dict({**doc, "sim": {"noise_seed": 3}})
+    tx, _ = generate_wdm(plain.wdm, plain.num_symbols, seed=1)
+    plans = [span_step_sizes(cfg.link, cfg.sim, tx.power)
+             for cfg in (plain, noisy)]
+    assert plans[0].size == 144 and np.array_equal(*plans)
 
 
 def test_config_hash_ignores_execution_only_keys(ws):

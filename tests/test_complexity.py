@@ -66,10 +66,18 @@ def test_stage_tables_sum_to_the_closed_forms():
     (cb_essfm_cost, (N, N_OV, float("nan"), 15, 2), "oversampling"),
     (cb_essfm_cost, (N, N_OV, -1.125, 15, 2), "oversampling"),
     (essfm_time_domain_cost, (N, N_OV, float("inf"), 0), "oversampling"),
-    (essfm_time_domain_cost, (N, N_OV, 0.0, 0), "oversampling")],
+    (essfm_time_domain_cost, (N, N_OV, 0.0, 0), "oversampling"),
+    # the split-radix count is negative at size 3: FFTs below 4 are refused
+    (cb_essfm_cost, (3, 0, 1.0, 0, 1), "FFT size 3"),
+    (cb_essfm_cost, (6, 0, 1.0, 1, 2), "FFT size 3"),
+    (dbp_cost, (DbpConfig(link=LinkConfig(num_spans=2, span_length_km=80.0),
+                          variant="CB_ESSFM", n_steps=1, n_subbands=4,
+                          block_size=4, overlap=0, oversampling=SPS), 36e9),
+     "FFT size 1")],
     ids=["no_subbands", "cb_negative_overlap", "essfm_negative_overlap",
          "nan_oversampling", "negative_oversampling", "inf_oversampling",
-         "zero_oversampling"])
+         "zero_oversampling", "outer_fft_of_3", "subband_fft_of_3",
+         "subband_fft_of_1"])
 def test_cost_functions_refuse_bad_blocks(price, args, message):
     with pytest.raises(ValueError, match=message):
         price(*args)

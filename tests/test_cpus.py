@@ -44,24 +44,6 @@ def test_block_error_wins_and_the_helper_is_still_joined():
     assert finished.is_set() and not package_threads()
 
 
-def test_on_error_runs_on_the_helper_thread_only_when_the_target_raises():
-    seen = []
-
-    def on_error():
-        seen.append(threading.current_thread().name)
-
-    def target():
-        raise Failure
-
-    with pytest.raises(Failure):
-        with cpus.helper(target, "span-row-1", on_error=on_error):
-            pass
-    assert seen == ["span-row-1"]
-    with cpus.helper(lambda: None, "span-row-1", on_error=on_error):
-        pass
-    assert seen == ["span-row-1"]
-
-
 @pytest.mark.parametrize("name", PACKAGE_THREADS)
 def test_helper_thread_carries_its_name(name):
     # so that the conftest guard finds a helper that is left running
